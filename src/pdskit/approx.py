@@ -136,7 +136,7 @@ def decide_pds_at_least_k(g: Graph, k: int, cap: int | None = None) -> bool:
     cap = exact.resolve_cap(cap)
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
-    adjm = g.adj_mask
+    adjm = exact.adjacency_masks(g)
     deg = g.deg
     for size in range(min(pds_size_upper_bound(g), n - 1), k - 1, -1):
         co = n - size

@@ -281,9 +281,9 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
 def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:
     if verify:
         target = max_pds_size_cubic(g.n)
-        graph = g.to_graph()
         if len(s) != target:
             raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
+        graph = g.to_graph()
         if not check_pds(graph, s).holds:
             raise VerificationFailed("answer failed the PDS re-check")
         if not induced_connected(graph, s):

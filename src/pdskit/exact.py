@@ -35,6 +35,17 @@ def resolve_cap(cap: int | None = None) -> int:
     return cap
 
 
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Neighbourhood of every vertex as a bitmask: bit w of entry v is set
+    iff vw is an edge.  Costs about n^2/16 bytes, so only the capped
+    solvers here build it."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
 def ksubset_masks(n: int, k: int) -> Iterator[int]:
     """All k-subsets of {0..n-1} as bitmasks in ascending numeric order."""
     if k == 0:
@@ -105,7 +116,7 @@ def max_pds_exact(
     n = g.n
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
-    adjm = g.adj_mask
+    adjm = adjacency_masks(g)
     deg = g.deg
     checked = 0
     top = 1 << n
@@ -148,7 +159,7 @@ def pds_extension(
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
     if len(base) >= n:
         raise InvalidSubsetSize("base must be a strict subset of the vertices")
-    adjm = g.adj_mask
+    adjm = adjacency_masks(g)
     deg = g.deg
     base_mask = base.mask
     free = [v for v in range(n) if not base_mask >> v & 1]
@@ -176,7 +187,7 @@ def max_independent_set_exact(
     n = g.n
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
-    adjm = g.adj_mask
+    adjm = adjacency_masks(g)
     best = [0, 0]
 
     def grow(allowed: int, size: int, chosen: int) -> None:

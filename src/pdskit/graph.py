@@ -98,7 +98,7 @@ class Graph:
     check it themselves so that gadget graphs can be assembled piecewise.
     """
 
-    __slots__ = ("n", "m", "edges", "adj", "deg", "adj_mask")
+    __slots__ = ("n", "m", "edges", "adj", "deg")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 2:
@@ -119,17 +119,13 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", len(canon))
         object.__setattr__(self, "edges", tuple(canon))
+        # canon is sorted, so every neighbour list fills in ascending order
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in canon:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in nbrs))
-        object.__setattr__(self, "deg", tuple(len(a) for a in nbrs))
-        masks = [0] * n
-        for u, v in canon:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        object.__setattr__(self, "adj_mask", tuple(masks))
+        object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
+        object.__setattr__(self, "deg", tuple(map(len, nbrs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

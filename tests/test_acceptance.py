@@ -37,7 +37,7 @@ from pdskit import (
     VertexSet,
 )
 from pdskit.bench import fit_loglog, run_suite
-from pdskit.exact import ksubset_masks, _mask_is_pds
+from pdskit.exact import adjacency_masks, ksubset_masks, _mask_is_pds
 from pdskit.generators import _canonical_key
 
 from .conftest import record_acceptance
@@ -205,7 +205,7 @@ def test_criterion_07_split_correspondence():
 
 def _has_pds_of_at_least(g, lo: int) -> bool:
     ub = min(pds_size_upper_bound(g), g.n - 1)
-    adjm, deg = g.adj_mask, g.deg
+    adjm, deg = adjacency_masks(g), g.deg
     for size in range(ub, lo - 1, -1):
         co, sm1 = g.n - size, size - 1
         for smask in ksubset_masks(g.n, size):
@@ -245,7 +245,7 @@ def test_criterion_08_bipartite_correspondence():
 
 def test_criterion_09_cubic_optimality():
     exceptional_keys = {
-        _canonical_key(8, fixture(name).graph.adj_mask)
+        _canonical_key(8, adjacency_masks(fixture(name).graph))
         for name in ("exc8_paired", "exc8_alternating")
     }
     failures = []
@@ -259,7 +259,7 @@ def test_criterion_09_cubic_optimality():
             g = inst.to_graph()
             if out.exceptional is not None:
                 exceptional += 1
-                if n != 8 or _canonical_key(8, g.adj_mask) not in exceptional_keys:
+                if n != 8 or _canonical_key(8, adjacency_masks(g)) not in exceptional_keys:
                     failures.append(f"stray exception at n={n}")
                 elif max_pds_exact(g, connected_only=True).size >= target:
                     failures.append(f"false exception at n={n}")

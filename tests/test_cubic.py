@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,8 +222,13 @@ class TestSolve:
 
 
 class TestVerification:
-    def test_finish_rejects_wrong_size(self):
+    def test_finish_rejects_wrong_size(self, monkeypatch):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
+
+        def no_build(self):
+            raise AssertionError("size check must run before the graph build")
+
+        monkeypatch.setattr(CubicCycleGraph, "to_graph", no_build)
         with pytest.raises(VerificationFailed):
             _finish(g, VertexSet.from_ids(6, [0, 1, 2]), True)
 
@@ -234,6 +241,22 @@ class TestVerification:
         g = CubicCycleGraph(6, PRISM6_CHORDS)
         out = _finish(g, VertexSet.from_ids(6, [0, 1, 2]), False)
         assert out.pds is not None  # caller asked for no re-check
+
+    def test_verified_solve_memory_is_linear(self):
+        """The re-check builds a full Graph, which must stay linear in n:
+        a per-vertex neighbour bitmask would cost about n^2/16 bytes."""
+        peaks = {}
+        for n in (10**4, 10**5):
+            g = random_cubic_cycle(n, seed=0)
+            tracemalloc.start()
+            try:
+                out = solve_hamiltonian_cubic(g, verify=True)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out.pds) == max_pds_size_cubic(n)
+        assert peaks[10**5] < 100 * 2**20
+        assert peaks[10**5] <= 12 * peaks[10**4]
 
 
 class TestGenerators:

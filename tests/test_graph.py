@@ -21,6 +21,7 @@ from pdskit import (
     set_from_json,
     set_to_json,
 )
+from pdskit.exact import adjacency_masks
 from pdskit.graph import require_connected
 
 from .strategies import graphs, graphs_with_subset
@@ -90,8 +91,19 @@ class TestGraph:
         with pytest.raises(InvalidGraph):
             Graph(3, [(0, 1), (1, 0)])
 
-    def test_adj_mask(self):
-        assert P4.adj_mask == (0b0010, 0b0101, 0b1010, 0b0100)
+    def test_adjacency_masks(self):
+        assert adjacency_masks(P4) == (0b0010, 0b0101, 0b1010, 0b0100)
+
+    @given(graphs())
+    def test_adjacency_masks_and_sorted_adj(self, g):
+        masks = adjacency_masks(g)
+        # edges given in descending order, endpoints swapped
+        h = Graph(g.n, [(v, u) for u, v in reversed(g.edges)])
+        assert h.adj == g.adj
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (masks[u] >> v & 1 == 1) == g.has_edge(u, v)
+            assert all(a < b for a, b in zip(g.adj[u], g.adj[u][1:]))
 
     def test_full_set(self):
         assert K4.full_set().members() == [0, 1, 2, 3]
