@@ -4,8 +4,13 @@ The search keeps a set S of roughly half the vertices.  While S is not a
 PDS it picks the member u whose outside degree most exceeds its inside
 degree (ties to the smallest id) and replaces S by (V \\ S) | {u}.  Each
 such move shrinks the cut between S and its complement at least every
-other iteration, so at most 2m+1 moves happen; with the degree tables
-kept incrementally every iteration costs O(n), O(n*m) overall.
+other iteration, so at most 2m+1 moves happen.
+
+A move touches only u and its neighbours.  Every vertex keeps a fixed
+side bit and its count of neighbours on its own side, so S is just one
+of the two sides; a lazy heap per side yields the pick and a per-side
+count of vertices below their density threshold answers "is S a PDS?".
+One move costs O(deg(u) log n) instead of a scan of all n vertices.
 """
 
 from __future__ import annotations
@@ -13,11 +18,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from . import exact
-from .errors import GraphTooSmall, InstanceTooLarge, InvalidSubsetSize, KOutOfRange
+from .errors import (
+    GraphTooSmall,
+    InstanceTooLarge,
+    InvalidSubsetSize,
+    KOutOfRange,
+    VerificationFailed,
+)
 from .graph import Graph, VertexSet, require_connected
 from .pds import pds_size_upper_bound
+
+# _DIGITS[cur] turns side bits into the binary digits of S's mask, lowest bit first
+_DIGITS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
 
 
 @dataclass(frozen=True)
@@ -64,51 +79,101 @@ def half_pds(
 
     adj = g.adj
     deg = g.deg
-    in_s = start.flags()
-    din = [0] * n
+    n1 = n - 1
+    # side[v] changes only when v itself moves; S is the side equal to cur.
+    # S starts as side 1 with half vertices and every move swaps the sides,
+    # so |S| is half while S is side 1 and n-half+1 while it is side 0, and
+    # v in S passes own*(n-|S|) >= (deg-own)*(|S|-1) iff own*(n-1) >= deg*sm1[side]
+    sm1 = (n - half, half - 1)
+    side = start.flags()
+    own = [0] * n  # neighbours of v on v's own side
+    bad = [0, 0]  # bad[s]: vertices of side s failing the test while S is side s
+    cut = 0
     for v in range(n):
         c = 0
         for w in adj[v]:
-            c += in_s[w]
-        din[v] = c
-    ssize = half
-    cut = sum(deg[v] - din[v] for v in range(n) if in_s[v])
+            c += side[w]
+        d = deg[v]
+        if side[v]:
+            own[v] = c
+            cut += d - c
+            if c * n1 < d * sm1[1]:
+                bad[1] += 1
+        else:
+            own[v] = d - c
+    if not bad[1]:
+        return start, ApproxTrace(start, (), start)
 
+    # heap key (2*own - deg)*n + v: the top has the largest gain deg - 2*own,
+    # ties to the smallest id; an entry is stale once v's side or key moved on
+    heaps: tuple[list[int], list[int]] = ([], [])
+    for v in range(n):
+        o = own[v]
+        d = deg[v]
+        if side[v]:
+            heaps[1].append((2 * o - d) * n + v)
+        else:
+            if o * n1 < d * sm1[0]:
+                bad[0] += 1
+            heaps[0].append((2 * o - d) * n + v)
+    heapify(heaps[0])
+    heapify(heaps[1])
+
+    cur = 1
     moves: list[MoveRecord] = []
     for _ in range(2 * g.m + 2):
-        co = n - ssize
-        sm1 = ssize - 1
-        is_pds = True
-        pick = -1
-        pick_diff = None
-        for v in range(n):
-            if in_s[v]:
-                inside = din[v]
-                if is_pds and inside * co < (deg[v] - inside) * sm1:
-                    is_pds = False
-                diff = deg[v] - 2 * inside
-                if pick_diff is None or diff > pick_diff:
-                    pick_diff = diff
-                    pick = v
-        if is_pds:
+        if not bad[cur]:
             break
-        u = pick
+        h_old = heaps[cur]
+        while True:
+            key = h_old[0]
+            u = key % n
+            if side[u] == cur and key == (2 * own[u] - deg[u]) * n + u:
+                break
+            heappop(h_old)
+        # S := (V \ S) | {u}: the other side becomes S and u joins it
+        o = own[u]
+        d = deg[u]
         cut_before = cut
-        cut -= deg[u] - 2 * din[u]
-        moves.append(MoveRecord(u, din[u], deg[u] - din[u], cut_before, cut))
-        # S := (V \ S) | {u}: complement every table, then patch u back in
-        for v in range(n):
-            din[v] = deg[v] - din[v]
-            in_s[v] ^= 1
+        cut -= d - 2 * o
+        moves.append(MoveRecord(u, o, d - o, cut_before, cut))
+        old = cur
+        cur ^= 1
+        k_old = sm1[old]
+        k_new = sm1[cur]
+        h_new = heaps[cur]
+        if o * n1 < d * k_old:
+            bad[old] -= 1
+        o = d - o
+        own[u] = o
+        side[u] = cur
+        if o * n1 < d * k_new:
+            bad[cur] += 1
+        heappush(h_new, (2 * o - d) * n + u)
+        # own moves by one, so the test flips iff own*(n-1) - deg*k lands
+        # in [0, n-1) after a gain or in [-(n-1), 0) after a loss
         for w in adj[u]:
-            din[w] += 1
-        in_s[u] = 1
-        ssize = n - ssize + 1
+            d = deg[w]
+            if side[w] == cur:
+                o = own[w] + 1
+                own[w] = o
+                if 0 <= o * n1 - d * k_new < n1:
+                    bad[cur] -= 1
+                heappush(h_new, (2 * o - d) * n + w)
+            else:
+                o = own[w] - 1
+                own[w] = o
+                if -n1 <= o * n1 - d * k_old < 0:
+                    bad[old] += 1
+                heappush(h_old, (2 * o - d) * n + w)
     else:
-        raise AssertionError("local search exceeded its 2m+1 move bound")
+        raise VerificationFailed("local search exceeded its 2m+1 move bound")
 
-    final = VertexSet.from_ids(n, (v for v in range(n) if in_s[v]))
-    assert len(final) in (half, half + 1)
+    final = VertexSet(n, int(side.translate(_DIGITS[cur])[::-1], 2))
+    if not half <= len(final) <= half + 1:
+        raise VerificationFailed(
+            f"local search returned {len(final)} vertices, not {half} or {half + 1}"
+        )
     return final, ApproxTrace(start, tuple(moves), final)
 
 
@@ -131,7 +196,8 @@ def decide_pds_at_least_k(g: Graph, k: int, cap: int | None = None) -> bool:
         raise KOutOfRange(f"need 2 <= k < n, got k={k}, n={n}")
     if k <= (n + 1) // 2:
         s, _ = half_pds(g)
-        assert len(s) >= k
+        if len(s) < k:
+            raise VerificationFailed(f"local search returned {len(s)} vertices, below k={k}")
         return True
     cap = exact.resolve_cap(cap)
     if n > cap:

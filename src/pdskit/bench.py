@@ -8,7 +8,7 @@ import time
 from . import approx, cubic, generators
 from .errors import UnknownSuite
 
-APPROX_SIZES = (256, 512, 1024, 2048, 4096, 8192)
+APPROX_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 CUBIC_SIZES = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
 
 

@@ -1,7 +1,15 @@
+import os
+import random
+import subprocess
+import sys
+import types
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdskit import (
     Disconnected,
@@ -17,9 +25,12 @@ from pdskit import (
     decide_pds_at_least_k,
     half_pds,
     max_pds_exact,
+    random_connected,
 )
-from pdskit.errors import NoPds
+from pdskit import approx
+from pdskit.errors import NoPds, VerificationFailed
 
+from .scan_reference import half_pds_scan
 from .strategies import graphs
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -97,6 +108,87 @@ class TestHalfPds:
         half = (g.n + 1) // 2
         assert len(s) in (half, half + 1)
         assert check_pds(g, s).holds
+
+
+class TestMatchesScanReference:
+    """The heap-based search must replay the original scan loop move for move."""
+
+    def test_every_small_start(self):
+        runs = 0
+        for n in range(3, 8):
+            half = (n + 1) // 2
+            starts = [VertexSet.from_ids(n, ids) for ids in combinations(range(n), half)]
+            for g in all_connected_graphs(n):
+                for init in starts:
+                    assert half_pds(g, init=init) == half_pds_scan(g, init)
+                    runs += 1
+        assert runs == 32347
+
+    def test_seeded_random_graphs(self):
+        # the 500 graphs and seeded starts of acceptance criterion 4
+        for i in range(500):
+            rng = random.Random(i)
+            n = rng.randint(3, 200)
+            m = rng.randint(n - 1, min(n * (n - 1) // 2, 4 * n))
+            g = random_connected(n, m, seed=i)
+            s, trace = half_pds(g, seed=i)
+            assert (s, trace) == half_pds_scan(g, trace.initial)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_init_sparse_to_complete(self, data):
+        n = data.draw(st.integers(min_value=3, max_value=60))
+        m = data.draw(st.integers(min_value=n - 1, max_value=n * (n - 1) // 2))
+        g = random_connected(n, m, seed=data.draw(st.integers(0, 2**32)))
+        ids = data.draw(st.permutations(range(n)))[: (n + 1) // 2]
+        init = VertexSet.from_ids(n, ids)
+        assert half_pds(g, init=init) == half_pds_scan(g, init)
+
+
+class TestSelfChecks:
+    """Solver self-checks raise VerificationFailed, which python -O keeps."""
+
+    # the path 3-1-0-2-4 from {0, 1, 4} needs two moves, picking 4 then 3
+    P5 = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
+    P5_INIT = VertexSet.from_ids(5, [0, 1, 4])
+
+    def test_move_bound(self):
+        _, trace = half_pds(self.P5, init=self.P5_INIT)
+        assert [mv.vertex for mv in trace.moves] == [4, 3]
+        # a graph that under-reports its edges allows at most 2*0+1 moves
+        liar = types.SimpleNamespace(n=5, m=0, adj=self.P5.adj, deg=self.P5.deg)
+        with pytest.raises(VerificationFailed, match="move bound"):
+            half_pds(liar, init=self.P5_INIT)
+
+    def test_final_size(self, monkeypatch):
+        monkeypatch.setattr(approx, "VertexSet", lambda n, mask: VertexSet(n, 0))
+        with pytest.raises(VerificationFailed, match="returned 0 vertices"):
+            half_pds(self.P5, init=self.P5_INIT)
+
+    def test_decide_small_answer(self, monkeypatch):
+        monkeypatch.setattr(
+            approx, "half_pds", lambda g: (VertexSet.from_ids(g.n, [0]), None)
+        )
+        with pytest.raises(VerificationFailed, match="below k=2"):
+            decide_pds_at_least_k(self.P5, 2)
+
+    def test_survives_optimize_flag(self):
+        script = (
+            "from pdskit import Graph, VertexSet, approx, decide_pds_at_least_k\n"
+            "from pdskit.errors import VerificationFailed\n"
+            "assert False  # stripped under -O\n"
+            "approx.half_pds = lambda g: (VertexSet.from_ids(g.n, [0]), None)\n"
+            "try:\n"
+            "    decide_pds_at_least_k(Graph(3, [(0, 1), (1, 2)]), 2)\n"
+            "except VerificationFailed:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(approx.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestRatioBound:

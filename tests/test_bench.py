@@ -32,6 +32,14 @@ class TestSuites:
             run_suite("nope")
 
 
+class TestApproxScaling:
+    def test_local_search_is_subquadratic(self):
+        # a scan of all n vertices per move fits a slope near 2 here
+        rows = approx_scaling(sizes=(2048, 8192, 32768), repeats=3)
+        slope, _ = fit_loglog([r["n"] for r in rows], [r["seconds"] for r in rows])
+        assert slope < 1.6, rows
+
+
 class TestFit:
     def test_exact_power_law(self):
         xs = [10, 100, 1000, 10000]
