@@ -29,7 +29,6 @@ from .errors import (
     VerificationFailed,
 )
 from .graph import Graph, VertexSet, require_connected
-from .pds import pds_size_upper_bound
 
 # _DIGITS[cur] turns side bits into the binary digits of S's mask, lowest bit first
 _DIGITS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
@@ -187,8 +186,8 @@ def decide_pds_at_least_k(g: Graph, k: int, cap: int | None = None) -> bool:
     """Is there a PDS with at least k vertices?
 
     For k up to ceil(n/2) the answer is always yes and comes with a live
-    run of the local search; beyond that the question is settled by
-    enumeration over the remaining (fewer than 2^(n-1)) subsets.
+    run of the local search; beyond that the question is settled by the
+    maximum-PDS enumeration, stopped once it has tried size k.
     """
     require_connected(g)
     n = g.n
@@ -202,12 +201,4 @@ def decide_pds_at_least_k(g: Graph, k: int, cap: int | None = None) -> bool:
     cap = exact.resolve_cap(cap)
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
-    adjm = exact.adjacency_masks(g)
-    deg = g.deg
-    for size in range(min(pds_size_upper_bound(g), n - 1), k - 1, -1):
-        co = n - size
-        sm1 = size - 1
-        for smask in exact.ksubset_masks(n, size):
-            if exact._mask_is_pds(adjm, deg, smask, co, sm1):
-                return True
-    return False
+    return bool(exact._descend(g, k)[0])

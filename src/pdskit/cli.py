@@ -39,10 +39,11 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     induced_connected,
+    is_cubic,
     parse_graph,
     set_from_json,
 )
-from .pds import check_pds
+from .pds import check_pds, recheck
 from .reductions import (
     ReductionCertificate,
     bipartite_reduction,
@@ -145,8 +146,7 @@ def cmd_exact(args) -> int:
                 ["no extension"],
             )
             return 1
-        if not check_pds(g, ext).holds:
-            raise VerificationFailed("extension failed the re-check")
+        recheck(g, ext, "extension")
         payload = {
             "command": "exact",
             "input_digest": _digest(raw),
@@ -160,16 +160,13 @@ def cmd_exact(args) -> int:
         g, connected_only=args.connected, all_optima=args.all_optima, cap=args.cap
     )
     elapsed = time.perf_counter() - t0
-    if not check_pds(g, res.witness).holds or (
-        args.connected and not induced_connected(g, res.witness)
-    ):
-        raise VerificationFailed("exact witness failed the re-check")
+    connected = recheck(g, res.witness, "exact witness", args.connected)
     payload = {
         "command": "exact",
         "input_digest": _digest(raw),
         "size": res.size,
         "witness": res.witness.members(),
-        "connected": induced_connected(g, res.witness),
+        "connected": connected,
         "optima": [s.members() for s in res.optima] if res.optima else None,
         "subsets_checked": res.subsets_checked,
         "seconds": elapsed,
@@ -203,9 +200,7 @@ def cmd_approx(args) -> int:
             best = (s, trace)
     elapsed = time.perf_counter() - t0
     s, trace = best
-    if not check_pds(g, s).holds:
-        raise VerificationFailed("local search output failed the re-check")
-    connected = induced_connected(g, s)
+    connected = recheck(g, s, "local search output")
     payload = {
         "command": "approx",
         "input_digest": _digest(raw),
@@ -263,8 +258,6 @@ def _hamiltonian_cycle(g: Graph) -> list[int] | None:
 
 
 def _cubic_from_graph(g: Graph) -> tuple[cubic_mod.CubicCycleGraph, list[int]]:
-    from .graph import is_cubic
-
     if not is_cubic(g):
         raise InvalidInstance("--find-cycle needs a cubic graph")
     order = _hamiltonian_cycle(g)

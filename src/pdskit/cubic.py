@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import (
-    FullArcExists,
     GraphTooSmall,
     InfeasibleParameters,
     InvalidInstance,
@@ -31,8 +29,8 @@ from .errors import (
     UnclassifiedChords,
     VerificationFailed,
 )
-from .graph import Graph, VertexSet, induced_connected
-from .pds import check_pds
+from .graph import Graph, VertexSet, _data_lines
+from .pds import recheck
 
 AHEAD = "ahead"
 BACK = "back"
@@ -80,12 +78,6 @@ class CubicCycleGraph:
 
 
 @dataclass(frozen=True)
-class ChordTags:
-    window: int
-    tags: tuple[str | None, ...]
-
-
-@dataclass(frozen=True)
 class Arc:
     """size consecutive cycle vertices starting at start."""
 
@@ -115,7 +107,7 @@ class CubicOutcome:
     exceptional: str | None
 
 
-def classify_chords(g: CubicCycleGraph) -> ChordTags:
+def classify_chords(g: CubicCycleGraph) -> tuple[str | None, ...]:
     n = g.n
     k = g.window
     tags: list[str | None] = []
@@ -127,14 +119,13 @@ def classify_chords(g: CubicCycleGraph) -> ChordTags:
             tags.append(BACK)
         else:
             tags.append(None)
-    return ChordTags(k, tuple(tags))
+    return tuple(tags)
 
 
 def _assert_sealed(g: CubicCycleGraph, arc: Arc) -> None:
     # both endpoints must keep their chord inside the arc
-    assert g.chord[arc.start] in arc and g.chord[arc.end] in arc, (
-        "arc endpoints leak a neighbor"
-    )
+    if g.chord[arc.start] not in arc or g.chord[arc.end] not in arc:
+        raise VerificationFailed("arc endpoints leak a neighbor")
 
 
 def find_full_arc(g: CubicCycleGraph) -> Arc | None:
@@ -147,7 +138,7 @@ def find_full_arc(g: CubicCycleGraph) -> Arc | None:
     if n < 6:
         raise GraphTooSmall("arcs need n >= 6")
     k = g.window
-    tags = classify_chords(g).tags
+    tags = classify_chords(g)
     for u in range(n):
         if tags[u] is not BACK and tags[(u - k - 1) % n] is not AHEAD:
             arc = Arc(n, u, n - k)
@@ -180,29 +171,6 @@ def _pattern(tags: tuple[str | None, ...], n: int) -> tuple[str, int]:
     raise UnclassifiedChords("tags fit neither recognized pattern")
 
 
-def find_overfull_arc(g: CubicCycleGraph) -> Arc:
-    """Sealed arc one vertex larger than the optimum (only exists when no
-    full arc does)."""
-    n = g.n
-    if n < 8:
-        raise GraphTooSmall("overfull arcs need n >= 8")
-    if find_full_arc(g) is not None:
-        raise FullArcExists("the graph has a full arc; no overfull arc is needed")
-    k = g.window
-    pattern, r = _pattern(classify_chords(g).tags, n)
-    start = r if pattern == ALTERNATING else (r + 1) % n
-    arc = Arc(n, start, n - k + 1)
-    _assert_sealed(g, arc)
-    return arc
-
-
-def residue_class(u: int, modulus: int, n: int) -> VertexSet:
-    """All labels reachable from u by steps of modulus around the cycle:
-    the congruence class of u modulo gcd(modulus, n)."""
-    d = gcd(modulus, n)
-    return VertexSet.from_ids(n, range(u % d, n, d))
-
-
 # forced chord tables (in rotated labels, AHEAD on evens) for the sizes
 # whose no-full-arc instances admit only finitely many chord maps
 _TABLE_N10 = {0: 3, 2: 5, 4: 7, 6: 9, 8: 1}
@@ -228,7 +196,7 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     if arc is not None:
         return _finish(g, arc.vertex_set(), verify)
     k = g.window
-    pattern, r = _pattern(classify_chords(g).tags, n)
+    pattern, r = _pattern(classify_chords(g), n)
     if n == 8:
         return CubicOutcome(None, pattern)
 
@@ -238,7 +206,8 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
         return (chord[(v + r) % n] - r) % n
 
     if n == 10:
-        assert _match_table(cr, _TABLE_N10), "impossible chord map at n=10"
+        if not _match_table(cr, _TABLE_N10):
+            raise UnclassifiedChords("impossible chord map at n=10")
         drop = {0, 6, 9}
         kept = [v for v in range(10) if v not in drop]
     elif n == 14:
@@ -254,11 +223,13 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
         if _match_table(cr, _TABLE_N16_NEAR):
             out = 4
         else:
-            assert _match_table(cr, _TABLE_N16_FAR), "impossible chord map at n=16"
+            if not _match_table(cr, _TABLE_N16_FAR):
+                raise UnclassifiedChords("impossible chord map at n=16")
             out = 3
         kept = [v for v in range(12) if v != out]
     else:
-        assert n >= 20, "unreachable: n in {6, 12, 18} always has a full arc"
+        if n < 20:
+            raise UnclassifiedChords("unreachable: n in {6, 12, 18} always has a full arc")
         if pattern == ALTERNATING:
             # arc {0..n-k}
             size = n - k + 1
@@ -283,11 +254,7 @@ def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:
         target = max_pds_size_cubic(g.n)
         if len(s) != target:
             raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
-        graph = g.to_graph()
-        if not check_pds(graph, s).holds:
-            raise VerificationFailed("answer failed the PDS re-check")
-        if not induced_connected(graph, s):
-            raise VerificationFailed("answer is not connected")
+        recheck(g.to_graph(), s, "answer", connected=True)
     return CubicOutcome(s, None)
 
 
@@ -341,12 +308,7 @@ def all_cubic_cycles(n: int):
 
 def parse_cubic(text: str) -> CubicCycleGraph:
     """Cycle-graph format: a line "n", then n/2 chord lines "u v"."""
-    rows: list[list[str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        rows.append(body.split())
+    rows = [body.split() for _, body in _data_lines(text)]
     if not rows or len(rows[0]) != 1:
         raise ParseError("expected a single-token header line with n")
     try:

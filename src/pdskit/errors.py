@@ -29,10 +29,6 @@ class InvalidSubsetSize(PdsKitError):
     """A vertex set violates a required size constraint."""
 
 
-class NotMember(PdsKitError):
-    """The queried vertex is not in the given set."""
-
-
 class InstanceTooLarge(PdsKitError):
     """Exhaustive search refused: instance above the enumeration cap."""
 
@@ -67,10 +63,6 @@ class InfeasibleParameters(PdsKitError):
 
 class InvalidInstance(PdsKitError):
     """A cubic cycle description violates its invariants."""
-
-
-class FullArcExists(PdsKitError):
-    """The overfull-arc routine applies only when no full arc exists."""
 
 
 class UnclassifiedChords(PdsKitError):

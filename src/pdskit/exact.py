@@ -51,9 +51,7 @@ def ksubset_masks(n: int, k: int) -> Iterator[int]:
     if k == 0:
         yield 0
         return
-    if k > n:
-        return
-    m = (1 << k) - 1
+    m = (1 << k) - 1  # already past top when k > n
     top = 1 << n
     while m < top:
         yield m
@@ -97,6 +95,41 @@ class ExactResult:
     subsets_checked: int
 
 
+def _descend(
+    g: Graph, stop: int, connected_only: bool = False, all_optima: bool = False
+) -> tuple[list[int], int]:
+    """The search behind max_pds_exact, stopped after size stop.
+
+    Returns (hits, subsets checked); hits holds the first qualifying mask
+    of the largest size that has one (every such mask with all_optima),
+    and is empty when no size down to stop qualifies.
+    """
+    n = g.n
+    adjm = adjacency_masks(g)
+    deg = g.deg
+    checked = 0
+    top = 1 << n
+    for size in range(min(pds_size_upper_bound(g), n - 1), stop - 1, -1):
+        co = n - size
+        sm1 = size - 1
+        hits: list[int] = []
+        smask = (1 << size) - 1
+        while smask < top:
+            checked += 1
+            if _mask_is_pds(adjm, deg, smask, co, sm1) and (
+                not connected_only or _mask_connected(adjm, smask)
+            ):
+                hits.append(smask)
+                if not all_optima:
+                    break
+            low = smask & -smask
+            ripple = smask + low
+            smask = (((ripple ^ smask) >> 2) // low) | ripple
+        if hits:
+            return hits, checked
+    return [], checked
+
+
 def max_pds_exact(
     g: Graph,
     connected_only: bool = False,
@@ -116,33 +149,13 @@ def max_pds_exact(
     n = g.n
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
-    adjm = adjacency_masks(g)
-    deg = g.deg
-    checked = 0
-    top = 1 << n
-    for size in range(min(pds_size_upper_bound(g), n - 1), 1, -1):
-        co = n - size
-        sm1 = size - 1
-        hits: list[int] = []
-        smask = (1 << size) - 1
-        while smask < top:
-            checked += 1
-            if _mask_is_pds(adjm, deg, smask, co, sm1) and (
-                not connected_only or _mask_connected(adjm, smask)
-            ):
-                hits.append(smask)
-                if not all_optima:
-                    break
-            low = smask & -smask
-            ripple = smask + low
-            smask = (((ripple ^ smask) >> 2) // low) | ripple
-        if hits:
-            witness = VertexSet(n, hits[0], size)
-            optima = (
-                tuple(VertexSet(n, h, size) for h in hits) if all_optima else None
-            )
-            return ExactResult(size, witness, optima, checked)
-    raise NoPds(f"no subset with 2 <= |S| < {n} is a PDS")
+    hits, checked = _descend(g, 2, connected_only, all_optima)
+    if not hits:
+        raise NoPds(f"no subset with 2 <= |S| < {n} is a PDS")
+    size = hits[0].bit_count()
+    witness = VertexSet(n, hits[0], size)
+    optima = tuple(VertexSet(n, h, size) for h in hits) if all_optima else None
+    return ExactResult(size, witness, optima, checked)
 
 
 def pds_extension(

@@ -16,6 +16,8 @@ from .errors import Disconnected, InvalidGraph, InvalidSubsetSize, ParseError
 
 # bit positions set in each possible byte, for fast mask <-> id decoding
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class VertexSet:
@@ -50,14 +52,10 @@ class VertexSet:
 
     def flags(self) -> bytearray:
         """0/1 membership table of length n."""
-        out = bytearray(self.n)
-        raw = self.mask.to_bytes((self.n + 7) // 8 or 1, "little")
-        for i, byte in enumerate(raw):
-            if byte:
-                base = i << 3
-                for j in _BYTE_BITS[byte]:
-                    out[base + j] = 1
-        return out
+        # guard bit n keeps the leading zeros; [:2:-1] drops it and "0b"
+        # and puts the lowest bit first
+        digits = bin(self.mask | 1 << self.n).encode()[:2:-1]
+        return bytearray(digits.translate(_FROM_DIGITS))
 
     def complement(self) -> "VertexSet":
         full = (1 << self.n) - 1
@@ -155,19 +153,22 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def is_connected(g: Graph) -> bool:
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
+def _reach(adj, seen: bytearray, start: int) -> int:
+    """Mark every vertex reachable from start through unmarked vertices;
+    returns how many were marked, start included."""
+    seen[start] = 1
+    order = [start]
+    # the loop also visits what it appends, in breadth-first order
+    for u in order:
+        for w in adj[u]:
             if not seen[w]:
                 seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == g.n
+                order.append(w)
+    return len(order)
+
+
+def is_connected(g: Graph) -> bool:
+    return _reach(g.adj, bytearray(g.n), 0) == g.n
 
 
 def require_connected(g: Graph) -> None:
@@ -217,20 +218,19 @@ def induced_connected(g: Graph, s: VertexSet) -> bool:
     """True when the subgraph induced by s is connected (s must be non-empty)."""
     if len(s) == 0:
         raise InvalidSubsetSize("connectivity of the empty subgraph is undefined")
-    flags = s.flags()
-    start = s.members()[0]
-    seen = bytearray(g.n)
-    seen[start] = 1
-    queue = deque([start])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if flags[w] and not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == len(s)
+    # non-members start out marked, so the search never leaves s
+    seen = s.flags().translate(_FLIP)
+    start = (s.mask & -s.mask).bit_length() - 1
+    return _reach(g.adj, seen, start) == len(s)
+
+
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for every line that is neither blank
+    nor a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.strip()
+        if body and not body.startswith("#"):
+            yield lineno, body
 
 
 def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
@@ -239,10 +239,7 @@ def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
     Blank lines and lines starting with '#' are ignored.
     """
     rows: list[list[str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
+    for lineno, body in _data_lines(text):
         rows.append(body.split())
         if len(rows[-1]) != 2:
             raise ParseError(f"line {lineno}: expected two tokens, got {body!r}")
@@ -278,14 +275,22 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
-def graph_from_json(obj: str | dict) -> Graph:
+def _json_object(obj: str | dict, *keys: str) -> dict:
+    """obj itself, or the JSON text obj decoded; either way an object
+    holding every one of keys."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ParseError('expected an object with "n" and "edges"')
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        named = " and ".join(f'"{k}"' for k in keys)
+        raise ParseError(f"expected an object with {named}")
+    return obj
+
+
+def graph_from_json(obj: str | dict) -> Graph:
+    obj = _json_object(obj, "n", "edges")
     try:
         edges = [(int(u), int(v)) for u, v in obj["edges"]]
         n = int(obj["n"])
@@ -299,13 +304,7 @@ def set_to_json(s: VertexSet) -> dict:
 
 
 def set_from_json(obj: str | dict, n: int) -> VertexSet:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "set" not in obj:
-        raise ParseError('expected an object with "set"')
+    obj = _json_object(obj, "set")
     try:
         ids = [int(v) for v in obj["set"]]
     except (TypeError, ValueError) as exc:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSubsetSize, NotMember
-from .graph import Graph, VertexSet
+from .errors import InvalidSubsetSize, NotAPds, VerificationFailed
+from .graph import Graph, VertexSet, induced_connected
 
 
 @dataclass(frozen=True)
@@ -23,27 +23,12 @@ class PdsVerdict:
     unsatisfied: tuple[tuple[int, int, int], ...]
 
 
-def _require_proper_size(g: Graph, s: VertexSet) -> None:
+def check_pds(g: Graph, s: VertexSet) -> PdsVerdict:
+    """Check every member of s; collect all violators."""
     if s.n != g.n:
         raise InvalidSubsetSize(f"set lives on {s.n} vertices, graph has {g.n}")
     if not 2 <= len(s) < g.n:
         raise InvalidSubsetSize(f"need 2 <= |S| < n, got |S|={len(s)}, n={g.n}")
-
-
-def is_satisfied(g: Graph, s: VertexSet, u: int) -> bool:
-    """Does u meet the proportional density inequality inside s?"""
-    _require_proper_size(g, s)
-    if u not in s:
-        raise NotMember(f"vertex {u} not in the set")
-    flags = s.flags()
-    inside = sum(flags[w] for w in g.adj[u])
-    outside = g.deg[u] - inside
-    return inside * (g.n - len(s)) >= outside * (len(s) - 1)
-
-
-def check_pds(g: Graph, s: VertexSet) -> PdsVerdict:
-    """Check every member of s; collect all violators."""
-    _require_proper_size(g, s)
     flags = s.flags()
     co = g.n - len(s)
     sm1 = len(s) - 1
@@ -60,6 +45,21 @@ def check_pds(g: Graph, s: VertexSet) -> PdsVerdict:
     return PdsVerdict(not bad, tuple(bad))
 
 
+def recheck(g: Graph, s: VertexSet, what: str, connected: bool = False) -> bool:
+    """Independent re-check of a solver's answer.
+
+    Raises VerificationFailed unless s is a PDS of g, and also unless s
+    induces a connected subgraph when connected is set.  Returns whether
+    it does.
+    """
+    if not check_pds(g, s).holds:
+        raise VerificationFailed(f"{what} failed the re-check")
+    linked = induced_connected(g, s)
+    if connected and not linked:
+        raise VerificationFailed(f"{what} is not connected")
+    return linked
+
+
 def pds_size_upper_bound(g: Graph) -> int:
     """Largest size any PDS of a connected graph can have:
     floor((n * (max_deg - 1) + 1) / max_deg)."""
@@ -71,8 +71,6 @@ def pds_size_upper_bound(g: Graph) -> int:
 def is_inclusionwise_maximal(g: Graph, s: VertexSet) -> bool:
     """True when no strict superset of s is a PDS (s itself must be one)."""
     from . import exact  # local import: exact builds on this module
-
-    from .errors import NotAPds
 
     if not check_pds(g, s).holds:
         raise NotAPds("maximality is only defined for sets that are a PDS")

@@ -28,6 +28,7 @@ from .errors import (
     NotIndependent,
     ParseError,
     SizeBelowThreshold,
+    VerificationFailed,
 )
 from .graph import Graph, VertexSet, graph_from_json, graph_to_json, is_star, require_connected
 from .pds import check_pds
@@ -54,7 +55,7 @@ class _ReductionBase:
         raise NotImplementedError
 
     def _core_mask(self) -> int:
-        raise NotImplementedError
+        return (1 << self.core_size) - 1
 
     def _map_source_set(self, s: VertexSet) -> int:
         mask = 0
@@ -89,9 +90,6 @@ class SplitReduction(_ReductionBase):
     def core_size(self) -> int:
         return self.source.m + 2
 
-    def _core_mask(self) -> int:
-        return (1 << self.core_size) - 1
-
     def embed_independent_set(self, is_set: VertexSet) -> VertexSet:
         """Core plus the mapped independent set; always a PDS of the target."""
         _require_independent(self.source, is_set)
@@ -123,7 +121,8 @@ class SplitReduction(_ReductionBase):
                     break
             if offender is None:
                 break
-            assert budget > 0, "edge-block transfer loop exceeded its bound"
+            if budget <= 0:
+                raise VerificationFailed("edge-block transfer loop exceeded its bound")
             budget -= 1
             u, v = offender
             inside.discard(min(self.source_ids[u], self.source_ids[v]))
@@ -147,9 +146,6 @@ class BipartiteReduction(_ReductionBase):
     def threshold(self) -> int:
         """PDS size that witnesses an independent set of size k."""
         return self.core_size + self.k
-
-    def _core_mask(self) -> int:
-        return (1 << self.core_size) - 1
 
     def embed_independent_set(self, is_set: VertexSet) -> VertexSet:
         """Core plus the mapped set; needs |is_set| >= k to be a PDS."""

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,6 @@ from hypothesis import strategies as st
 
 from pdskit import (
     CubicCycleGraph,
-    FullArcExists,
     GraphTooSmall,
     InfeasibleParameters,
     InvalidInstance,
@@ -24,18 +27,18 @@ from pdskit import (
     random_cubic_cycle,
     solve_hamiltonian_cubic,
 )
+from pdskit import cubic
 from pdskit.cubic import (
     AHEAD,
     ALTERNATING,
     BACK,
     PAIRED,
     Arc,
+    _assert_sealed,
     _finish,
     _pattern,
     classify_chords,
     find_full_arc,
-    find_overfull_arc,
-    residue_class,
 )
 
 K4_CHORDS = (2, 3, 0, 1)
@@ -105,14 +108,14 @@ class TestArc:
 class TestClassification:
     def test_prism_untagged(self):
         tags = classify_chords(CubicCycleGraph(6, PRISM6_CHORDS))
-        assert tags.tags == (None,) * 6
+        assert tags == (None,) * 6
 
     def test_n10_alternating(self):
-        tags = classify_chords(CubicCycleGraph(10, N10_FORCED)).tags
+        tags = classify_chords(CubicCycleGraph(10, N10_FORCED))
         assert tags == (AHEAD, BACK) * 5
 
     def test_paired8_tags(self):
-        tags = classify_chords(paired8()).tags
+        tags = classify_chords(paired8())
         assert sorted(set(tags)) == [AHEAD, BACK]
         assert all(t is not None for t in tags)
 
@@ -141,28 +144,6 @@ class TestArcs:
     def test_full_arc_too_small(self):
         with pytest.raises(GraphTooSmall):
             find_full_arc(CubicCycleGraph(4, K4_CHORDS))
-
-    def test_overfull_arc(self):
-        for g in (paired8(), alternating8(), CubicCycleGraph(10, N10_FORCED)):
-            arc = find_overfull_arc(g)
-            assert arc.size == g.n - g.window + 1
-            # both endpoints keep their chords inside: the arc is sealed
-            assert g.chord[arc.start] in arc and g.chord[arc.end] in arc
-
-    def test_overfull_arc_guards(self):
-        with pytest.raises(FullArcExists):
-            find_overfull_arc(CubicCycleGraph(10, tuple((v + 5) % 10 for v in range(10))))
-        with pytest.raises(GraphTooSmall):
-            find_overfull_arc(CubicCycleGraph(6, PRISM6_CHORDS))
-
-
-class TestResidueClass:
-    def test_examples(self):
-        assert residue_class(0, 4, 10).members() == [0, 2, 4, 6, 8]
-        assert residue_class(1, 4, 10).members() == [1, 3, 5, 7, 9]
-        assert residue_class(0, 3, 9).members() == [0, 3, 6]
-        assert residue_class(2, 5, 10).members() == [2, 7]
-        assert residue_class(3, 7, 10).members() == list(range(10))
 
 
 class TestSolve:
@@ -257,6 +238,41 @@ class TestVerification:
             assert len(out.pds) == max_pds_size_cubic(n)
         assert peaks[10**5] < 100 * 2**20
         assert peaks[10**5] <= 12 * peaks[10**4]
+
+
+class TestSelfChecks:
+    """Solver self-checks raise package errors, which python -O keeps."""
+
+    def test_wrong_n10_table(self, monkeypatch):
+        g = CubicCycleGraph(10, N10_FORCED)
+        assert solve_hamiltonian_cubic(g).pds is not None
+        monkeypatch.setattr(cubic, "_TABLE_N10", {0: 5})
+        with pytest.raises(UnclassifiedChords, match="n=10"):
+            solve_hamiltonian_cubic(g)
+
+    def test_leaky_arc(self):
+        # the prism's chord 0-3 leaves the arc {0, 1}
+        with pytest.raises(VerificationFailed, match="leak"):
+            _assert_sealed(CubicCycleGraph(6, PRISM6_CHORDS), Arc(6, 0, 2))
+
+    def test_survives_optimize_flag(self):
+        script = (
+            "from pdskit import CubicCycleGraph, cubic, solve_hamiltonian_cubic\n"
+            "from pdskit.errors import UnclassifiedChords\n"
+            "assert False  # stripped under -O\n"
+            "cubic._TABLE_N10 = {0: 5}\n"
+            f"g = CubicCycleGraph(10, {N10_FORCED!r})\n"
+            "try:\n"
+            "    solve_hamiltonian_cubic(g)\n"
+            "except UnclassifiedChords:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cubic.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestGenerators:

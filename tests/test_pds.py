@@ -7,13 +7,14 @@ from pdskit import (
     Graph,
     InvalidSubsetSize,
     NotAPds,
-    NotMember,
+    VerificationFailed,
     VertexSet,
     check_pds,
     is_inclusionwise_maximal,
-    is_satisfied,
     pds_size_upper_bound,
 )
+
+from pdskit.pds import recheck
 
 from .strategies import graphs_with_subset
 
@@ -65,17 +66,24 @@ class TestCheckPds:
         assert verdict.holds == (not bad)
         assert list(verdict.unsatisfied) == bad
 
-    @given(graphs_with_subset(connected=False))
-    def test_is_satisfied_agrees(self, gs):
-        g, s = gs
-        verdict = check_pds(g, s)
-        unsat = {u for u, _, _ in verdict.unsatisfied}
-        for u in s.members():
-            assert is_satisfied(g, s, u) == (u not in unsat)
 
-    def test_is_satisfied_requires_membership(self):
-        with pytest.raises(NotMember):
-            is_satisfied(P4, VertexSet.from_ids(4, [1, 2]), 0)
+class TestRecheck:
+    def test_returns_connectivity(self):
+        assert recheck(C5, VertexSet.from_ids(5, [0, 1, 2]), "path") is True
+        assert recheck(K4, VertexSet.from_ids(4, [0, 1, 2]), "triangle", True) is True
+
+    def test_rejects_non_pds(self):
+        with pytest.raises(VerificationFailed, match="^star failed the re-check$"):
+            recheck(P4, VertexSet.from_ids(4, [0, 2]), "star")
+
+    def test_connected_on_request(self):
+        # two disjoint triangles beside an isolated vertex: both triangles
+        # together are a PDS, but not a connected one
+        g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        s = VertexSet.from_ids(7, range(6))
+        assert recheck(g, s, "pair") is False
+        with pytest.raises(VerificationFailed, match="^pair is not connected$"):
+            recheck(g, s, "pair", connected=True)
 
 
 class TestUpperBound:
