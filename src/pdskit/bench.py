@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import time
 
-from . import approx, cubic, generators
+from . import approx, cubic, exact, generators
 from .errors import UnknownSuite
 
 APPROX_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 CUBIC_SIZES = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
+EXACT_SIZES = (16, 18, 20, 22, 24)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -53,7 +54,37 @@ def cubic_scaling(
     return rows
 
 
-SUITES = {"approx-scaling": approx_scaling, "cubic-scaling": cubic_scaling}
+def exact_scaling(
+    sizes: tuple[int, ...] = EXACT_SIZES, seed: int = 0, repeats: int = 3
+) -> list[dict]:
+    """Every maximum connected PDS on random connected graphs with m = 3n/2."""
+    rows = []
+    for i, n in enumerate(sizes):
+        g = generators.random_connected(n, 3 * n // 2, seed=seed + i)
+        result = {}
+
+        def run(g=g, result=result):
+            result["out"] = exact.max_pds_exact(g, connected_only=True, all_optima=True)
+
+        seconds = _best_of(run, repeats)
+        res = result["out"]
+        rows.append(
+            {
+                "n": n,
+                "m": g.m,
+                "size": res.size,
+                "subsets_checked": res.subsets_checked,
+                "seconds": seconds,
+            }
+        )
+    return rows
+
+
+SUITES = {
+    "approx-scaling": approx_scaling,
+    "cubic-scaling": cubic_scaling,
+    "exact-scaling": exact_scaling,
+}
 
 
 def run_suite(name: str, **kwargs) -> list[dict]:

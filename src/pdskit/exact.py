@@ -4,12 +4,19 @@ Everything here enumerates bitmask subsets, so instances are capped: the
 default cap of 24 vertices keeps worst cases in the seconds range, the
 hard cap of 63 keeps every mask within one machine word.  The env var
 PDSKIT_CAP overrides the default.
+
+The maximum-PDS search goes through the subsets of each size in ascending
+numeric order, but when a subset fails it skips the run of later subsets
+that the same violating vertex rules out (see _descend).  Its count of
+subsets checked covers the skipped ones too: it is the number of subsets
+decided, the same as a search that tests every subset would report.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .errors import InstanceTooLarge, InvalidSubsetSize, NoPds
@@ -60,6 +67,19 @@ def ksubset_masks(n: int, k: int) -> Iterator[int]:
         m = (((ripple ^ m) >> 2) // low) | ripple
 
 
+def _colex_rank(mask: int) -> int:
+    """Position of mask among the masks of its bit count in ascending
+    numeric order: sum C(c_i, i) over its bits c_1 < c_2 < ..."""
+    rank = 0
+    i = 0
+    while mask:
+        low = mask & -mask
+        i += 1
+        rank += comb(low.bit_length() - 1, i)
+        mask ^= low
+    return rank
+
+
 def _mask_is_pds(adjm, deg, smask: int, co: int, sm1: int) -> bool:
     m = smask
     while m:
@@ -89,6 +109,10 @@ def _mask_connected(adjm, smask: int) -> bool:
 
 @dataclass(frozen=True)
 class ExactResult:
+    """Size, first witness, every optimum (with all_optima) and the number
+    of subsets decided on the way, whether tested on their own or ruled
+    out together with a run of others."""
+
     size: int
     witness: VertexSet
     optima: tuple[VertexSet, ...] | None
@@ -100,31 +124,66 @@ def _descend(
 ) -> tuple[list[int], int]:
     """The search behind max_pds_exact, stopped after size stop.
 
-    Returns (hits, subsets checked); hits holds the first qualifying mask
+    Returns (hits, subsets decided); hits holds the first qualifying mask
     of the largest size that has one (every such mask with all_optima),
     and is empty when no size down to stop qualifies.
+
+    Masks of one size ascend numerically, but one violator decides a whole
+    run of them.  A member u fails when fewer than need[u] of its
+    neighbours are in S.  Let p = low(u), the lowest of u and its
+    neighbours: every mask of the size that agrees with S on bits p and
+    up contains u with the same neighbours inside, so it fails too.  Those
+    masks are consecutive; their bits below p, j of them, run through all
+    j-subsets of {0..p-1}.  The search jumps to the last of the run (those
+    j bits at p-j..p-1) and steps on from there.  To make runs long it
+    tries the last violator first, which often fails again, and then the
+    vertices by descending low(u).
+
+    The masks decided are those a test of every mask in turn would visit:
+    all C(n, size) of a size searched to its end, and for the size that
+    stops at its first hit, the hit and the masks before it, as many as
+    its colex rank.  Hits and count are those of testing every mask.
     """
     n = g.n
     adjm = adjacency_masks(g)
     deg = g.deg
+    # (low(u), u, neighbours, degree) as masks, by descending low(u)
+    base = sorted(
+        [((m | 1 << u) & -(m | 1 << u), 1 << u, m, deg[u]) for u, m in enumerate(adjm)],
+        reverse=True,
+    )
+    n1 = n - 1
     checked = 0
     top = 1 << n
-    for size in range(min(pds_size_upper_bound(g), n - 1), stop - 1, -1):
-        co = n - size
+    for size in range(min(pds_size_upper_bound(g), n1), stop - 1, -1):
         sm1 = size - 1
+        # u in S fails iff inside * (n - size) < (deg - inside) * sm1,
+        # i.e. iff inside * (n - 1) < deg * sm1, i.e. iff inside < need
+        tests = [(b, a, -(-d * sm1 // n1), p) for p, b, a, d in base]
+        lbit, lam, lneed, lp = tests[0]  # tried first: the last violator found
         hits: list[int] = []
         smask = (1 << size) - 1
         while smask < top:
-            checked += 1
-            if _mask_is_pds(adjm, deg, smask, co, sm1) and (
-                not connected_only or _mask_connected(adjm, smask)
-            ):
-                hits.append(smask)
-                if not all_optima:
-                    break
-            low = smask & -smask
-            ripple = smask + low
-            smask = (((ripple ^ smask) >> 2) // low) | ripple
+            if smask & lbit and (lam & smask).bit_count() < lneed:
+                p = lp
+            else:
+                for bit, am, need, p in tests:
+                    if smask & bit and (am & smask).bit_count() < need:
+                        lbit, lam, lneed, lp = bit, am, need, p
+                        break
+                else:
+                    p = 1  # no violator: a run of this mask alone
+                    if not connected_only or _mask_connected(adjm, smask):
+                        hits.append(smask)
+                        if not all_optima:
+                            return hits, checked + _colex_rank(smask) + 1
+            below = smask & (p - 1)
+            if below:
+                smask ^= below ^ (p - (p >> below.bit_count()))
+            low_bit = smask & -smask
+            ripple = smask + low_bit
+            smask = (((ripple ^ smask) >> 2) // low_bit) | ripple
+        checked += comb(n, size)
         if hits:
             return hits, checked
     return [], checked
@@ -142,7 +201,9 @@ def max_pds_exact(
     numerically, so the reported witness is the lexicographically smallest
     optimum.  connected_only additionally requires the induced subgraph to
     be connected.  Raises NoPds when nothing qualifies (only K2 in the
-    connected world).
+    connected world).  One violator rules out a whole run of masks at
+    once (see _descend); subsets_checked counts every mask decided, so it
+    equals the number a one-by-one test would report.
     """
     cap = resolve_cap(cap)
     require_connected(g)

@@ -289,14 +289,29 @@ def _json_object(obj: str | dict, *keys: str) -> dict:
     return obj
 
 
+def _json_ints(value, what: str, pairs: bool = False) -> list:
+    """value, a JSON list of integers (of [u, v] integer pairs, returned as
+    tuples, with pairs=True), read without coercion: anything that is not
+    a list, an item that is a bool, str or float, or a pair of another
+    length raises ParseError."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list, got {type(value).__name__}")
+    if pairs:
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
+            raise ParseError(f"{what} must be [u, v] pairs")
+        items = [x for p in value for x in p]
+    else:
+        items = value
+    for x in items:
+        if type(x) is not int:  # bool is an int subclass; str and float are not ints
+            raise ParseError(f"{what}: expected an integer, got {x!r}")
+    return [tuple(p) for p in value] if pairs else list(value)
+
+
 def graph_from_json(obj: str | dict) -> Graph:
     obj = _json_object(obj, "n", "edges")
-    try:
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
-        n = int(obj["n"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("edges must be pairs of integers") from exc
-    return Graph(n, edges)
+    (n,) = _json_ints([obj["n"]], "n")
+    return Graph(n, _json_ints(obj["edges"], "edges", pairs=True))
 
 
 def set_to_json(s: VertexSet) -> dict:
@@ -305,8 +320,4 @@ def set_to_json(s: VertexSet) -> dict:
 
 def set_from_json(obj: str | dict, n: int) -> VertexSet:
     obj = _json_object(obj, "set")
-    try:
-        ids = [int(v) for v in obj["set"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError("set must be a list of integers") from exc
-    return VertexSet.from_ids(n, ids)
+    return VertexSet.from_ids(n, _json_ints(obj["set"], "set"))

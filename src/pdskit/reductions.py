@@ -30,7 +30,15 @@ from .errors import (
     SizeBelowThreshold,
     VerificationFailed,
 )
-from .graph import Graph, VertexSet, graph_from_json, graph_to_json, is_star, require_connected
+from .graph import (
+    Graph,
+    VertexSet,
+    _json_ints,
+    graph_from_json,
+    graph_to_json,
+    is_star,
+    require_connected,
+)
 from .pds import check_pds
 
 
@@ -286,15 +294,15 @@ def certificate_from_json(obj: dict):
         kind = obj["kind"]
         direction = obj["direction"]
         source = graph_from_json(obj["source_graph"])
-        is_ids = [int(v) for v in obj["independent_set"]]
-        pds_ids = [int(v) for v in obj["pds"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        is_ids = _json_ints(obj["independent_set"], "independent_set")
+        pds_ids = _json_ints(obj["pds"], "pds")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
     if kind == "split":
         inst = split_reduction(source)
         k = None
     elif kind == "bipartite":
-        k = int(obj.get("k", 0) or 0)
+        (k,) = _json_ints([obj.get("k")], "k")
         inst = bipartite_reduction(source, k)
     else:
         raise ParseError(f"unknown certificate kind {kind!r}")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from pdskit import UnknownSuite
-from pdskit.bench import approx_scaling, cubic_scaling, fit_loglog, run_suite
+from pdskit.bench import approx_scaling, cubic_scaling, exact_scaling, fit_loglog, run_suite
 
 
 class TestSuites:
@@ -20,6 +20,17 @@ class TestSuites:
         assert [r["n"] for r in rows] == [100, 200]
         for r in rows:
             assert set(r) == {"n", "seconds"} and r["seconds"] > 0
+
+    def test_exact_rows(self):
+        rows = exact_scaling(sizes=(8, 10), seed=1, repeats=1)
+        assert [r["n"] for r in rows] == [8, 10]
+        for r in rows:
+            assert set(r) == {"n", "m", "size", "subsets_checked", "seconds"}
+            assert r["m"] == 3 * r["n"] // 2
+            assert 2 <= r["size"] < r["n"] and r["subsets_checked"] >= 1
+            assert r["seconds"] > 0
+        (again,) = run_suite("exact-scaling", sizes=(8,), seed=1, repeats=1)
+        assert {**again, "seconds": 0} == {**rows[0], "seconds": 0}
 
     def test_run_suite_dispatch(self):
         rows = run_suite("cubic-scaling", sizes=(100,), seed=0, repeats=1)

@@ -17,8 +17,10 @@ from pdskit import (
     max_pds_exact,
     pds_extension,
 )
-from pdskit.exact import DEFAULT_CAP, HARD_CAP, ksubset_masks, resolve_cap
+from pdskit.exact import DEFAULT_CAP, HARD_CAP, _colex_rank, _descend, ksubset_masks, resolve_cap
+from pdskit.generators import random_connected
 
+from .descend_reference import descend_scan
 from .strategies import graphs
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -122,6 +124,53 @@ class TestMaxPdsExact:
             return
         assert check_pds(g, res.witness).holds
         assert len(res.witness) == res.size
+
+
+def _modes(n):
+    for stop in sorted({2, n // 2}):
+        for connected_only in (False, True):
+            for all_optima in (False, True):
+                yield stop, connected_only, all_optima
+
+
+class TestMatchesDescendReference:
+    """The block-skipping search must return the hits and the count of
+    subsets decided that testing every mask in turn returns."""
+
+    def test_every_connected_graph_n_le_7(self):
+        for n in range(2, 8):
+            for g in all_connected_graphs(n):
+                for mode in _modes(n):
+                    assert _descend(g, *mode) == descend_scan(g, *mode), (g.edges, mode)
+
+    @given(graphs(min_n=2, max_n=14, connected=True))
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs_n_le_14(self, g):
+        for mode in _modes(g.n):
+            assert _descend(g, *mode) == descend_scan(g, *mode), mode
+
+    def test_seeded_random_graphs(self):
+        for seed in range(120):
+            n = 8 + seed % 9
+            g = random_connected(n, n - 1 + seed % (2 * n), seed=seed)
+            for mode in _modes(n):
+                assert _descend(g, *mode) == descend_scan(g, *mode), (seed, mode)
+
+    @pytest.mark.parametrize(
+        "n, m, seed, size, checked",
+        [(24, 36, 167, 18, 189750), (24, 23, 163, 19, 53130), (22, 33, 161, 15, 271491)],
+    )
+    def test_pinned_benchmark_graphs(self, n, m, seed, size, checked):
+        g = random_connected(n, m, seed=seed)
+        hits, count = _descend(g, 2, connected_only=True, all_optima=True)
+        assert (hits[0].bit_count(), count) == (size, checked)
+        assert (hits, count) == descend_scan(g, 2, connected_only=True, all_optima=True)
+
+    def test_colex_rank_is_the_position_in_ascending_order(self):
+        for n in range(9):
+            for k in range(n + 1):
+                ranks = [_colex_rank(m) for m in ksubset_masks(n, k)]
+                assert ranks == list(range(len(ranks)))
 
 
 class TestCaps:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 
@@ -173,6 +175,26 @@ class TestSerialisation:
         for bad in ("{", "[]", '{"n": 3}', '{"n": 3, "edges": [[0]]}'):
             with pytest.raises(ParseError):
                 graph_from_json(bad)
+
+    def test_json_integers_are_not_coerced(self):
+        bad_graphs = [
+            {"n": 3, "edges": ["01", "12"]},  # strings of digits read as pairs
+            {"n": 3.7, "edges": [[0, 1.9], [1, 2]]},  # floats truncated
+            {"n": "3", "edges": [[0, 1]]},
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [[0, True]]},
+            {"n": 3, "edges": [[0, 1, 2]]},
+            {"n": 3, "edges": "01"},
+            {"n": 3, "edges": [{"0": 1}]},
+        ]
+        for bad in bad_graphs:
+            for form in (bad, json.dumps(bad)):
+                with pytest.raises(ParseError):
+                    graph_from_json(form)
+        for bad in ({"set": "12"}, {"set": [1.0]}, {"set": [True]}, {"set": ["1"]}, {"set": 1}):
+            for form in (bad, json.dumps(bad)):
+                with pytest.raises(ParseError):
+                    set_from_json(form, 3)
 
     def test_set_json_roundtrip(self):
         s = VertexSet.from_ids(5, [0, 2])

@@ -238,6 +238,24 @@ class TestCertificates:
         assert cert2.pds == cert.pds
         assert verify_certificate(inst2, cert2) == []
 
+    def test_json_integers_are_not_coerced(self):
+        inst, cert = self._forward("bipartite", k=2)
+        good = certificate_to_json(inst, cert)
+        edges = good["source_graph"]["edges"]
+        for key, value in [
+            ("independent_set", "".join(map(str, good["independent_set"]))),
+            ("independent_set", [float(v) for v in good["independent_set"]]),
+            ("pds", [str(v) for v in good["pds"]]),
+            ("pds", [True] + good["pds"][1:]),
+            ("k", "2"),
+            ("k", 2.0),
+            ("source_graph", {"n": 5.0, "edges": edges}),
+            ("source_graph", {"n": 5, "edges": [f"{u}{v}" for u, v in edges]}),
+        ]:
+            with pytest.raises(ParseError):
+                certificate_from_json({**good, key: value})
+        assert verify_certificate(*certificate_from_json(good)) == []
+
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError):
             certificate_from_json({"kind": "split"})
