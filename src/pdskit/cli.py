@@ -22,7 +22,6 @@ from . import bench as bench_mod
 from . import cubic as cubic_mod
 from .approx import half_pds
 from .errors import (
-    InstanceTooLarge,
     InvalidInstance,
     NoPds,
     ParseError,
@@ -39,7 +38,6 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     induced_connected,
-    is_cubic,
     parse_graph,
     set_from_json,
 )
@@ -233,48 +231,6 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _hamiltonian_cycle(g: Graph) -> list[int] | None:
-    if g.n > 24:
-        raise InstanceTooLarge("cycle search is exponential; capped at n=24")
-    used = bytearray(g.n)
-    used[0] = 1
-    order = [0]
-
-    def rec() -> bool:
-        v = order[-1]
-        if len(order) == g.n:
-            return g.has_edge(v, 0)
-        for w in g.adj[v]:
-            if not used[w]:
-                used[w] = 1
-                order.append(w)
-                if rec():
-                    return True
-                order.pop()
-                used[w] = 0
-        return False
-
-    return order if rec() else None
-
-
-def _cubic_from_graph(g: Graph) -> tuple[cubic_mod.CubicCycleGraph, list[int]]:
-    if not is_cubic(g):
-        raise InvalidInstance("--find-cycle needs a cubic graph")
-    order = _hamiltonian_cycle(g)
-    if order is None:
-        raise InvalidInstance("the graph has no Hamiltonian cycle")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    chord = [-1] * g.n
-    for i, v in enumerate(order):
-        prev_v = order[i - 1]
-        next_v = order[(i + 1) % g.n]
-        third = next(w for w in g.adj[v] if w not in (prev_v, next_v))
-        chord[i] = pos[third]
-    return cubic_mod.CubicCycleGraph(g.n, tuple(chord)), order
-
-
 def cmd_cubic(args) -> int:
     if args.sweep8:
         counts = {"paired": 0, "alternating": 0}
@@ -305,7 +261,7 @@ def cmd_cubic(args) -> int:
             raise ParseError("cubic needs an input, --random N, or --sweep8")
         if args.find_cycle:
             g, raw = _load_graph(args.input)
-            inst, order = _cubic_from_graph(g)
+            inst, order = cubic_mod._cubic_from_graph(g)
         else:
             try:
                 raw = _read_source(args.input)
@@ -464,10 +420,12 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(text)
     if len(rows) > 1:
-        slope, r2 = bench_mod.fit_loglog(
-            [r["n"] for r in rows], [r["seconds"] for r in rows]
-        )
-        print(f"log-log slope {slope:.3f} r2 {r2:.3f}", file=sys.stderr)
+        for col in ("seconds", "verified_seconds"):
+            if col in cols:
+                slope, r2 = bench_mod.fit_loglog(
+                    [r["n"] for r in rows], [r[col] for r in rows]
+                )
+                print(f"log-log slope {col} {slope:.3f} r2 {r2:.3f}", file=sys.stderr)
     return 0
 
 

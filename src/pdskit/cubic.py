@@ -14,22 +14,31 @@ direction: AHEAD when the chord reaches at most k = ceil((n-1)/3) steps
 forward, BACK when at most k steps backward, untagged otherwise.  A full
 arc starting at u exists iff u is not BACK and the vertex k+1 behind u
 is not AHEAD, so one O(n) scan decides it.
+
+The answer is re-checked by pds.recheck on the instance itself: its
+neighbour table (v-1, v+1 and chord[v]) is built from the validated chord
+matching alone, so the check stays independent of the arc logic and
+costs O(n) without building a Graph.  to_graph() is kept for callers
+that need a general Graph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .errors import (
     GraphTooSmall,
     InfeasibleParameters,
+    InstanceTooLarge,
     InvalidInstance,
     ParseError,
     UnclassifiedChords,
     VerificationFailed,
 )
-from .graph import Graph, VertexSet, _data_lines
+from .graph import Graph, VertexSet, _data_lines, is_cubic
 from .pds import recheck
 
 AHEAD = "ahead"
@@ -69,6 +78,22 @@ class CubicCycleGraph:
     def window(self) -> int:
         """Tag window k = ceil((n-1)/3)."""
         return (self.n + 1) // 3
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, int, int], ...]:
+        """adj[v] = ((v-1) mod n, (v+1) mod n, chord[v]): the neighbours of v,
+        built once per instance for the re-check.  The arc and tag logic
+        never reads it."""
+        n = self.n
+        # ids wrap explicitly: a -1 would index vertex n-1 only by accident.
+        # tuple() of a bare zip grows by repeated resizing; going through a
+        # list is about twice as fast at n = 10^6.
+        rows = zip(chain((n - 1,), range(n - 1)), chain(range(1, n), (0,)), self.chord)
+        return tuple(list(rows))
+
+    @cached_property
+    def deg(self) -> tuple[int, ...]:
+        return (3,) * self.n
 
     def to_graph(self) -> Graph:
         n = self.n
@@ -187,7 +212,9 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
 
     Returns the exceptional pattern name instead of a set exactly for the
     two n=8 chord structures whose optimum falls below floor((2n+1)/3).
-    With verify=True (default) the answer is independently re-checked.
+    With verify=True (default) the answer must have the target size and
+    pass pds.recheck (density and induced connectivity) on g's own
+    neighbour table, g.adj; no Graph is built.
     """
     n = g.n
     if n == 4:
@@ -254,7 +281,7 @@ def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:
         target = max_pds_size_cubic(g.n)
         if len(s) != target:
             raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
-        recheck(g.to_graph(), s, "answer", connected=True)
+        recheck(g, s, "answer", connected=True)
     return CubicOutcome(s, None)
 
 
@@ -304,6 +331,52 @@ def all_cubic_cycles(n: int):
                 chord[v] = -1
 
     yield from rec()
+
+
+def _hamiltonian_cycle(g: Graph) -> list[int] | None:
+    """A Hamiltonian cycle of g as a vertex order from 0, or None;
+    backtracking, so refused above 24 vertices."""
+    if g.n > 24:
+        raise InstanceTooLarge("cycle search is exponential; capped at n=24")
+    used = bytearray(g.n)
+    used[0] = 1
+    order = [0]
+
+    def rec() -> bool:
+        v = order[-1]
+        if len(order) == g.n:
+            return g.has_edge(v, 0)
+        for w in g.adj[v]:
+            if not used[w]:
+                used[w] = 1
+                order.append(w)
+                if rec():
+                    return True
+                order.pop()
+                used[w] = 0
+        return False
+
+    return order if rec() else None
+
+
+def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
+    """g relabelled along a Hamiltonian cycle, and that cycle: cycle
+    position i is the input vertex order[i]."""
+    if not is_cubic(g):
+        raise InvalidInstance("--find-cycle needs a cubic graph")
+    order = _hamiltonian_cycle(g)
+    if order is None:
+        raise InvalidInstance("the graph has no Hamiltonian cycle")
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    chord = [-1] * g.n
+    for i, v in enumerate(order):
+        prev_v = order[i - 1]
+        next_v = order[(i + 1) % g.n]
+        third = next(w for w in g.adj[v] if w not in (prev_v, next_v))
+        chord[i] = pos[third]
+    return CubicCycleGraph(g.n, tuple(chord)), order
 
 
 def parse_cubic(text: str) -> CubicCycleGraph:

@@ -215,7 +215,9 @@ def is_split(g: Graph) -> bool:
 
 
 def induced_connected(g: Graph, s: VertexSet) -> bool:
-    """True when the subgraph induced by s is connected (s must be non-empty)."""
+    """True when the subgraph induced by s is connected (s must be non-empty).
+
+    Reads only g.adj, so a CubicCycleGraph's own neighbour table serves."""
     if len(s) == 0:
         raise InvalidSubsetSize("connectivity of the empty subgraph is undefined")
     # non-members start out marked, so the search never leaves s

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSubsetSize, NotAPds, VerificationFailed
+from .errors import Disconnected, InvalidSubsetSize, NotAPds, VerificationFailed
 from .graph import Graph, VertexSet, induced_connected
 
 
@@ -24,7 +24,10 @@ class PdsVerdict:
 
 
 def check_pds(g: Graph, s: VertexSet) -> PdsVerdict:
-    """Check every member of s; collect all violators."""
+    """Check every member of s; collect all violators.
+
+    Reads only g.n, g.adj and g.deg, so a CubicCycleGraph is checked on
+    its own neighbour table, the same way as a Graph."""
     if s.n != g.n:
         raise InvalidSubsetSize(f"set lives on {s.n} vertices, graph has {g.n}")
     if not 2 <= len(s) < g.n:
@@ -50,7 +53,8 @@ def recheck(g: Graph, s: VertexSet, what: str, connected: bool = False) -> bool:
 
     Raises VerificationFailed unless s is a PDS of g, and also unless s
     induces a connected subgraph when connected is set.  Returns whether
-    it does.
+    it does.  Reads only g.n, g.adj and g.deg (through check_pds and
+    induced_connected), so g may be a Graph or a CubicCycleGraph.
     """
     if not check_pds(g, s).holds:
         raise VerificationFailed(f"{what} failed the re-check")
@@ -65,6 +69,8 @@ def pds_size_upper_bound(g: Graph) -> int:
     floor((n * (max_deg - 1) + 1) / max_deg)."""
     n = g.n
     delta = g.max_degree
+    if delta == 0:
+        raise Disconnected(f"the bound needs a connected graph; {n} vertices, no edges")
     return (n * (delta - 1) + 1) // delta
 
 

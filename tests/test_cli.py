@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from pdskit import VerificationFailed, cli, emit_graph, fixture, graph_from_json, parse_cubic
+from pdskit import (
+    VerificationFailed,
+    cli,
+    emit_graph,
+    fixture,
+    graph_from_json,
+    parse_cubic,
+    random_cubic_cycle,
+)
 from pdskit.cli import main
 
 
@@ -163,6 +171,12 @@ class TestCubic:
         code, _, err = run(capsys, "cubic", str(f), "--find-cycle")
         assert code == 2 and "Hamiltonian" in err
 
+    def test_find_cycle_is_capped(self, capsys, tmp_path):
+        f = tmp_path / "cubic26.txt"
+        f.write_text(emit_graph(random_cubic_cycle(26, seed=0).to_graph()))
+        code, _, err = run(capsys, "cubic", str(f), "--find-cycle")
+        assert code == 2 and "capped at n=24" in err
+
     def test_cubic_format_file(self, capsys, tmp_path):
         f = tmp_path / "inst.txt"
         f.write_text("6\n0 3\n1 4\n2 5\n")
@@ -276,8 +290,8 @@ class TestBench:
         )
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "n,seconds" and len(lines) == 3
-        assert "slope" in err
+        assert lines[0] == "n,seconds,verified_seconds" and len(lines) == 3
+        assert "slope seconds" in err and "slope verified_seconds" in err
 
     def test_stdout_csv(self, capsys):
         code, out, _ = run(

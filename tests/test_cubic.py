@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -40,11 +41,32 @@ from pdskit.cubic import (
     classify_chords,
     find_full_arc,
 )
+from pdskit.pds import recheck
 
 K4_CHORDS = (2, 3, 0, 1)
 PRISM6_CHORDS = (3, 4, 5, 0, 1, 2)
 # the forced alternating chord map at n=10 (chords jump +3 from evens)
 N10_FORCED = (3, 8, 5, 0, 7, 2, 9, 4, 1, 6)
+
+
+def jump(n, d):
+    """Every even vertex's chord jumps d ahead.  For odd d <= (n+1)//3 the
+    tags alternate, so there is no full arc."""
+    chord = [(v + d if v % 2 == 0 else v - d) % n for v in range(n)]
+    return CubicCycleGraph(n, tuple(chord))
+
+
+def _verified_peak(n):
+    """tracemalloc peak of one verified solve of a fresh random instance."""
+    g = random_cubic_cycle(n, seed=0)
+    tracemalloc.start()
+    try:
+        out = solve_hamiltonian_cubic(g, verify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.pds) == max_pds_size_cubic(n)
+    return peak
 
 
 def paired8():
@@ -92,6 +114,28 @@ class TestCubicCycleGraph:
         for name in ("exc8_paired", "exc8_alternating", "prism6", "k4"):
             rec = fixture(name)
             assert CubicCycleGraph(rec.graph.n, rec.chords).to_graph() == rec.graph
+
+    def test_adj_k4_wraps(self):
+        g = CubicCycleGraph(4, K4_CHORDS)
+        assert g.adj == ((3, 1, 2), (0, 2, 3), (1, 3, 0), (2, 0, 1))
+        assert g.deg == (3, 3, 3, 3)
+
+    @staticmethod
+    def _assert_adj_matches_graph(inst):
+        graph = inst.to_graph()
+        assert len(inst.adj) == inst.n and inst.deg == graph.deg
+        for v in range(inst.n):
+            assert sorted(inst.adj[v]) == list(graph.adj[v]), (inst, v)
+
+    def test_adj_matches_to_graph_exhaustive(self):
+        for n in (4, 6, 8, 10, 12):
+            for inst in all_cubic_cycles(n):
+                self._assert_adj_matches_graph(inst)
+
+    @pytest.mark.parametrize("n", [14, 16, 50, 1000, 10**4])
+    def test_adj_matches_to_graph_random(self, n):
+        for seed in range(3):
+            self._assert_adj_matches_graph(random_cubic_cycle(n, seed=seed))
 
 
 class TestArc:
@@ -206,11 +250,11 @@ class TestVerification:
     def test_finish_rejects_wrong_size(self, monkeypatch):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
 
-        def no_build(self):
-            raise AssertionError("size check must run before the graph build")
+        def no_recheck(*args, **kwargs):
+            raise AssertionError("size check must run before the re-check")
 
-        monkeypatch.setattr(CubicCycleGraph, "to_graph", no_build)
-        with pytest.raises(VerificationFailed):
+        monkeypatch.setattr(cubic, "recheck", no_recheck)
+        with pytest.raises(VerificationFailed, match="size 3"):
             _finish(g, VertexSet.from_ids(6, [0, 1, 2]), True)
 
     def test_finish_rejects_non_pds(self):
@@ -223,21 +267,65 @@ class TestVerification:
         out = _finish(g, VertexSet.from_ids(6, [0, 1, 2]), False)
         assert out.pds is not None  # caller asked for no re-check
 
+    def test_finish_agrees_with_graph_recheck(self):
+        """_finish on the instance's own table raises exactly when the
+        re-check on the full Graph does, for every target-size set."""
+        checked = rejected = 0
+        for n in (4, 6, 8, 10):
+            target = max_pds_size_cubic(n)
+            for inst in all_cubic_cycles(n):
+                graph = inst.to_graph()
+                for ids in combinations(range(n), target):
+                    s = VertexSet.from_ids(n, ids)
+                    try:
+                        recheck(graph, s, "x", connected=True)
+                        expected = True
+                    except VerificationFailed:
+                        expected = False
+                    try:
+                        _finish(inst, s, True)
+                        got = True
+                    except VerificationFailed:
+                        got = False
+                    assert got == expected, (inst, ids)
+                    checked += 1
+                    rejected += not expected
+        assert 0 < rejected < checked
+
+    def test_finish_rejects_disconnected_pds(self):
+        # triangle {0, 1, 2} (chord 0-2) and square {5, 6, 7, 8} (chord
+        # 5-8): each member keeps two of its three neighbours inside
+        g = CubicCycleGraph(10, (2, 3, 0, 1, 6, 8, 4, 9, 5, 7))
+        s = VertexSet.from_ids(10, [0, 1, 2, 5, 6, 7, 8])
+        assert check_pds(g, s).holds
+        with pytest.raises(VerificationFailed, match="not connected"):
+            _finish(g, s, True)
+
+    def test_verified_solve_never_builds_a_graph(self, monkeypatch):
+        def no_build(self):
+            raise AssertionError("the verified path must not call to_graph")
+
+        monkeypatch.setattr(CubicCycleGraph, "to_graph", no_build)
+        # K4, then the n=10 forced map, n=14 and both n=16 tables
+        insts = [CubicCycleGraph(4, K4_CHORDS), jump(10, 3), jump(14, 3)]
+        insts += [jump(16, 3), jump(16, 5), random_cubic_cycle(10**4, seed=3)]
+        assert [find_full_arc(g) for g in insts[1:5]] == [None] * 4
+        for inst in insts:
+            out = solve_hamiltonian_cubic(inst, verify=True)
+            assert len(out.pds) == max_pds_size_cubic(inst.n)
+
     def test_verified_solve_memory_is_linear(self):
-        """The re-check builds a full Graph, which must stay linear in n:
-        a per-vertex neighbour bitmask would cost about n^2/16 bytes."""
-        peaks = {}
-        for n in (10**4, 10**5):
-            g = random_cubic_cycle(n, seed=0)
-            tracemalloc.start()
-            try:
-                out = solve_hamiltonian_cubic(g, verify=True)
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert len(out.pds) == max_pds_size_cubic(n)
+        """The re-check reads the instance's own neighbour table, which must
+        stay linear in n: a per-vertex neighbour bitmask would cost about
+        n^2/16 bytes."""
+        peaks = {n: _verified_peak(n) for n in (10**4, 10**5)}
         assert peaks[10**5] < 100 * 2**20
         assert peaks[10**5] <= 12 * peaks[10**4]
+
+    def test_verified_solve_builds_no_graph_memory(self):
+        # a Graph of the instance (edge set, sorted edges, neighbour
+        # lists) peaks near 48 MB at n=10^5; the neighbour table near 16 MB
+        assert _verified_peak(10**5) < 25 * 2**20
 
 
 class TestSelfChecks:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from pdskit import (
+    Disconnected,
     Graph,
     InvalidSubsetSize,
     NotAPds,
@@ -99,6 +100,12 @@ class TestUpperBound:
             chords = [(v, v + n // 2) for v in range(n // 2)]
             g = Graph(n, cycle + chords)
             assert pds_size_upper_bound(g) == (2 * n + 1) // 3
+
+    def test_edgeless_graph(self):
+        # the bound divides by the maximum degree, which is 0 here
+        for n in (2, 3, 7):
+            with pytest.raises(Disconnected, match="no edges"):
+                pds_size_upper_bound(Graph(n, []))
 
 
 class TestMaximality:
