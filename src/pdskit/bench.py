@@ -11,6 +11,7 @@ from .errors import UnknownSuite
 APPROX_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 CUBIC_SIZES = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
 EXACT_SIZES = (16, 18, 20, 22, 24)
+ENUM_SIZES = (3, 4, 5, 6, 7, 8)
 
 
 def _best_of(fn, repeats: int, fresh=None) -> float:
@@ -91,10 +92,32 @@ def exact_scaling(
     return rows
 
 
+def enum_scaling(
+    sizes: tuple[int, ...] = ENUM_SIZES, seed: int = 0, repeats: int = 3
+) -> list[dict]:
+    """Cold enumeration of the connected graphs on n vertices, every
+    smaller n included; the enumeration is exhaustive, so seed is unused."""
+
+    def cold(n: int) -> int:
+        generators._connected_cache.clear()
+        return n
+
+    rows = []
+    for n in sizes:
+        seconds = _best_of(
+            generators._connected_masks, repeats, fresh=lambda n=n: cold(n)
+        )
+        rows.append(
+            {"n": n, "graphs": len(generators._connected_masks(n)), "seconds": seconds}
+        )
+    return rows
+
+
 SUITES = {
     "approx-scaling": approx_scaling,
     "cubic-scaling": cubic_scaling,
     "exact-scaling": exact_scaling,
+    "enum-scaling": enum_scaling,
 }
 
 

@@ -9,7 +9,6 @@ graphs with a million vertices.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Iterable, Iterator
 
 from .errors import Disconnected, InvalidGraph, InvalidSubsetSize, ParseError
@@ -190,13 +189,12 @@ def is_bipartite(g: Graph) -> bool:
         if color[start] != -1:
             continue
         color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        order = [start]
+        for u in order:
             for w in g.adj[u]:
                 if color[w] == -1:
                     color[w] = color[u] ^ 1
-                    queue.append(w)
+                    order.append(w)
                 elif color[w] == color[u]:
                     return False
     return True

@@ -19,8 +19,8 @@ from pdskit import (
 from pdskit.exact import adjacency_masks
 from pdskit.generators import _canonical_key
 
-# connected simple graphs on n unlabeled vertices (a classic count)
-CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# connected simple graphs on n unlabeled vertices (OEIS A001349)
+CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 class TestFixtures:

@@ -1,10 +1,10 @@
-"""networkx as an independent oracle for the connectivity and
-bipartiteness tests (test-only dependency; skipped when absent)."""
+"""networkx as an independent oracle for the connectivity, bipartiteness
+and enumeration tests (test-only dependency; skipped when absent)."""
 
 import pytest
 from hypothesis import given
 
-from pdskit import induced_connected, is_bipartite, is_connected
+from pdskit import all_connected_graphs, induced_connected, is_bipartite, is_connected
 
 from .strategies import graphs, graphs_with_subset
 
@@ -32,3 +32,21 @@ def test_is_bipartite(g):
 def test_induced_connected(gs):
     g, s = gs
     assert induced_connected(g, s) == nx.is_connected(_nx(g).subgraph(s.members()))
+
+
+# the hash only buckets graphs within one run, so its change across
+# networkx versions does not matter here
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enumeration_is_connected_and_isomorph_free(n):
+    # with the pinned counts in test_generators this shows every class is
+    # present, without relying on the package's own canonical form
+    buckets = {}
+    for g in all_connected_graphs(n):
+        h = _nx(g)
+        assert nx.is_connected(h)
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+    for bucket in buckets.values():
+        for i, h in enumerate(bucket):
+            for other in bucket[:i]:
+                assert not nx.is_isomorphic(h, other)
