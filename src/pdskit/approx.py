@@ -83,10 +83,13 @@ def half_pds(
     # S starts as side 1 with half vertices and every move swaps the sides,
     # so |S| is half while S is side 1 and n-half+1 while it is side 0, and
     # v in S passes own*(n-|S|) >= (deg-own)*(|S|-1) iff own*(n-1) >= deg*sm1[side]
-    sm1 = (n - half, half - 1)
+    sm1 = k0, k1 = (n - half, half - 1)
     side = start.flags()
     own = [0] * n  # neighbours of v on v's own side
     bad = [0, 0]  # bad[s]: vertices of side s failing the test while S is side s
+    # heap key (2*own - deg)*n + v: the top has the largest gain deg - 2*own,
+    # ties to the smallest id; an entry is stale once v's side or key moved on
+    heaps = h0, h1 = ([], [])
     cut = 0
     for v in range(n):
         c = 0
@@ -96,27 +99,19 @@ def half_pds(
         if side[v]:
             own[v] = c
             cut += d - c
-            if c * n1 < d * sm1[1]:
+            if c * n1 < d * k1:
                 bad[1] += 1
+            h1.append((2 * c - d) * n + v)
         else:
-            own[v] = d - c
+            c = d - c
+            own[v] = c
+            if c * n1 < d * k0:
+                bad[0] += 1
+            h0.append((2 * c - d) * n + v)
     if not bad[1]:
         return start, ApproxTrace(start, (), start)
-
-    # heap key (2*own - deg)*n + v: the top has the largest gain deg - 2*own,
-    # ties to the smallest id; an entry is stale once v's side or key moved on
-    heaps: tuple[list[int], list[int]] = ([], [])
-    for v in range(n):
-        o = own[v]
-        d = deg[v]
-        if side[v]:
-            heaps[1].append((2 * o - d) * n + v)
-        else:
-            if o * n1 < d * sm1[0]:
-                bad[0] += 1
-            heaps[0].append((2 * o - d) * n + v)
-    heapify(heaps[0])
-    heapify(heaps[1])
+    heapify(h0)
+    heapify(h1)
 
     cur = 1
     moves: list[MoveRecord] = []

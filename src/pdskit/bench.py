@@ -129,15 +129,20 @@ def run_suite(name: str, **kwargs) -> list[dict]:
 
 def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float, float]:
     """Least-squares slope and r^2 of log(y) against log(x)."""
+    return fit_semilog([math.log(x) for x in xs], ys)
+
+
+def fit_semilog(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares slope and r^2 of log(y) against x; e**slope is the
+    growth factor of y per unit of x."""
     if len(set(xs)) < 2:
         raise ValueError("a fit needs at least two distinct sizes")
-    lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
-    k = len(lx)
-    mx = sum(lx) / k
+    k = len(xs)
+    mx = sum(xs) / k
     my = sum(ly) / k
-    sxx = sum((x - mx) ** 2 for x in lx)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ly))
     syy = sum((y - my) ** 2 for y in ly)
     slope = sxy / sxx
     r2 = sxy * sxy / (sxx * syy) if syy else 1.0

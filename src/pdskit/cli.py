@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -422,10 +423,14 @@ def cmd_bench(args) -> int:
     if len(rows) > 1:
         for col in ("seconds", "verified_seconds"):
             if col in cols:
-                slope, r2 = bench_mod.fit_loglog(
-                    [r["n"] for r in rows], [r[col] for r in rows]
-                )
-                print(f"log-log slope {col} {slope:.3f} r2 {r2:.3f}", file=sys.stderr)
+                xs, ys = [r["n"] for r in rows], [r[col] for r in rows]
+                if args.suite == "enum-scaling":  # exponential in n, not a power
+                    slope, r2 = bench_mod.fit_semilog(xs, ys)
+                    line = f"per-vertex growth {col} x{math.exp(slope):.2f} r2 {r2:.3f}"
+                else:
+                    slope, r2 = bench_mod.fit_loglog(xs, ys)
+                    line = f"log-log slope {col} {slope:.3f} r2 {r2:.3f}"
+                print(line, file=sys.stderr)
     return 0
 
 

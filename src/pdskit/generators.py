@@ -4,11 +4,26 @@ The named fixtures ship as commented edge-list files under data/; each
 carries the optimum values the test suite re-derives with the exact
 solver.  all_connected_graphs enumerates connected graphs up to
 isomorphism by growing canonical (n-1)-vertex graphs one vertex at a
-time and deduplicating on a canonical form (the minimum adjacency
-bitstring, found by color refinement with twin collapsing and
-individualization).
+time and deduplicating on a canonical key.
 
-Before the canonical form is computed, a child is dropped unless its
+The key is the smallest adjacency bitstring over the leaves of a search
+on ordered partitions of the vertices into bitmask cells (McKay &
+Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014).  Each
+node refines its partition until it is equitable: a cell splits by how
+many neighbours its vertices have in a splitter cell, and the sub-cells
+take its place in ascending count order.  The first cell left with more
+than one vertex then branches, each child individualising one of its
+vertices.  Every choice depends on counts and cell order, never on
+vertex ids, so relabelling a graph relabels its whole search tree and
+leaves the set of leaf bitstrings as it was: isomorphic graphs get equal
+keys, and a key, read as an adjacency matrix, is the graph itself up to
+isomorphism.  When the branching cell holds twins (equal neighbourhoods
+apart from each other; being twins is transitive, so comparing each
+vertex with the first is enough), swapping two of them is an automorphism
+that keeps the partition, so their subtrees hold the same bitstrings and
+only the first is searched.
+
+Before the canonical key is computed, a child is dropped unless its
 new vertex n-1 passes the cheap first test of canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): no
 other vertex that is not a cut vertex may have a strictly larger
@@ -17,7 +32,7 @@ graph G, take a non-cut vertex v whose invariant is the largest among
 the non-cut vertices.  G - v is connected, so it is isomorphic to some
 (n-1)-vertex representative, and the child that re-adds v puts the new
 vertex in v's place; that child passes the test.  For n <= 7 the test
-leaves 1,700 of 7,814 children to the canonical form.
+leaves 1,700 of 7,814 children to the canonical key.
 """
 
 from __future__ import annotations
@@ -132,70 +147,59 @@ def random_connected(n: int, m: int, seed: int | None = None) -> Graph:
 # --- enumeration up to isomorphism ---------------------------------------
 
 
-def _refine(n: int, nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        fresh = [rank[s] for s in sigs]
-        if fresh == colors:
-            return colors
-        colors = fresh
+def _equitable(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Refine the ordered cells in place until they are equitable; the
+    splitter scan restarts after any split."""
+    j = 0
+    while j < len(cells):
+        splitter = cells[j]
+        j += 1
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            i += 1
+            if cell & (cell - 1):
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    k = (adj[bit.bit_length() - 1] & splitter).bit_count()
+                    groups[k] = groups.get(k, 0) | bit
+                if len(groups) > 1:
+                    cells[i - 1 : i] = [groups[k] for k in sorted(groups)]
+                    i += len(groups) - 1
+                    j = 0
+    return cells
 
 
 def _canonical_key(n: int, adj: tuple[int, ...]) -> int:
-    nbrs = [tuple(w for w in range(n) if adj[v] >> w & 1) for v in range(n)]
-    best: list[int | None] = [None]
-
-    def emit(colors: list[int]) -> None:
-        # colors are a bijection onto 0..n-1; read the relabeled adjacency
-        pos = [0] * n
-        for v, c in enumerate(colors):
-            pos[c] = v
-        key = 0
-        for i in range(n):
-            vi = pos[i]
-            row = adj[vi]
-            for j in range(i + 1, n):
-                key = key << 1 | row >> pos[j] & 1
-        if best[0] is None or key < best[0]:
-            best[0] = key
-
-    def search(colors: list[int]) -> None:
-        colors = _refine(n, nbrs, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        split = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                split = cells[c]
+    """Smallest adjacency bitstring over the leaves of the search tree."""
+    best = -1
+    stack = [[(1 << n) - 1]]
+    while stack:
+        cells = _equitable(adj, stack.pop())
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1):
                 break
-        if split is None:
-            emit(colors)
-            return
-        twins = all(
-            adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
-            for i, u in enumerate(split)
-            for v in split[i + 1 :]
-        )
-        scale = n + 2
-        if twins:
-            # interchangeable vertices: any fixed order gives the same key
-            fresh = [c * scale for c in colors]
-            for idx, v in enumerate(split):
-                fresh[v] += idx + 1
-            search(fresh)
-            return
-        for v in split:
-            fresh = [c * scale for c in colors]
-            fresh[v] += 1
-            search(fresh)
-
-    search([0] * n)
-    assert best[0] is not None
-    return best[0]
+        else:
+            # discrete: the vertex in cell i gets label i
+            pos = [cell.bit_length() - 1 for cell in cells]
+            key = 0
+            for i, v in enumerate(pos):
+                row = adj[v]
+                for w in pos[i + 1 :]:
+                    key = key << 1 | row >> w & 1
+            if best < 0 or key < best:
+                best = key
+            continue
+        members = [v for v in range(n) if cell >> v & 1]
+        u = members[0]
+        # swapping two twins is an automorphism, so one branch serves them all
+        twins = all(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for v in members)
+        for v in members[:1] if twins else members:
+            stack.append(cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1 :])
+    return best
 
 
 def _connected_without(n: int, adj: tuple[int, ...], w: int) -> bool:

@@ -95,7 +95,7 @@ class Graph:
     check it themselves so that gadget graphs can be assembled piecewise.
     """
 
-    __slots__ = ("n", "m", "edges", "adj", "deg")
+    __slots__ = ("n", "m", "edges", "adj", "deg", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 2:
@@ -123,6 +123,7 @@ class Graph:
             nbrs[v].append(u)
         object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
         object.__setattr__(self, "deg", tuple(map(len, nbrs)))
+        object.__setattr__(self, "_connected", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -167,7 +168,12 @@ def _reach(adj, seen: bytearray, start: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    return _reach(g.adj, bytearray(g.n), 0) == g.n
+    known = getattr(g, "_connected", None)  # a Graph is immutable: search once
+    if known is None:
+        known = _reach(g.adj, bytearray(g.n), 0) == g.n
+        if isinstance(g, Graph):
+            object.__setattr__(g, "_connected", known)
+    return known
 
 
 def require_connected(g: Graph) -> None:

@@ -9,6 +9,7 @@ from pdskit.bench import (
     enum_scaling,
     exact_scaling,
     fit_loglog,
+    fit_semilog,
     run_suite,
 )
 from pdskit.generators import _connected_cache
@@ -88,3 +89,9 @@ class TestFit:
         xs = [2**i for i in range(4, 10)]
         slope, r2 = fit_loglog(xs, [5e-7 * x for x in xs])
         assert math.isclose(slope, 1.0, rel_tol=1e-9) and r2 > 0.999
+
+    def test_exact_exponential(self):
+        xs = [3, 4, 5, 6, 7, 8]
+        slope, r2 = fit_semilog(xs, [2e-4 * 7.5**x for x in xs])
+        assert math.isclose(math.exp(slope), 7.5, rel_tol=1e-9)
+        assert math.isclose(r2, 1.0, abs_tol=1e-12)

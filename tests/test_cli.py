@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from pdskit import (
     random_cubic_cycle,
 )
 from pdskit.cli import main
+from pdskit.generators import _connected_cache
 
 
 def run(capsys, *argv):
@@ -299,6 +301,20 @@ class TestBench:
             "--repeats", "1",
         )
         assert code == 0 and out.startswith("n,m,seconds,moves")
+
+    def test_enum_scaling_fits_per_vertex_growth(self, capsys):
+        # the suite empties the module cache; give other tests theirs back
+        saved = dict(_connected_cache)
+        try:
+            code, out, err = run(
+                capsys, "bench", "--suite", "enum-scaling", "--sizes", "3,4,5",
+                "--repeats", "1",
+            )
+        finally:
+            _connected_cache.update(saved)
+        assert code == 0 and out.startswith("n,graphs,seconds")
+        # time grows exponentially in n, so no power-law slope is printed
+        assert re.fullmatch(r"per-vertex growth seconds x\d+\.\d\d r2 \d\.\d{3}\n", err), err
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "bench", "--suite", "nothing")[0] == 2

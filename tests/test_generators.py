@@ -1,6 +1,10 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from pdskit import (
+    Graph,
     InfeasibleParameters,
     UnknownFixture,
     all_connected_graphs,
@@ -17,7 +21,13 @@ from pdskit import (
     star_graph,
 )
 from pdskit.exact import adjacency_masks
-from pdskit.generators import _canonical_key
+from pdskit.generators import (
+    _canonical_key,
+    _connected_masks,
+    _new_vertex_may_be_removed,
+)
+
+from .canonical_reference import _canonical_key as reference_key
 
 # connected simple graphs on n unlabeled vertices (OEIS A001349)
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -153,3 +163,119 @@ class TestEnumeration:
             next(all_connected_graphs(10))
         with pytest.raises(InfeasibleParameters):
             next(all_connected_graphs(1))
+
+
+def _children(parents: list[tuple[int, ...]], n: int):
+    """Every child the enumerator tries: a parent plus a new vertex n-1."""
+    for parent in parents:
+        for hood in range(1, 1 << (n - 1)):
+            yield tuple(
+                row | (hood >> v & 1) << (n - 1) for v, row in enumerate(parent)
+            ) + (hood,)
+
+
+def _assert_same_classes(graphs, key_a, key_b):
+    """key_a and key_b split the (n, adj) graphs into the same classes."""
+    a_to_b: dict = {}
+    b_to_a: dict = {}
+    for n, adj in graphs:
+        a, b = (n, key_a(n, adj)), (n, key_b(n, adj))
+        assert a_to_b.setdefault(a, b) == b, (n, adj)
+        assert b_to_a.setdefault(b, a) == a, (n, adj)
+    return len(a_to_b)
+
+
+def _relabel(n: int, adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
+    out = [0] * n
+    for u in range(n):
+        for w in range(n):
+            if adj[u] >> w & 1:
+                out[perm[u]] |= 1 << perm[w]
+    return tuple(out)
+
+
+class TestCanonicalKey:
+    """The bitmask refinement against the old colour-refinement key and
+    against brute force over vertex permutations."""
+
+    def test_same_classes_as_reference_on_every_child(self):
+        children = [
+            (n, adj)
+            for n in range(3, 8)
+            for adj in _children(_connected_masks(n - 1), n)
+        ]
+        assert len(children) == 7814
+        assert _assert_same_classes(children, _canonical_key, reference_key) == 994
+
+    def test_same_classes_as_reference_on_random_graphs(self):
+        rng = random.Random(2014)
+        graphs = []
+        for _ in range(150):
+            p = rng.random()
+            adj = [0] * 8
+            for u, w in combinations(range(8), 2):
+                if rng.random() < p:
+                    adj[u] |= 1 << w
+                    adj[w] |= 1 << u
+            graphs.append((8, tuple(adj)))
+        # regular graphs, where refinement alone splits nothing:
+        # C8 and 2C4, the cube and 2K4, and their complements
+        cycle = [(v, (v + 1) % 8) for v in range(8)]
+        two_c4 = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+        cube = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+        two_k4 = [(u, w) for part in (range(4), range(4, 8)) for u, w in combinations(part, 2)]
+        for edges in (cycle, two_c4, cube, two_k4):
+            adj = tuple(adjacency_masks(Graph(8, edges)))
+            graphs.append((8, adj))
+            graphs.append((8, tuple(~row & 0xFF & ~(1 << v) for v, row in enumerate(adj))))
+        relabelled = []
+        for n, adj in graphs:
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                twin = _relabel(n, adj, perm)
+                assert _canonical_key(n, twin) == _canonical_key(n, adj)
+                relabelled.append((n, twin))
+        _assert_same_classes(graphs + relabelled, _canonical_key, reference_key)
+
+    def test_enumeration_matches_reference_dedup(self):
+        # the same enumeration, deduplicated by the old key
+        reps = [(0b10, 0b01)]
+        for n in range(3, 8):
+            seen: dict = {}
+            for adj in _children(reps, n):
+                if _new_vertex_may_be_removed(n, adj):
+                    seen.setdefault(reference_key(n, adj), adj)
+            reps = list(seen.values())
+            assert _connected_masks(n) == reps
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_brute_force_oracle(self, n):
+        # equal keys exactly when some permutation maps one graph onto the other
+        pairs = list(combinations(range(n), 2))
+
+        def adj_of(mask):
+            adj = [0] * n
+            for i, (u, w) in enumerate(pairs):
+                if mask >> i & 1:
+                    adj[u] |= 1 << w
+                    adj[w] |= 1 << u
+            return tuple(adj)
+
+        index = {pair: i for i, pair in enumerate(pairs)}
+        maps = [
+            [index[min(p[u], p[w]), max(p[u], p[w])] for u, w in pairs]
+            for p in permutations(range(n))
+        ]
+        orbit_of: dict[int, int] = {}
+        for mask in range(1 << len(pairs)):
+            if mask in orbit_of:
+                continue
+            for to in maps:
+                image = sum(1 << to[i] for i in range(len(pairs)) if mask >> i & 1)
+                orbit_of[image] = mask
+        key_of = {mask: _canonical_key(n, adj_of(mask)) for mask in orbit_of}
+        classes = {}
+        for mask, orbit in orbit_of.items():
+            assert classes.setdefault(key_of[mask], orbit) == orbit, mask
+        assert len(classes) == len(set(orbit_of.values())) == {2: 2, 3: 4, 4: 11, 5: 34}[n]

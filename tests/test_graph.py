@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -23,8 +24,11 @@ from pdskit import (
     set_from_json,
     set_to_json,
 )
-from pdskit.exact import adjacency_masks
+from pdskit import graph as graph_mod
+from pdskit.approx import decide_pds_at_least_k, half_pds
+from pdskit.exact import adjacency_masks, max_pds_exact
 from pdskit.graph import require_connected
+from pdskit.reductions import split_reduction
 
 from .strategies import graphs, graphs_with_subset
 
@@ -147,6 +151,59 @@ class TestPredicates:
         assert not induced_connected(P4, VertexSet.from_ids(4, [0, 3]))
         with pytest.raises(InvalidSubsetSize):
             induced_connected(P4, VertexSet.from_ids(4, []))
+
+
+class TestConnectivitySlot:
+    """A Graph never changes, so is_connected searches it once."""
+
+    def test_one_search_per_graph(self, monkeypatch):
+        calls = []
+        search = graph_mod._reach
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(graph_mod, "_reach", counted)
+        g = Graph(7, [(v, (v + 1) % 7) for v in range(7)] + [(0, 3)])
+        starts = list(combinations(range(7), 4))
+        assert len(starts) == 35
+        for ids in starts:
+            half_pds(g, init=VertexSet.from_ids(7, ids))
+        assert len(calls) == 1
+        # a fresh Graph with the same edges searches again
+        assert is_connected(Graph(7, g.edges)) and len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            half_pds,
+            max_pds_exact,
+            lambda g: decide_pds_at_least_k(g, 2),
+            split_reduction,
+        ],
+        ids=["half_pds", "max_pds_exact", "decide_pds_at_least_k", "split_reduction"],
+    )
+    def test_disconnected_raises_every_time(self, solve):
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+        for _ in range(3):
+            with pytest.raises(Disconnected):
+                solve(g)
+        assert g._connected is False
+
+    def test_still_immutable(self):
+        g = Graph(4, P4.edges)
+        assert is_connected(g)
+        for name in ("_connected", "n", "fresh"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, False)
+        assert g._connected is True
+
+    def test_equality_and_hash_ignore_the_slot(self):
+        searched, fresh = Graph(4, P4.edges), Graph(4, P4.edges)
+        assert is_connected(searched)
+        assert (searched._connected, fresh._connected) == (True, None)
+        assert searched == fresh and hash(searched) == hash(fresh)
 
 
 class TestSerialisation:
