@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from . import exact
 from .errors import (
@@ -34,8 +35,7 @@ from .graph import Graph, VertexSet, require_connected
 _DIGITS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     vertex: int
     inside_degree: int
     outside_degree: int

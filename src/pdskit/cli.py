@@ -90,7 +90,7 @@ def _parse_ids(text: str) -> list[int]:
 
 def _emit(args, payload: dict, human: list[str]) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         for line in human:
             print(line)

@@ -27,7 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from operator import eq, sub
 
 from .errors import (
     GraphTooSmall,
@@ -38,7 +39,7 @@ from .errors import (
     UnclassifiedChords,
     VerificationFailed,
 )
-from .graph import Graph, VertexSet, _data_lines, is_cubic
+from .graph import Graph, VertexSet, _data_ints, _data_rows, is_cubic
 from .pds import recheck
 
 AHEAD = "ahead"
@@ -62,17 +63,24 @@ class CubicCycleGraph:
 
     def __post_init__(self):
         n = self.n
+        chord = self.chord
         if n < 4 or n % 2:
             raise InvalidInstance(f"need even n >= 4, got {n}")
-        if len(self.chord) != n:
+        if len(chord) != n:
             raise InvalidInstance("chord table must list every vertex")
-        for v, c in enumerate(self.chord):
-            if not 0 <= c < n:
-                raise InvalidInstance(f"chord target {c} out of range")
-            if (c - v) % n in (0, 1, n - 1):
-                raise InvalidInstance(f"chord ({v}, {c}) repeats a cycle edge")
-            if self.chord[c] != v:
-                raise InvalidInstance(f"chords are not a matching at {v}")
+        # Bulk passes; a slow one names a vertex once one fails.  The matching pass
+        # raises IndexError at an entry >= n or < -n and fails at c < 0 (c != n + c).
+        try:
+            matched = all(map(eq, map(chord.__getitem__, chord), count()))
+        except IndexError:
+            matched = False
+        if not matched:
+            v = next(v for v, c in enumerate(chord) if not 0 <= c < n or chord[c] != v)
+            raise InvalidInstance(f"chord ({v}, {chord[v]}) is out of range or not matched")
+        # given a matching, c - v in {0, 1, 1 - n} finds every loop and cycle-edge chord
+        if not {0, 1, 1 - n}.isdisjoint(map(sub, chord, range(n))):
+            v = next(v for v, c in enumerate(chord) if c - v in (0, 1, 1 - n))
+            raise InvalidInstance(f"chord ({v}, {chord[v]}) repeats a cycle edge")
 
     @property
     def window(self) -> int:
@@ -381,20 +389,20 @@ def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
 
 def parse_cubic(text: str) -> CubicCycleGraph:
     """Cycle-graph format: a line "n", then n/2 chord lines "u v"."""
-    rows = [body.split() for _, body in _data_lines(text)]
+    rows = _data_rows(text)
     if not rows or len(rows[0]) != 1:
         raise ParseError("expected a single-token header line with n")
-    try:
-        n = int(rows[0][0])
-        pairs = [(int(a), int(b)) for a, b in rows[1:]]
-    except ValueError as exc:
-        raise ParseError(f"bad token: {exc}") from exc
-    if len(pairs) != n // 2:
-        raise ParseError(f"expected {n // 2} chord lines, found {len(pairs)}")
-    chord = [-1] * n if n > 0 else []
-    for u, v in pairs:
-        if u == v or not (0 <= u < n and 0 <= v < n) or chord[u] != -1 or chord[v] != -1:
-            raise ParseError(f"bad chord pair ({u}, {v})")
+    ints = _data_ints(text, rows, 1)
+    del rows  # the token rows go before the chord table is built
+    n = ints.pop(0)
+    if len(ints) != n // 2 * 2:
+        raise ParseError(f"expected {n // 2} chord lines, found {len(ints) // 2}")
+    if ints and (min(ints) < 0 or max(ints) >= n):
+        raise ParseError(f"chord vertex out of range for n={n}")
+    # a repeated vertex leaves another at -1, which CubicCycleGraph rejects
+    chord = [-1] * n
+    it = iter(ints)
+    for u, v in zip(it, it):
         chord[u] = v
         chord[v] = u
     try:

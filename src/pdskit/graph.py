@@ -9,12 +9,11 @@ graphs with a million vertices.
 from __future__ import annotations
 
 import json
+from itertools import chain, compress, islice
 from typing import Iterable, Iterator
 
 from .errors import Disconnected, InvalidGraph, InvalidSubsetSize, ParseError
 
-# bit positions set in each possible byte, for fast mask <-> id decoding
-_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -41,13 +40,7 @@ class VertexSet:
         return cls(n, int.from_bytes(bytes(buf), "little"))
 
     def members(self) -> list[int]:
-        out: list[int] = []
-        raw = self.mask.to_bytes((self.n + 7) // 8 or 1, "little")
-        for i, byte in enumerate(raw):
-            if byte:
-                base = i << 3
-                out.extend(base + j for j in _BYTE_BITS[byte])
-        return out
+        return list(compress(range(self.n), self.flags()))
 
     def flags(self) -> bytearray:
         """0/1 membership table of length n."""
@@ -230,13 +223,25 @@ def induced_connected(g: Graph, s: VertexSet) -> bool:
     return _reach(g.adj, seen, start) == len(s)
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for every line that is neither blank
-    nor a '#' comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.strip()
-        if body and not body.startswith("#"):
-            yield lineno, body
+def _data_rows(text: str) -> list[list[str]]:
+    """Token lists of the lines of text that are neither blank nor '#' comments."""
+    return [t for t in map(str.split, text.splitlines()) if t and t[0][0] != "#"]
+
+
+def _data_ints(text: str, rows: list[list[str]], first: int = 0) -> list[int]:
+    """Every integer of rows, converted in one pass.  Rows from rows[first] on
+    must hold two tokens; a bad row's line number is looked up only once found."""
+    if set(map(len, islice(rows, first, None))) - {2}:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            t = line.split()
+            if t and t[0][0] != "#":
+                if first <= 0 and len(t) != 2:
+                    raise ParseError(f"line {lineno}: expected two tokens, got {line.strip()!r}")
+                first -= 1
+    try:
+        return list(map(int, chain.from_iterable(rows)))
+    except ValueError as exc:
+        raise ParseError(f"bad token: {exc}") from exc
 
 
 def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
@@ -244,28 +249,14 @@ def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
 
     Blank lines and lines starting with '#' are ignored.
     """
-    rows: list[list[str]] = []
-    for lineno, body in _data_lines(text):
-        rows.append(body.split())
-        if len(rows[-1]) != 2:
-            raise ParseError(f"line {lineno}: expected two tokens, got {body!r}")
-    if not rows:
+    ints = _data_ints(text, _data_rows(text))
+    if not ints:
         raise ParseError("empty input")
-    try:
-        header = [int(t) for t in rows[0]]
-    except ValueError as exc:
-        raise ParseError(f"bad header {rows[0]!r}") from exc
-    n, m = header
-    if len(rows) - 1 != m:
-        raise ParseError(f"header promises {m} edges, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
-        try:
-            u, v = int(row[0]), int(row[1])
-        except ValueError as exc:
-            raise ParseError(f"bad edge line {row!r}") from exc
-        edges.append((u, v))
-    g = Graph(n, edges)
+    n, m = ints[0], ints[1]
+    if len(ints) != 2 * m + 2:
+        raise ParseError(f"header promises {m} edges, found {len(ints) // 2 - 1}")
+    it = islice(ints, 2, None)
+    g = Graph(n, zip(it, it))
     if require_connectivity:
         require_connected(g)
     return g

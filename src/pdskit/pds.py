@@ -10,6 +10,7 @@ floating point is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import Disconnected, InvalidSubsetSize, NotAPds, VerificationFailed
 from .graph import Graph, VertexSet, induced_connected
@@ -38,7 +39,7 @@ def check_pds(g: Graph, s: VertexSet) -> PdsVerdict:
     adj = g.adj
     deg = g.deg
     bad: list[tuple[int, int, int]] = []
-    for u in s.members():
+    for u in compress(range(g.n), flags):
         inside = 0
         for w in adj[u]:
             inside += flags[w]

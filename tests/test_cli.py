@@ -214,6 +214,7 @@ class TestReduce:
             capsys, "reduce", "demo5", "--kind", "split", "--certificate", str(cert)
         )
         assert code == 0 and payload["alpha"] == 3
+        assert cert.read_text().startswith('{\n  "')  # the file stays indented
         code2, payload2, _ = run_json(capsys, "certify", str(cert))
         assert code2 == 0 and payload2["valid"] is True
 
@@ -321,6 +322,22 @@ class TestBench:
 
 
 class TestDispatch:
+    # the report keys of each solver command; --json prints them on one line
+    JSON_KEYS = {
+        ("verify", "k4", "--set", "0,1,2"): "command input_digest holds connected unsatisfied",
+        ("exact", "k4"): "command input_digest size witness connected optima subsets_checked "
+        "seconds verified",
+        ("approx", "cubic10"): "command input_digest size set connected moves restarts seconds "
+        "verified",
+        ("cubic", "prism6"): "command input_digest n seconds verified size set",
+    }
+
+    @pytest.mark.parametrize("argv, keys", JSON_KEYS.items(), ids=[a[0] for a in JSON_KEYS])
+    def test_json_is_one_line(self, capsys, argv, keys):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and out.endswith("}\n") and out.count("\n") == 1
+        assert sorted(json.loads(out)) == sorted(keys.split())
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 

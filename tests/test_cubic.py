@@ -108,6 +108,8 @@ class TestCubicCycleGraph:
         with pytest.raises(InvalidInstance):
             CubicCycleGraph(4, (1, 0, 3, 2))  # chord duplicates a cycle edge
         with pytest.raises(InvalidInstance):
+            CubicCycleGraph(6, (5, 3, 4, 1, 2, 0))  # chord 0-5 duplicates the wrap edge
+        with pytest.raises(InvalidInstance):
             CubicCycleGraph(6, (3, 4, 5, 0, 1, 3))  # not an involution
 
     def test_fixture_chords_match_graphs(self):
