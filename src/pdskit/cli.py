@@ -12,6 +12,7 @@ stdin, or a fixture name such as cubic10 or path7.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -437,6 +438,7 @@ def cmd_bench(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+@functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pdskit",

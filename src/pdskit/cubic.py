@@ -39,7 +39,7 @@ from .errors import (
     UnclassifiedChords,
     VerificationFailed,
 )
-from .graph import Graph, VertexSet, _data_ints, _data_rows, is_cubic
+from .graph import Graph, VertexSet, _data_ints, is_cubic
 from .pds import recheck
 
 AHEAD = "ahead"
@@ -389,11 +389,9 @@ def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
 
 def parse_cubic(text: str) -> CubicCycleGraph:
     """Cycle-graph format: a line "n", then n/2 chord lines "u v"."""
-    rows = _data_rows(text)
-    if not rows or len(rows[0]) != 1:
+    ints = _data_ints(text, 1)
+    if not ints:
         raise ParseError("expected a single-token header line with n")
-    ints = _data_ints(text, rows, 1)
-    del rows  # the token rows go before the chord table is built
     n = ints.pop(0)
     if len(ints) != n // 2 * 2:
         raise ParseError(f"expected {n // 2} chord lines, found {len(ints) // 2}")

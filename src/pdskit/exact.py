@@ -5,11 +5,11 @@ default cap of 24 vertices keeps worst cases in the seconds range, the
 hard cap of 63 keeps every mask within one machine word.  The env var
 PDSKIT_CAP overrides the default.
 
-The maximum-PDS search goes through the subsets of each size in ascending
-numeric order, but when a subset fails it skips the run of later subsets
-that the same violating vertex rules out (see _descend).  Its count of
-subsets checked covers the skipped ones too: it is the number of subsets
-decided, the same as a search that tests every subset would report.
+The maximum-PDS search picks the members of each size depth first, from
+the highest vertex down, and cuts every prefix of picks that already
+leaves some member with too few neighbours (see _descend).  Its count of
+subsets checked is arithmetic: the number of subsets a search that tests
+every subset in turn would decide, not the number of nodes visited.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from operator import sub
 
 from .errors import InstanceTooLarge, InvalidSubsetSize, NoPds
 from .graph import Graph, VertexSet, require_connected
@@ -53,20 +53,6 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def ksubset_masks(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of {0..n-1} as bitmasks in ascending numeric order."""
-    if k == 0:
-        yield 0
-        return
-    m = (1 << k) - 1  # already past top when k > n
-    top = 1 << n
-    while m < top:
-        yield m
-        low = m & -m
-        ripple = m + low
-        m = (((ripple ^ m) >> 2) // low) | ripple
-
-
 def _colex_rank(mask: int) -> int:
     """Position of mask among the masks of its bit count in ascending
     numeric order: sum C(c_i, i) over its bits c_1 < c_2 < ..."""
@@ -78,18 +64,6 @@ def _colex_rank(mask: int) -> int:
         rank += comb(low.bit_length() - 1, i)
         mask ^= low
     return rank
-
-
-def _mask_is_pds(adjm, deg, smask: int, co: int, sm1: int) -> bool:
-    m = smask
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        inside = (adjm[u] & smask).bit_count()
-        if inside * co < (deg[u] - inside) * sm1:
-            return False
-    return True
 
 
 def _mask_connected(adjm, smask: int) -> bool:
@@ -110,13 +84,81 @@ def _mask_connected(adjm, smask: int) -> bool:
 @dataclass(frozen=True)
 class ExactResult:
     """Size, first witness, every optimum (with all_optima) and the number
-    of subsets decided on the way, whether tested on their own or ruled
-    out together with a run of others."""
+    of subsets a one-by-one test would have decided on the way; the search
+    computes that count, it does not visit them all."""
 
     size: int
     witness: VertexSet
     optima: tuple[VertexSet, ...] | None
     subsets_checked: int
+
+
+def _bounds(deg, n1: int, size: int) -> tuple[list[int], list[int]]:
+    """need[u], the fewest neighbours u in S may have inside S at this size,
+    and allow[u] = deg(u) - need[u], the most outside: inside * (n - size)
+    >= (deg - inside) * (size - 1) iff inside * (n - 1) >= deg * (size - 1)."""
+    need = [(d * (size - 1) + n1 - 1) // n1 for d in deg]
+    return need, list(map(sub, deg, need))
+
+
+def _pick(adjm, need, allow, out, s, tight, c, r, hits, connected_only, all_optima) -> bool:
+    """Append to hits the qualifying masks that add r members below c to s
+    (all >= c), trying the next member v in ascending order, so hits ascend.
+    out[u] counts member u's neighbours left out, the non-members >= c, and
+    may not pass allow[u]; tight marks the members at that bound.  True
+    means stop; out is restored otherwise."""
+    if r == 1:  # the last pick v leaves out every other vertex below c
+        cand = (1 << c) - 1
+        m = s
+        while m:
+            u = m.bit_length() - 1
+            m ^= 1 << u
+            short = need[u] - (adjm[u] & s).bit_count()
+            if short > 1:
+                return False
+            if short == 1:
+                cand &= adjm[u]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if (adjm[v] & s).bit_count() >= need[v] and (
+                not connected_only or _mask_connected(adjm, s | low)
+            ):
+                hits.append(s | low)
+                if not all_optima:
+                    return True
+        return False
+    # picking v next leaves out (v, c): leave out c-1, c-2, ... until the
+    # next would put a tight member over its bound; w is then the lowest v
+    w = c - 1
+    while w >= r and not adjm[w] & tight:
+        m = adjm[w] & s
+        while m:
+            u = m.bit_length() - 1
+            m ^= 1 << u
+            out[u] += 1
+            if out[u] == allow[u]:
+                tight |= 1 << u
+        w -= 1
+    for v in range(w, c):
+        m = adjm[v] & s if v > w else 0  # v is no longer left out
+        while m:
+            u = m.bit_length() - 1
+            m ^= 1 << u
+            if out[u] == allow[u]:
+                tight ^= 1 << u
+            out[u] -= 1
+        inside = (adjm[v] & s).bit_count()
+        ov = (adjm[v] >> v + 1).bit_count() - inside  # v's neighbours left out
+        if inside + r > need[v] and ov <= allow[v]:
+            out[v] = ov
+            tv = tight | (ov == allow[v]) << v
+            if _pick(
+                adjm, need, allow, out, s | 1 << v, tv, v, r - 1, hits, connected_only, all_optima
+            ):
+                return True
+    return False
 
 
 def _descend(
@@ -126,63 +168,20 @@ def _descend(
 
     Returns (hits, subsets decided); hits holds the first qualifying mask
     of the largest size that has one (every such mask with all_optima),
-    and is empty when no size down to stop qualifies.
-
-    Masks of one size ascend numerically, but one violator decides a whole
-    run of them.  A member u fails when fewer than need[u] of its
-    neighbours are in S.  Let p = low(u), the lowest of u and its
-    neighbours: every mask of the size that agrees with S on bits p and
-    up contains u with the same neighbours inside, so it fails too.  Those
-    masks are consecutive; their bits below p, j of them, run through all
-    j-subsets of {0..p-1}.  The search jumps to the last of the run (those
-    j bits at p-j..p-1) and steps on from there.  To make runs long it
-    tries the last violator first, which often fails again, and then the
-    vertices by descending low(u).
-
-    The masks decided are those a test of every mask in turn would visit:
-    all C(n, size) of a size searched to its end, and for the size that
-    stops at its first hit, the hit and the masks before it, as many as
-    its colex rank.  Hits and count are those of testing every mask.
+    in ascending numeric order, and is empty when no size down to stop
+    qualifies.  The count is arithmetic, the masks a test of every mask in
+    turn would decide: all C(n, size) of a size searched to its end, and
+    for the size that stops at its first hit, the masks up to the hit, as
+    many as its colex rank plus one.
     """
     n = g.n
     adjm = adjacency_masks(g)
-    deg = g.deg
-    # (low(u), u, neighbours, degree) as masks, by descending low(u)
-    base = sorted(
-        [((m | 1 << u) & -(m | 1 << u), 1 << u, m, deg[u]) for u, m in enumerate(adjm)],
-        reverse=True,
-    )
-    n1 = n - 1
     checked = 0
-    top = 1 << n
-    for size in range(min(pds_size_upper_bound(g), n1), stop - 1, -1):
-        sm1 = size - 1
-        # u in S fails iff inside * (n - size) < (deg - inside) * sm1,
-        # i.e. iff inside * (n - 1) < deg * sm1, i.e. iff inside < need
-        tests = [(b, a, -(-d * sm1 // n1), p) for p, b, a, d in base]
-        lbit, lam, lneed, lp = tests[0]  # tried first: the last violator found
+    for size in range(min(pds_size_upper_bound(g), n - 1), stop - 1, -1):
         hits: list[int] = []
-        smask = (1 << size) - 1
-        while smask < top:
-            if smask & lbit and (lam & smask).bit_count() < lneed:
-                p = lp
-            else:
-                for bit, am, need, p in tests:
-                    if smask & bit and (am & smask).bit_count() < need:
-                        lbit, lam, lneed, lp = bit, am, need, p
-                        break
-                else:
-                    p = 1  # no violator: a run of this mask alone
-                    if not connected_only or _mask_connected(adjm, smask):
-                        hits.append(smask)
-                        if not all_optima:
-                            return hits, checked + _colex_rank(smask) + 1
-            below = smask & (p - 1)
-            if below:
-                smask ^= below ^ (p - (p >> below.bit_count()))
-            low_bit = smask & -smask
-            ripple = smask + low_bit
-            smask = (((ripple ^ smask) >> 2) // low_bit) | ripple
+        need, allow = _bounds(g.deg, n - 1, size)
+        if _pick(adjm, need, allow, [0] * n, 0, 0, n, size, hits, connected_only, all_optima):
+            return hits, checked + _colex_rank(hits[0]) + 1
         checked += comb(n, size)
         if hits:
             return hits, checked
@@ -201,9 +200,9 @@ def max_pds_exact(
     numerically, so the reported witness is the lexicographically smallest
     optimum.  connected_only additionally requires the induced subgraph to
     be connected.  Raises NoPds when nothing qualifies (only K2 in the
-    connected world).  One violator rules out a whole run of masks at
-    once (see _descend); subsets_checked counts every mask decided, so it
-    equals the number a one-by-one test would report.
+    connected world).  The search cuts whole families of masks at once
+    (see _descend); subsets_checked is computed, not counted, and equals
+    the number a one-by-one test of the masks would report.
     """
     cap = resolve_cap(cap)
     require_connected(g)
@@ -225,7 +224,9 @@ def pds_extension(
     """Smallest strict superset of base that is a PDS, or None.
 
     base itself need not be a PDS.  Supersets are tried by increasing
-    size; within a size, added vertices ascend in mask order.
+    size; within a size, added vertices ascend in mask order.  The search
+    is _pick's on a relabelling that keeps the order of the free vertices
+    and puts base above them, so base is the prefix every pick extends.
     """
     cap = resolve_cap(cap)
     n = g.n
@@ -233,24 +234,46 @@ def pds_extension(
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
     if len(base) >= n:
         raise InvalidSubsetSize("base must be a strict subset of the vertices")
-    adjm = adjacency_masks(g)
-    deg = g.deg
-    base_mask = base.mask
-    free = [v for v in range(n) if not base_mask >> v & 1]
+    order = [v for v in range(n) if not base.mask >> v & 1] + base.members()
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    adjm = [sum(1 << label[w] for w in g.adj[v]) for v in order]
+    deg = [g.deg[v] for v in order]
+    c = n - len(base)
+    s = (1 << n) - (1 << c)
     for size in range(max(len(base) + 1, 2), n):
-        extra = size - len(base)
-        co = n - size
-        sm1 = size - 1
-        for small in ksubset_masks(len(free), extra):
-            smask = base_mask
-            m = small
-            while m:
-                low = m & -m
-                smask |= 1 << free[low.bit_length() - 1]
-                m ^= low
-            if _mask_is_pds(adjm, deg, smask, co, sm1):
-                return VertexSet(n, smask, size)
+        hits: list[int] = []
+        need, allow = _bounds(deg, n - 1, size)
+        tight = sum(1 << u for u in range(c, n) if not allow[u])
+        if _pick(adjm, need, allow, [0] * n, s, tight, c, size + c - n, hits, False, False):
+            return VertexSet.from_ids(n, [v for i, v in enumerate(order) if hits[0] >> i & 1])
     return None
+
+
+def _grow_independent(adjm, best: list[int], allowed: int, size: int, chosen: int) -> None:
+    """max_independent_set_exact's branch and bound; a closure calling itself leaks a cycle."""
+    if size + allowed.bit_count() <= best[0]:
+        return
+    # locate the busiest remaining vertex; lowest id wins ties
+    pick, pick_deg = -1, -1
+    m = allowed
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        d = (adjm[v] & allowed).bit_count()
+        if d > pick_deg:
+            pick, pick_deg = v, d
+    if pick_deg <= 0:
+        total = size + allowed.bit_count()
+        if total > best[0]:
+            best[0] = total
+            best[1] = chosen | allowed
+        return
+    bit = 1 << pick
+    _grow_independent(adjm, best, allowed & ~(adjm[pick] | bit), size + 1, chosen | bit)
+    _grow_independent(adjm, best, allowed & ~bit, size, chosen)
 
 
 def max_independent_set_exact(
@@ -261,31 +284,6 @@ def max_independent_set_exact(
     n = g.n
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
-    adjm = adjacency_masks(g)
     best = [0, 0]
-
-    def grow(allowed: int, size: int, chosen: int) -> None:
-        if size + allowed.bit_count() <= best[0]:
-            return
-        # locate the busiest remaining vertex; lowest id wins ties
-        pick, pick_deg = -1, -1
-        m = allowed
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (adjm[v] & allowed).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        if pick_deg <= 0:
-            total = size + allowed.bit_count()
-            if total > best[0]:
-                best[0] = total
-                best[1] = chosen | allowed
-            return
-        bit = 1 << pick
-        grow(allowed & ~(adjm[pick] | bit), size + 1, chosen | bit)
-        grow(allowed & ~bit, size, chosen)
-
-    grow((1 << n) - 1, 0, 0)
+    _grow_independent(adjacency_masks(g), best, (1 << n) - 1, 0, 0)
     return best[0], VertexSet(n, best[1], best[0])

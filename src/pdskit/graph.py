@@ -9,7 +9,7 @@ graphs with a million vertices.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 from .errors import Disconnected, InvalidGraph, InvalidSubsetSize, ParseError
@@ -223,23 +223,25 @@ def induced_connected(g: Graph, s: VertexSet) -> bool:
     return _reach(g.adj, seen, start) == len(s)
 
 
-def _data_rows(text: str) -> list[list[str]]:
-    """Token lists of the lines of text that are neither blank nor '#' comments."""
-    return [t for t in map(str.split, text.splitlines()) if t and t[0][0] != "#"]
-
-
-def _data_ints(text: str, rows: list[list[str]], first: int = 0) -> list[int]:
-    """Every integer of rows, converted in one pass.  Rows from rows[first] on
-    must hold two tokens; a bad row's line number is looked up only once found."""
-    if set(map(len, islice(rows, first, None))) - {2}:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            t = line.split()
-            if t and t[0][0] != "#":
-                if first <= 0 and len(t) != 2:
-                    raise ParseError(f"line {lineno}: expected two tokens, got {line.strip()!r}")
-                first -= 1
+def _data_ints(text: str, head: int = 2) -> list[int]:
+    """Every integer on the lines of text that are neither blank nor '#'
+    comments, in one pass.  The first such line holds head tokens (1 for
+    the cycle format's n, 2 for the edge-list header), every later one two;
+    no line's token list outlives its line for the cyclic collector to walk."""
+    tokens: list[str] = []
+    add = tokens.extend
+    width = head
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        t = line.split()
+        if t and t[0][0] != "#":
+            if len(t) != width:
+                if width == 1:
+                    raise ParseError("expected a single-token header line with n")
+                raise ParseError(f"line {lineno}: expected two tokens, got {line.strip()!r}")
+            width = 2
+            add(t)
     try:
-        return list(map(int, chain.from_iterable(rows)))
+        return list(map(int, tokens))
     except ValueError as exc:
         raise ParseError(f"bad token: {exc}") from exc
 
@@ -249,7 +251,7 @@ def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
 
     Blank lines and lines starting with '#' are ignored.
     """
-    ints = _data_ints(text, _data_rows(text))
+    ints = _data_ints(text)
     if not ints:
         raise ParseError("empty input")
     n, m = ints[0], ints[1]

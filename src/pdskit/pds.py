@@ -9,15 +9,14 @@ floating point is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import Disconnected, InvalidSubsetSize, NotAPds, VerificationFailed
 from .graph import Graph, VertexSet, induced_connected
 
 
-@dataclass(frozen=True)
-class PdsVerdict:
+class PdsVerdict(NamedTuple):
     """Outcome of a full PDS check; unsatisfied lists (u, d_S(u), d_out(u))."""
 
     holds: bool

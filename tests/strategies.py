@@ -22,6 +22,17 @@ def graphs(draw, min_n: int = 2, max_n: int = 9, connected: bool = False):
 
 
 @st.composite
+def dense_graphs(draw, min_n: int = 2, max_n: int = 9):
+    """A connected graph with at least n(n-1)/4 edges, half the pairs or more."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=-(-len(pairs) // 2)))
+    for v in range(1, n):
+        edges.add((draw(st.integers(min_value=0, max_value=v - 1)), v))
+    return Graph(n, sorted(edges))
+
+
+@st.composite
 def graphs_with_subset(draw, min_n: int = 3, max_n: int = 9, connected: bool = True):
     g = draw(graphs(min_n=min_n, max_n=max_n, connected=connected))
     size = draw(st.integers(min_value=2, max_value=g.n - 1))

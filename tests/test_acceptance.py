@@ -37,10 +37,11 @@ from pdskit import (
     VertexSet,
 )
 from pdskit.bench import fit_loglog, run_suite
-from pdskit.exact import adjacency_masks, ksubset_masks, _mask_is_pds
+from pdskit.exact import adjacency_masks
 from pdskit.generators import _canonical_key
 
 from .conftest import record_acceptance
+from .descend_reference import ksubset_masks, mask_is_pds
 
 
 def report(num: int, title: str, ok: bool, detail: str) -> None:
@@ -209,7 +210,7 @@ def _has_pds_of_at_least(g, lo: int) -> bool:
     for size in range(ub, lo - 1, -1):
         co, sm1 = g.n - size, size - 1
         for smask in ksubset_masks(g.n, size):
-            if _mask_is_pds(adjm, deg, smask, co, sm1):
+            if mask_is_pds(adjm, deg, smask, co, sm1):
                 return True
     return False
 

@@ -341,6 +341,18 @@ class TestDispatch:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_options(self, capsys):
+        code, payload, _ = run_json(capsys, "exact", "cycle5", "--all-optima")
+        assert code == 0 and len(payload["optima"]) == 5
+        code, payload, _ = run_json(capsys, "exact", "cycle5")
+        assert code == 0 and payload["optima"] is None
+        assert main(["exact", "cycle5", "--no-such-flag"]) == 2
+        code, payload, _ = run_json(capsys, "exact", "cycle5")
+        assert code == 0 and payload["size"] == 3 and payload["witness"] == [0, 1, 2]
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

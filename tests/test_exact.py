@@ -1,8 +1,10 @@
+import gc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdskit import (
     Disconnected,
@@ -13,15 +15,17 @@ from pdskit import (
     VertexSet,
     all_connected_graphs,
     check_pds,
+    is_star,
     max_independent_set_exact,
     max_pds_exact,
     pds_extension,
+    split_reduction,
 )
-from pdskit.exact import DEFAULT_CAP, HARD_CAP, _colex_rank, _descend, ksubset_masks, resolve_cap
+from pdskit.exact import DEFAULT_CAP, HARD_CAP, _colex_rank, _descend, resolve_cap
 from pdskit.generators import random_connected
 
-from .descend_reference import descend_scan
-from .strategies import graphs
+from .descend_reference import descend_scan, extension_scan, ksubset_masks
+from .strategies import dense_graphs, graphs
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -134,7 +138,7 @@ def _modes(n):
 
 
 class TestMatchesDescendReference:
-    """The block-skipping search must return the hits and the count of
+    """The prefix-pruned search must return the hits and the count of
     subsets decided that testing every mask in turn returns."""
 
     def test_every_connected_graph_n_le_7(self):
@@ -155,6 +159,34 @@ class TestMatchesDescendReference:
             g = random_connected(n, n - 1 + seed % (2 * n), seed=seed)
             for mode in _modes(n):
                 assert _descend(g, *mode) == descend_scan(g, *mode), (seed, mode)
+
+    def test_split_targets_n_le_6(self):
+        for n in range(3, 7):
+            for g in all_connected_graphs(n):
+                if is_star(g):
+                    continue
+                target = split_reduction(g).target
+                for mode in _modes(target.n):
+                    assert _descend(target, *mode) == descend_scan(target, *mode), (g.edges, mode)
+
+    @given(dense_graphs(min_n=2, max_n=14))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_graphs_n_le_14(self, g):
+        assert 4 * g.m >= g.n * (g.n - 1)
+        for mode in _modes(g.n):
+            assert _descend(g, *mode) == descend_scan(g, *mode), mode
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        g = random_connected(16, 24, seed=3)
+        gc.disable()
+        try:
+            gc.collect()
+            max_pds_exact(g, connected_only=True, all_optima=True)
+            assert gc.collect() == 0
+            max_independent_set_exact(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "n, m, seed, size, checked",
@@ -226,6 +258,19 @@ class TestExtension:
     def test_full_base_rejected(self):
         with pytest.raises(InvalidSubsetSize):
             pds_extension(K4, K4.full_set())
+
+    def test_matches_scan_on_every_base_n_le_6(self):
+        for n in range(2, 7):
+            for g in all_connected_graphs(n):
+                for mask in range((1 << n) - 1):
+                    base = VertexSet(n, mask)
+                    assert pds_extension(g, base) == extension_scan(g, base), (g.edges, mask)
+
+    @given(graphs(min_n=2, max_n=12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scan_on_random_graphs(self, g, data):
+        base = VertexSet(g.n, data.draw(st.integers(0, (1 << g.n) - 2)))
+        assert pds_extension(g, base) == extension_scan(g, base)
 
 
 class TestMaxIndependentSet:
