@@ -36,6 +36,7 @@ from .generators import fixture, fixture_names, random_connected
 from .graph import (
     Graph,
     VertexSet,
+    _json_object,
     emit_graph,
     graph_from_json,
     graph_to_json,
@@ -59,11 +60,21 @@ def _digest(text: str) -> str:
 
 
 def _read_source(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    p = Path(arg)
-    if p.exists():
-        return p.read_text()
+    """The text of file arg, or of stdin for "-"; FileNotFoundError when
+    there is no such file, ParseError when the bytes are not UTF-8."""
+    try:
+        if arg == "-":
+            text = sys.stdin.read()
+            # under the POSIX locale stdin decodes bytes that are not UTF-8
+            # to lone surrogates instead of failing; re-encoding finds them
+            text.encode()
+            return text
+        p = Path(arg)
+        if p.exists():
+            return p.read_text(encoding="utf-8")
+    except UnicodeError as exc:
+        name = "stdin" if arg == "-" else arg
+        raise ParseError(f"{name}: not UTF-8 text (first bad byte at offset {exc.start})") from None
     raise FileNotFoundError(arg)
 
 
@@ -369,7 +380,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    obj = json.loads(_read_source(args.file))
+    obj = _json_object(_read_source(args.file), "kind", "direction")
     inst, cert = certificate_from_json(obj)
     problems = verify_certificate(inst, cert)
     payload = {
@@ -425,7 +436,9 @@ def cmd_bench(args) -> int:
         for col in ("seconds", "verified_seconds"):
             if col in cols:
                 xs, ys = [r["n"] for r in rows], [r[col] for r in rows]
-                if args.suite == "enum-scaling":  # exponential in n, not a power
+                # enumeration grows exponentially in n, and the exact search
+                # follows each instance's optimum: neither is a power of n
+                if args.suite in ("enum-scaling", "exact-scaling"):
                     slope, r2 = bench_mod.fit_semilog(xs, ys)
                     line = f"per-vertex growth {col} x{math.exp(slope):.2f} r2 {r2:.3f}"
                 else:
@@ -543,9 +556,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON: {exc}", file=sys.stderr)
         return 2
 
 

@@ -282,6 +282,8 @@ def _json_object(obj: str | dict, *keys: str) -> dict:
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ParseError("bad JSON: nested too deeply") from None
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
         named = " and ".join(f'"{k}"' for k in keys)
         raise ParseError(f"expected an object with {named}")

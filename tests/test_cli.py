@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +259,54 @@ class TestCertify:
         assert run(capsys, "certify", str(f))[0] == 2
 
 
+class TestHostileInput:
+    """Input that is not text, or JSON deeper than the decoder recurses,
+    is an input error: exit code 2 and one error line, never a traceback."""
+
+    DEEP = 100_000
+
+    @staticmethod
+    def cli(*argv, stdin=b"", **env):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **env}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdskit.cli", *argv],
+            input=stdin, capture_output=True, env=env,
+        )
+        return proc.returncode, proc.stderr.decode(errors="replace")
+
+    @staticmethod
+    def assert_input_error(code, err, what):
+        assert code == 2, err
+        assert "Traceback" not in err and err.startswith("error: "), err
+        assert what in err, err
+
+    def test_non_utf8_file(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"3 2\n0 1\n1 2\xff\n")
+        code, err = self.cli("exact", str(f))
+        self.assert_input_error(code, err, f"{f}: not UTF-8 text")
+
+    # strict decoding, as under a UTF-8 locale, and the POSIX locale's
+    # surrogateescape, which once let a bad byte in a comment reach the digest
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    @pytest.mark.parametrize("text", [b"3 2\n0 1\xff\n1 2\n", b"# \xff\n3 2\n0 1\n1 2\n"])
+    def test_non_utf8_stdin(self, errors, text):
+        code, err = self.cli("exact", "-", stdin=text, PYTHONIOENCODING=f"utf-8:{errors}")
+        self.assert_input_error(code, err, "stdin: not UTF-8 text")
+
+    def test_deeply_nested_json(self, tmp_path):
+        f = tmp_path / "g.json"
+        f.write_text('{"n": 4, "edges": ' + "[" * self.DEEP + "]" * self.DEEP + "}")
+        code, err = self.cli("exact", str(f))
+        self.assert_input_error(code, err, "nested too deeply")
+
+    def test_deeply_nested_certificate(self, capsys, tmp_path):
+        f = tmp_path / "cert.json"
+        f.write_text('{"kind": ' + "[" * self.DEEP + "]" * self.DEEP + "}")
+        code, _, err = run(capsys, "certify", str(f))
+        assert code == 2 and err.startswith("error: bad JSON: nested too deeply"), err
+
+
 class TestGen:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "gen", "--list")
@@ -315,6 +367,15 @@ class TestBench:
             _connected_cache.update(saved)
         assert code == 0 and out.startswith("n,graphs,seconds")
         # time grows exponentially in n, so no power-law slope is printed
+        assert re.fullmatch(r"per-vertex growth seconds x\d+\.\d\d r2 \d\.\d{3}\n", err), err
+
+    def test_exact_scaling_fits_per_vertex_growth(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--suite", "exact-scaling", "--sizes", "12,14,16",
+            "--repeats", "1",
+        )
+        assert code == 0 and out.startswith("n,m,size,subsets_checked,seconds")
+        # time follows each instance's optimum, not a power of n
         assert re.fullmatch(r"per-vertex growth seconds x\d+\.\d\d r2 \d\.\d{3}\n", err), err
 
     def test_unknown_suite(self, capsys):

@@ -330,6 +330,45 @@ class TestVerification:
         assert _verified_peak(10**5) < 25 * 2**20
 
 
+class TestLeanNeighbourTable:
+    """The re-check's table reuses the chord table's ints and lives only
+    as long as the re-check that built it."""
+
+    def test_rows_share_the_chord_tables_ints(self):
+        g = random_cubic_cycle(10**4, seed=11)
+        n, chord, adj = g.n, g.chord, g.adj
+        for v in range(n):
+            row = adj[v]
+            assert row == ((v - 1) % n, (v + 1) % n, chord[v]), v
+            assert row[2] is chord[v], v
+            assert row[0] is chord[chord[(v - 1) % n]], v
+            assert row[1] is chord[chord[(v + 1) % n]], v
+
+    def test_verified_solve_frees_the_table_it_built(self):
+        g = random_cubic_cycle(10**4, seed=12)
+        out = solve_hamiltonian_cubic(g, verify=True)
+        assert len(out.pds) == max_pds_size_cubic(g.n)
+        assert "adj" not in vars(g)
+        # read again, the table is rebuilt the same
+        assert g.adj == tuple(((v - 1) % g.n, (v + 1) % g.n, c) for v, c in enumerate(g.chord))
+
+    def test_verified_solve_keeps_a_table_built_before(self):
+        g = random_cubic_cycle(10**4, seed=13)
+        table = g.adj
+        solve_hamiltonian_cubic(g, verify=True)
+        assert vars(g)["adj"] is table
+
+    def test_failed_recheck_frees_the_table(self):
+        g = CubicCycleGraph(6, PRISM6_CHORDS)
+        with pytest.raises(VerificationFailed):
+            _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]), True)
+        assert "adj" not in vars(g)
+
+    def test_verified_peak_is_the_lean_table(self):
+        # 14.2 MiB when the rows held 2n fresh ints; about 8.3 MiB now
+        assert _verified_peak(10**5) < 11 * 2**20
+
+
 class TestSelfChecks:
     """Solver self-checks raise package errors, which python -O keeps."""
 
