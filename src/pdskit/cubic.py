@@ -19,13 +19,14 @@ The answer is re-checked by pds.recheck on the instance itself: its
 neighbour table (v-1, v+1 and chord[v]) is built from the validated chord
 matching alone, so the check stays independent of the arc logic and
 costs O(n) without building a Graph.  The table shares the chord
-table's ints and is dropped once the check is done.  to_graph() is kept
-for callers that need a general Graph.
+table's ints, and it and deg are dropped once the check is done.
+to_graph() is kept for callers that need a general Graph.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice
@@ -48,6 +49,7 @@ BACK = "back"
 
 PAIRED = "paired"  # tags run AHEAD,AHEAD,BACK,BACK around the cycle
 ALTERNATING = "alternating"  # tags strictly alternate
+_TAGS = (None, AHEAD, BACK)  # by classify_chords' codes
 
 
 def max_pds_size_cubic(n: int) -> int:
@@ -57,27 +59,36 @@ def max_pds_size_cubic(n: int) -> int:
 
 @dataclass(frozen=True)
 class CubicCycleGraph:
-    """Even cycle plus chord perfect matching; chord[v] is v's partner."""
+    """Even cycle plus chord perfect matching; chord[v] is v's partner.
+
+    chord may be any sequence of ints; it is stored as a tuple."""
 
     n: int
     chord: tuple[int, ...]
 
     def __post_init__(self):
         n = self.n
-        chord = self.chord
+        raw = self.chord
         if n < 4 or n % 2:
             raise InvalidInstance(f"need even n >= 4, got {n}")
-        if len(chord) != n:
+        if len(raw) != n:
             raise InvalidInstance("chord table must list every vertex")
-        # Bulk passes; a slow one names a vertex once one fails.  The matching pass
-        # raises IndexError at an entry >= n or < -n and fails at c < 0 (c != n + c).
+        # Bulk passes; a slow one names a vertex once one fails.  The matching
+        # pass raises IndexError at an entry >= n or < -n (OverflowError past
+        # 64 bits) and fails at c < 0 (c != n + c).
         try:
-            matched = all(map(eq, map(chord.__getitem__, chord), count()))
-        except IndexError:
+            # Ints made in another order (by value, or by input line) sit at
+            # scattered addresses, so reading chord[0], chord[1], ... would
+            # miss the cache at every vertex at n = 10^6.  Read back from a
+            # compact array, the ints are made anew in vertex order.
+            chord = tuple(array("q", raw))
+            matched = all(map(eq, itemgetter(*chord)(chord), count()))
+        except (IndexError, OverflowError):
             matched = False
         if not matched:
-            v = next(v for v, c in enumerate(chord) if not 0 <= c < n or chord[c] != v)
-            raise InvalidInstance(f"chord ({v}, {chord[v]}) is out of range or not matched")
+            v = next(v for v, c in enumerate(raw) if not 0 <= c < n or raw[c] != v)
+            raise InvalidInstance(f"chord ({v}, {raw[v]}) is out of range or not matched")
+        object.__setattr__(self, "chord", chord)
         # given a matching, c - v in {0, 1, 1 - n} finds every loop and cycle-edge chord
         if not {0, 1, 1 - n}.isdisjoint(map(sub, chord, range(n))):
             v = next(v for v, c in enumerate(chord) if c - v in (0, 1, 1 - n))
@@ -137,11 +148,11 @@ class Arc:
     def __contains__(self, v: int) -> bool:
         return (v - self.start) % self.n < self.size
 
-    def members(self) -> list[int]:
-        return [(self.start + i) % self.n for i in range(self.size)]
-
     def vertex_set(self) -> VertexSet:
-        return VertexSet.from_ids(self.n, self.members())
+        n = self.n
+        mask = ((1 << self.size) - 1) << self.start
+        # the bits past n - 1 wrap round to 0
+        return VertexSet(n, (mask & ((1 << n) - 1)) | (mask >> n), self.size)
 
 
 @dataclass(frozen=True)
@@ -155,16 +166,13 @@ class CubicOutcome:
 def classify_chords(g: CubicCycleGraph) -> tuple[str | None, ...]:
     n = g.n
     k = g.window
-    tags: list[str | None] = []
-    for v, c in enumerate(g.chord):
-        delta = (c - v) % n
-        if 2 <= delta <= k:
-            tags.append(AHEAD)
-        elif n - k <= delta <= n - 2:
-            tags.append(BACK)
-        else:
-            tags.append(None)
-    return tuple(tags)
+    # code[d] for d = (c - v) mod n: 1 AHEAD, 2 BACK, 0 untagged (2k < n, so
+    # the runs never meet).  As -n < c - v < n, indexing by c - v itself
+    # wraps the same way.  One byte per entry stays in cache at n = 10^6,
+    # where a table of n pointers would not.
+    code = bytes(2) + b"\1" * (k - 1) + bytes(n - 2 * k - 1) + b"\2" * (k - 1) + bytes(1)
+    codes = itemgetter(*map(sub, g.chord, range(n)))(code)
+    return itemgetter(*codes)(_TAGS)
 
 
 def _assert_sealed(g: CubicCycleGraph, arc: Arc) -> None:
@@ -301,14 +309,15 @@ def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:
         target = max_pds_size_cubic(g.n)
         if len(s) != target:
             raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
-        built_here = "adj" not in vars(g)
+        built_here = {"adj", "deg"} - vars(g).keys()
         try:
             recheck(g, s, "answer", connected=True)
         finally:
-            # the table is the path's largest allocation: free it before
-            # the caller's output step, unless the caller had built it
-            if built_here:
-                vars(g).pop("adj", None)
+            # the neighbour table is the path's largest allocation: free it
+            # and deg before the caller's output step, unless the caller
+            # had built them
+            for name in built_here:
+                vars(g).pop(name, None)
     return CubicOutcome(s, None)
 
 
@@ -331,7 +340,7 @@ def random_cubic_cycle(n: int, seed: int | None = None) -> CubicCycleGraph:
             chord[u] = v
             chord[v] = u
         if ok:
-            return CubicCycleGraph(n, tuple(chord))
+            return CubicCycleGraph(n, chord)
 
 
 def all_cubic_cycles(n: int):
@@ -403,7 +412,7 @@ def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
         next_v = order[(i + 1) % g.n]
         third = next(w for w in g.adj[v] if w not in (prev_v, next_v))
         chord[i] = pos[third]
-    return CubicCycleGraph(g.n, tuple(chord)), order
+    return CubicCycleGraph(g.n, chord), order
 
 
 def parse_cubic(text: str) -> CubicCycleGraph:
@@ -411,19 +420,22 @@ def parse_cubic(text: str) -> CubicCycleGraph:
     ints = _data_ints(text, 1)
     if not ints:
         raise ParseError("expected a single-token header line with n")
-    n = ints.pop(0)
-    if len(ints) != n // 2 * 2:
-        raise ParseError(f"expected {n // 2} chord lines, found {len(ints) // 2}")
-    if ints and (min(ints) < 0 or max(ints) >= n):
+    n = ints[0]
+    if len(ints) - 1 != n // 2 * 2:
+        raise ParseError(f"expected {n // 2} chord lines, found {(len(ints) - 1) // 2}")
+    # n >= 2 once there is a chord line, so n itself never trips the minimum
+    if len(ints) > 1 and (min(ints) < 0 or max(islice(ints, 1, None)) >= n):
         raise ParseError(f"chord vertex out of range for n={n}")
-    # a repeated vertex leaves another at -1, which CubicCycleGraph rejects
-    chord = [-1] * n
-    it = iter(ints)
+    # a repeated vertex leaves another at -1, which CubicCycleGraph rejects;
+    # a compact array lets the parsed ints go before the table is laid out
+    chord = array("q", [-1]) * n
+    it = islice(ints, 1, None)
     for u, v in zip(it, it):
         chord[u] = v
         chord[v] = u
+    del ints, it
     try:
-        return CubicCycleGraph(n, tuple(chord))
+        return CubicCycleGraph(n, chord)
     except InvalidInstance as exc:
         raise ParseError(str(exc)) from exc
 

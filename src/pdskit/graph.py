@@ -16,6 +16,8 @@ from .errors import Disconnected, InvalidGraph, InvalidSubsetSize, ParseError
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_NO_TOKEN_CHARS = dict.fromkeys(map(ord, "0123456789-"))
+_TO_COMMAS = str.maketrans(" \n", ",,")
 
 
 class VertexSet:
@@ -223,11 +225,40 @@ def induced_connected(g: Graph, s: VertexSet) -> bool:
     return _reach(g.adj, seen, start) == len(s)
 
 
+def _canonical_ints(text: str, head: int) -> list[int] | None:
+    """The integers of text when it is in the canonical form that
+    emit_graph and emit_cubic write, else None.  Canonical: ASCII digits
+    and '-' only, one space between the tokens of a line and a newline
+    after each line, head tokens on the first line and two on every other.
+    One json.loads converts the whole text, so no token str is made."""
+    if not text.isascii() or text[-1:] != "\n":
+        return None
+    # deleting the token characters leaves exactly the separators of the layout
+    seps = text.translate(_NO_TOKEN_CHARS)
+    first = " " * (head - 1) + "\n"
+    if seps != first + " \n" * ((len(seps) - len(first)) // 2):
+        return None
+    try:  # empty tokens, "00", "--1" and over-long tokens are not JSON ints
+        # the final newline's comma takes a 0, popped below, so that the
+        # text is not sliced first
+        ints = json.loads(f"[{text.translate(_TO_COMMAS)}0]")
+    except ValueError:
+        return None
+    ints.pop()
+    return ints
+
+
 def _data_ints(text: str, head: int = 2) -> list[int]:
     """Every integer on the lines of text that are neither blank nor '#'
-    comments, in one pass.  The first such line holds head tokens (1 for
-    the cycle format's n, 2 for the edge-list header), every later one two;
-    no line's token list outlives its line for the cyclic collector to walk."""
+    comments.  The first such line holds head tokens (1 for the cycle
+    format's n, 2 for the edge-list header), every later one two.
+
+    Canonical text takes one bulk pass (_canonical_ints); anything else
+    goes line by line, which also names the line at fault.  No line's
+    token list outlives its line for the cyclic collector to walk."""
+    ints = _canonical_ints(text, head)
+    if ints is not None:
+        return ints
     tokens: list[str] = []
     add = tokens.extend
     width = head

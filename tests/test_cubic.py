@@ -1,7 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from itertools import combinations
 from pathlib import Path
 
@@ -42,6 +44,8 @@ from pdskit.cubic import (
     find_full_arc,
 )
 from pdskit.pds import recheck
+
+from .cubic_reference import arc_vertex_set_ids, classify_chords_loop
 
 K4_CHORDS = (2, 3, 0, 1)
 PRISM6_CHORDS = (3, 4, 5, 0, 1, 2)
@@ -112,6 +116,17 @@ class TestCubicCycleGraph:
         with pytest.raises(InvalidInstance):
             CubicCycleGraph(6, (3, 4, 5, 0, 1, 3))  # not an involution
 
+    def test_chord_is_stored_as_a_tuple(self):
+        for table in ([2, 3, 0, 1], array("q", [2, 3, 0, 1]), K4_CHORDS):
+            g = CubicCycleGraph(4, table)
+            assert type(g.chord) is tuple and g.chord == K4_CHORDS
+            assert g == CubicCycleGraph(4, K4_CHORDS)
+        assert type(parse_cubic("4\n0 2\n1 3\n").chord) is tuple
+
+    def test_rejects_entries_past_64_bits(self):
+        with pytest.raises(InvalidInstance, match=r"^chord \(0, 2361"):
+            CubicCycleGraph(4, (2**71, 3, 0, 1))
+
     def test_fixture_chords_match_graphs(self):
         for name in ("exc8_paired", "exc8_alternating", "prism6", "k4"):
             rec = fixture(name)
@@ -143,7 +158,7 @@ class TestCubicCycleGraph:
 class TestArc:
     def test_wraparound_membership(self):
         arc = Arc(8, 6, 4)
-        assert arc.members() == [6, 7, 0, 1]
+        assert arc.vertex_set().members() == [0, 1, 6, 7]
         assert 7 in arc and 0 in arc and 2 not in arc and 5 not in arc
         assert arc.end == 1
 
@@ -330,9 +345,35 @@ class TestVerification:
         assert _verified_peak(10**5) < 25 * 2**20
 
 
+class TestSolveOracles:
+    """The C-level tagging and the arithmetic arc set against the
+    per-vertex oracles in cubic_reference.py."""
+
+    def test_tags_on_every_small_table(self):
+        for n in (4, 6, 8, 10, 12):
+            for g in all_cubic_cycles(n):
+                assert classify_chords(g) == classify_chords_loop(g), g
+
+    def test_tags_on_random_tables(self):
+        rng = random.Random(0)
+        for seed in range(200):
+            n = 2 * int(2 ** rng.uniform(1, 12.29))  # log-uniform, 4 <= n <= 10^4
+            g = random_cubic_cycle(n, seed=seed)
+            assert classify_chords(g) == classify_chords_loop(g), (n, seed)
+
+    def test_every_arc_set(self):
+        for n in (6, 8, 10, 14):
+            for start in range(n):
+                for size in range(n + 1):  # start + size > n wraps past n - 1
+                    arc = Arc(n, start, size)
+                    got = arc.vertex_set()
+                    assert got == arc_vertex_set_ids(arc), arc
+                    assert got.size == got.mask.bit_count() == size, arc
+
+
 class TestLeanNeighbourTable:
     """The re-check's table reuses the chord table's ints and lives only
-    as long as the re-check that built it."""
+    as long as the re-check that built it, and so does deg."""
 
     def test_rows_share_the_chord_tables_ints(self):
         g = random_cubic_cycle(10**4, seed=11)
@@ -348,21 +389,27 @@ class TestLeanNeighbourTable:
         g = random_cubic_cycle(10**4, seed=12)
         out = solve_hamiltonian_cubic(g, verify=True)
         assert len(out.pds) == max_pds_size_cubic(g.n)
-        assert "adj" not in vars(g)
+        assert "adj" not in vars(g) and "deg" not in vars(g)
         # read again, the table is rebuilt the same
         assert g.adj == tuple(((v - 1) % g.n, (v + 1) % g.n, c) for v, c in enumerate(g.chord))
 
     def test_verified_solve_keeps_a_table_built_before(self):
         g = random_cubic_cycle(10**4, seed=13)
-        table = g.adj
+        table, deg = g.adj, g.deg
         solve_hamiltonian_cubic(g, verify=True)
-        assert vars(g)["adj"] is table
+        assert vars(g)["adj"] is table and vars(g)["deg"] is deg
+
+    def test_each_attribute_follows_its_own_builder(self):
+        g = random_cubic_cycle(100, seed=14)
+        deg = g.deg
+        solve_hamiltonian_cubic(g, verify=True)
+        assert "adj" not in vars(g) and vars(g)["deg"] is deg
 
     def test_failed_recheck_frees_the_table(self):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
         with pytest.raises(VerificationFailed):
             _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]), True)
-        assert "adj" not in vars(g)
+        assert "adj" not in vars(g) and "deg" not in vars(g)
 
     def test_verified_peak_is_the_lean_table(self):
         # 14.2 MiB when the rows held 2n fresh ints; about 8.3 MiB now

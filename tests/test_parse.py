@@ -18,6 +18,7 @@ from pdskit import (
     parse_graph,
     random_cubic_cycle,
 )
+from pdskit.graph import _canonical_ints, _data_ints
 
 from .parse_reference import check_chords_loop, parse_cubic_lines, parse_graph_lines
 from .strategies import graphs
@@ -25,7 +26,10 @@ from .strategies import graphs
 _BLANKS = st.sampled_from(["", " ", "\t", "# a comment", "  # indented", "#", "\t#0 1"])
 _PADS = st.sampled_from(["", " ", "\t", " \t "])
 _SEPS = st.sampled_from([" ", "  ", "\t", " \t", "\xa0", "\x0b"])
-_NOISE = st.sampled_from(["x", "1.5", "-1", "0", "+2", "1_0", "#5", "5#", "99", "٣", ""])
+_NOISE = st.sampled_from(
+    ["x", "1.5", "-1", "0", "+2", "1_0", "#5", "5#", "99", "٣", "",
+     "00", "-0", "007", "--1", "-", "1-2", "9" * 5000]
+)
 
 
 @st.composite
@@ -33,7 +37,11 @@ def messy_texts(draw, text: str) -> str:
     """A well-formed input text, rewritten with blank and comment lines,
     odd whitespace and LF or CRLF endings, after up to two corruptions: a
     token dropped, added, replaced by noise or by a copy of another token
-    (a repeated vertex), or a whole row deleted or repeated."""
+    (a repeated vertex), or a whole row deleted or repeated.  Sometimes
+    the text comes back untouched, with or without its final newline."""
+    keep = draw(st.sampled_from((None, None, None, "\n", "")))
+    if keep is not None:
+        return text[:-1] + keep
     rows = [line.split() for line in text.splitlines()]
     for _ in range(draw(st.integers(0, 2))):
         if not rows:
@@ -144,7 +152,7 @@ def test_wrong_token_count_names_the_line():
 def test_parse_cubic_frees_its_token_rows():
     """The token rows of a 10^5-vertex text (about 8 MB) must be gone before
     the chord table is built; the peak was near 20 MB while they outlived
-    the parse."""
+    the parse, and 9.3 MiB while one token str per integer was made."""
     text = emit_cubic(random_cubic_cycle(10**5, seed=0))
     tracemalloc.start()
     try:
@@ -153,4 +161,32 @@ def test_parse_cubic_frees_its_token_rows():
     finally:
         tracemalloc.stop()
     assert g.n == 10**5
-    assert peak < 18 * 2**20
+    assert peak < 8 * 2**20
+
+
+def _assert_bulk(text: str, head: int) -> None:
+    """text takes the bulk pass, and it reads what the line pass reads."""
+    ints = _canonical_ints(text, head)
+    assert ints is not None, text[:80]
+    assert ints == _data_ints(text.replace("\n", "\n#\n"), head)
+
+
+@given(graphs(min_n=2, max_n=9))
+@settings(max_examples=200, deadline=None)
+def test_emitted_graph_text_takes_the_bulk_pass(g):
+    _assert_bulk(emit_graph(g), 2)
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 100, 1000, 10**4])
+def test_emitted_cubic_text_takes_the_bulk_pass(n):
+    for seed in range(3):
+        _assert_bulk(emit_cubic(random_cubic_cycle(n, seed=seed)), 1)
+
+
+def test_non_canonical_text_falls_through_to_the_line_pass():
+    # each is off the canonical layout, or not a JSON integer, yet parses
+    for text in ("4\n0 2\n1 3", "4\r\n0 2\r\n1 3\r\n", "4\n0  2\n1 3\n",
+                 "4\n0\t2\n1 3\n", "4\n\n0 2\n1 3\n", "4\n00 2\n1 3\n",
+                 "4\n0 +2\n1 3\n", "4\n0 2\n1 3\n# end\n", "4\n0 2\n1 ٣\n"):
+        assert _canonical_ints(text, 1) is None, text
+        assert parse_cubic(text).chord == (2, 3, 0, 1), text
