@@ -16,8 +16,6 @@ One move costs O(deg(u) log n) instead of a scan of all n vertices.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -43,8 +41,7 @@ class MoveRecord(NamedTuple):
     cut_after: int
 
 
-@dataclass(frozen=True)
-class ApproxTrace:
+class ApproxTrace(NamedTuple):
     initial: VertexSet
     moves: tuple[MoveRecord, ...]
     final: VertexSet
@@ -173,6 +170,8 @@ def half_pds(
 
 def approx_ratio_bound(g: Graph) -> Fraction:
     """Guaranteed ratio of the half-size search: 2 - 2/(max_deg + 1)."""
+    from fractions import Fraction  # loaded on first use: import pdskit stays cheap
+
     delta = g.max_degree
     return Fraction(2 * delta, delta + 1)
 

@@ -11,7 +11,6 @@ stdin, or a fixture name such as cubic10 or path7.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
@@ -453,6 +452,8 @@ def cmd_bench(args) -> int:
 
 @functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # loaded on first use: import pdskit.cli stays cheap
+
     p = argparse.ArgumentParser(
         prog="pdskit",
         description="Proportionally dense subgraph toolkit",

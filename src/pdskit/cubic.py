@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice
 from operator import eq, itemgetter, sub
+from typing import NamedTuple
 
 from .errors import (
     GraphTooSmall,
@@ -57,18 +57,14 @@ def max_pds_size_cubic(n: int) -> int:
     return (2 * n + 1) // 3
 
 
-@dataclass(frozen=True)
 class CubicCycleGraph:
     """Even cycle plus chord perfect matching; chord[v] is v's partner.
 
-    chord may be any sequence of ints; it is stored as a tuple."""
+    chord may be any sequence of ints; it is stored as a tuple.  Immutable,
+    like Graph; adj and deg are cached in the instance dict."""
 
-    n: int
-    chord: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.n
-        raw = self.chord
+    def __init__(self, n: int, chord):
+        raw = chord
         if n < 4 or n % 2:
             raise InvalidInstance(f"need even n >= 4, got {n}")
         if len(raw) != n:
@@ -88,11 +84,24 @@ class CubicCycleGraph:
         if not matched:
             v = next(v for v, c in enumerate(raw) if not 0 <= c < n or raw[c] != v)
             raise InvalidInstance(f"chord ({v}, {raw[v]}) is out of range or not matched")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "chord", chord)
         # given a matching, c - v in {0, 1, 1 - n} finds every loop and cycle-edge chord
         if not {0, 1, 1 - n}.isdisjoint(map(sub, chord, range(n))):
             v = next(v for v, c in enumerate(chord) if c - v in (0, 1, 1 - n))
             raise InvalidInstance(f"chord ({v}, {chord[v]}) repeats a cycle edge")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CubicCycleGraph is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CubicCycleGraph) and (self.n, self.chord) == (other.n, other.chord)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.chord))
+
+    def __repr__(self) -> str:
+        return f"CubicCycleGraph(n={self.n!r}, chord={self.chord!r})"
 
     @property
     def window(self) -> int:
@@ -133,8 +142,7 @@ class CubicCycleGraph:
         return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """size consecutive cycle vertices starting at start."""
 
     n: int
@@ -155,8 +163,7 @@ class Arc:
         return VertexSet(n, (mask & ((1 << n) - 1)) | (mask >> n), self.size)
 
 
-@dataclass(frozen=True)
-class CubicOutcome:
+class CubicOutcome(NamedTuple):
     """Either a maximum PDS or the name of an exceptional chord pattern."""
 
     pds: VertexSet | None

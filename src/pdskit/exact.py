@@ -15,9 +15,9 @@ every subset in turn would decide, not the number of nodes visited.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import comb
 from operator import sub
+from typing import NamedTuple
 
 from .errors import InstanceTooLarge, InvalidSubsetSize, NoPds
 from .graph import Graph, VertexSet, require_connected
@@ -81,8 +81,7 @@ def _mask_connected(adjm, smask: int) -> bool:
     return seen == smask
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Size, first witness, every optimum (with all_optima) and the number
     of subsets a one-by-one test would have decided on the way; the search
     computes that count, it does not visit them all."""

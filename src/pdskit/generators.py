@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from importlib import resources
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InfeasibleParameters, InstanceTooLarge, UnknownFixture
 from .graph import Graph, parse_graph
@@ -49,8 +47,7 @@ from .graph import Graph, parse_graph
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
 
 
-@dataclass(frozen=True)
-class FixtureRecord:
+class FixtureRecord(NamedTuple):
     name: str
     graph: Graph
     expected: dict[str, int]
@@ -85,6 +82,8 @@ def fixture(name: str) -> FixtureRecord:
     """Look up a named fixture, or a parametric one like star5/path7/cycle9
     (the number is the vertex count)."""
     if name in _EXPECTED:
+        from importlib import resources  # loaded on first use: import pdskit stays cheap
+
         text = (resources.files("pdskit") / "data" / f"{name}.txt").read_text()
         return FixtureRecord(
             name, parse_graph(text), dict(_EXPECTED[name]), _CHORDS.get(name)
@@ -243,14 +242,15 @@ def _new_vertex_may_be_removed(n: int, adj: tuple[int, ...]) -> bool:
 _connected_cache: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _connected_masks(n: int) -> list[tuple[int, ...]]:
-    if n in _connected_cache:
-        return _connected_cache[n]
+def _connected_masks(n: int, cache=_connected_cache) -> list[tuple[int, ...]]:
+    """Adjacency masks, one connected graph per class; bench passes an empty cache of its own."""
+    if n in cache:
+        return cache[n]
     if n == 2:
         reps = [(0b10, 0b01)]
     else:
         seen: dict[int, tuple[int, ...]] = {}
-        for parent in _connected_masks(n - 1):
+        for parent in _connected_masks(n - 1, cache):
             for hood in range(1, 1 << (n - 1)):
                 adj = tuple(
                     row | (hood >> v & 1) << (n - 1) for v, row in enumerate(parent)
@@ -261,7 +261,7 @@ def _connected_masks(n: int) -> list[tuple[int, ...]]:
                 if key not in seen:
                     seen[key] = adj
         reps = list(seen.values())
-    _connected_cache[n] = reps
+    cache[n] = reps
     return reps
 
 

@@ -152,14 +152,18 @@ def _reach(adj, seen: bytearray, start: int) -> int:
     """Mark every vertex reachable from start through unmarked vertices;
     returns how many were marked, start included."""
     seen[start] = 1
-    order = [start]
-    # the loop also visits what it appends, in breadth-first order
-    for u in order:
-        for w in adj[u]:
+    # depth-first from a stack, which holds only the unexplored frontier: a
+    # breadth-first order list keeps every vertex reached, about four times
+    # the stack's peak on a cubic answer, and is slower at n = 10^6
+    stack = [start]
+    marked = 1
+    while stack:
+        for w in adj[stack.pop()]:
             if not seen[w]:
                 seen[w] = 1
-                order.append(w)
-    return len(order)
+                stack.append(w)
+                marked += 1
+    return marked
 
 
 def is_connected(g: Graph) -> bool:

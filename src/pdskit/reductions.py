@@ -19,7 +19,7 @@ correspondence in either direction; they re-verify from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     IsStar,
@@ -50,8 +50,10 @@ def _require_independent(g: Graph, s: VertexSet) -> None:
 
 
 class _ReductionBase:
-    """Shared plumbing: block bookkeeping and set translation."""
+    """Shared plumbing: block bookkeeping and set translation.  A mixin,
+    listed after a NamedTuple of the fields; it adds no instance state."""
 
+    __slots__ = ()
     source: Graph
     target: Graph
     edge_ids: dict[tuple[int, int], int]
@@ -86,13 +88,16 @@ class _ReductionBase:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class SplitReduction(_ReductionBase):
+class _SplitFields(NamedTuple):
     source: Graph
     target: Graph
     anchors: tuple[int, int]
     edge_ids: dict[tuple[int, int], int]
     source_ids: tuple[int, ...]
+
+
+class SplitReduction(_SplitFields, _ReductionBase):
+    __slots__ = ()
 
     @property
     def core_size(self) -> int:
@@ -137,14 +142,17 @@ class SplitReduction(_ReductionBase):
         return VertexSet.from_ids(self.target.n, inside)
 
 
-@dataclass(frozen=True)
-class BipartiteReduction(_ReductionBase):
+class _BipartiteFields(NamedTuple):
     source: Graph
     target: Graph
     k: int
     filler_count: int
     edge_ids: dict[tuple[int, int], int]
     source_ids: tuple[int, ...]
+
+
+class BipartiteReduction(_BipartiteFields, _ReductionBase):
+    __slots__ = ()
 
     @property
     def core_size(self) -> int:
@@ -231,8 +239,7 @@ def bipartite_reduction(g: Graph, k: int) -> BipartiteReduction:
     )
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     kind: str  # "split" or "bipartite"
     direction: str  # "forward" (IS -> PDS) or "backward" (PDS -> IS)
     k: int | None

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pdskit import UnknownSuite
+from pdskit import UnknownSuite, generators
 from pdskit.bench import (
     approx_scaling,
     cubic_scaling,
@@ -42,21 +42,28 @@ class TestSuites:
         (again,) = run_suite("exact-scaling", sizes=(8,), seed=1, repeats=1)
         assert {**again, "seconds": 0} == {**rows[0], "seconds": 0}
 
-    def test_enum_rows(self):
-        # the suite empties the module cache; give other tests theirs back
-        saved = dict(_connected_cache)
-        try:
-            rows = enum_scaling(sizes=(3, 5), repeats=1)
-            assert rows == [
-                {"n": 3, "graphs": 2, "seconds": rows[0]["seconds"]},
-                {"n": 5, "graphs": 21, "seconds": rows[1]["seconds"]},
-            ]
-            assert all(r["seconds"] > 0 for r in rows)
-            # every repeat starts from an empty cache, so n = 5 is gone
-            (again,) = run_suite("enum-scaling", sizes=(4,), seed=1, repeats=2)
-            assert again["graphs"] == 6 and sorted(_connected_cache) == [2, 3, 4]
-        finally:
-            _connected_cache.update(saved)
+    def test_enum_rows(self, monkeypatch):
+        before = dict(_connected_cache)
+        rows = enum_scaling(sizes=(3, 5), repeats=1)
+        assert rows == [
+            {"n": 3, "graphs": 2, "seconds": rows[0]["seconds"]},
+            {"n": 5, "graphs": 21, "seconds": rows[1]["seconds"]},
+        ]
+        assert all(r["seconds"] > 0 for r in rows)
+        # every repeat starts from an empty cache of the suite's own
+        entries = []
+        real = generators._connected_masks
+
+        def spy(n, cache=_connected_cache):
+            entries.append((n, len(cache)))
+            return real(n, cache)
+
+        monkeypatch.setattr(generators, "_connected_masks", spy)
+        (again,) = run_suite("enum-scaling", sizes=(4,), seed=1, repeats=2)
+        assert again["graphs"] == 6
+        assert [size for n, size in entries if n == 4] == [0, 0]
+        # and the module cache is left as it was
+        assert _connected_cache == before
 
     def test_run_suite_dispatch(self):
         rows = run_suite("cubic-scaling", sizes=(100,), seed=0, repeats=1)

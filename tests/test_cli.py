@@ -356,15 +356,12 @@ class TestBench:
         assert code == 0 and out.startswith("n,m,seconds,moves")
 
     def test_enum_scaling_fits_per_vertex_growth(self, capsys):
-        # the suite empties the module cache; give other tests theirs back
-        saved = dict(_connected_cache)
-        try:
-            code, out, err = run(
-                capsys, "bench", "--suite", "enum-scaling", "--sizes", "3,4,5",
-                "--repeats", "1",
-            )
-        finally:
-            _connected_cache.update(saved)
+        before = dict(_connected_cache)
+        code, out, err = run(
+            capsys, "bench", "--suite", "enum-scaling", "--sizes", "3,4,5",
+            "--repeats", "1",
+        )
+        assert _connected_cache == before  # the suite keeps its own cache
         assert code == 0 and out.startswith("n,graphs,seconds")
         # time grows exponentially in n, so no power-law slope is printed
         assert re.fullmatch(r"per-vertex growth seconds x\d+\.\d\d r2 \d\.\d{3}\n", err), err

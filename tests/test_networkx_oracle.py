@@ -3,8 +3,10 @@ and enumeration tests (test-only dependency; skipped when absent)."""
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pdskit import all_connected_graphs, induced_connected, is_bipartite, is_connected
+from pdskit.graph import _reach
 
 from .strategies import graphs, graphs_with_subset
 
@@ -32,6 +34,18 @@ def test_is_bipartite(g):
 def test_induced_connected(gs):
     g, s = gs
     assert induced_connected(g, s) == nx.is_connected(_nx(g).subgraph(s.members()))
+
+
+@given(graphs(), graphs_with_subset(connected=False), st.data())
+def test_reach_marks_one_component(g, gs, data):
+    # whole graphs and induced subsets, connected or not
+    h, s = gs
+    for graph, members in ((g, range(g.n)), (h, s.members())):
+        start = data.draw(st.sampled_from(members))
+        component = nx.node_connected_component(_nx(graph).subgraph(members), start)
+        seen = bytearray(v not in members for v in range(graph.n))
+        assert _reach(graph.adj, seen, start) == len(component)
+        assert {v for v in members if seen[v]} == component
 
 
 # the hash only buckets graphs within one run, so its change across
