@@ -6,11 +6,27 @@ degree (ties to the smallest id) and replaces S by (V \\ S) | {u}.  Each
 such move shrinks the cut between S and its complement at least every
 other iteration, so at most 2m+1 moves happen.
 
-A move touches only u and its neighbours.  Every vertex keeps a fixed
-side bit and its count of neighbours on its own side, so S is just one
-of the two sides; a lazy heap per side yields the pick and a per-side
-count of vertices below their density threshold answers "is S a PDS?".
-One move costs O(deg(u) log n) instead of a scan of all n vertices.
+Two paths make the same moves.  Up to SCAN_CUTOFF vertices S is one int
+mask: every step runs over S's members, takes each inside degree as a
+popcount of the member's neighbour mask and S, and finds the density
+violators, the pick and the cut in that one pass; a move is
+S = (V ^ S) | 1 << u.  Above the cutoff every vertex keeps a fixed side
+bit and its count of neighbours on its own side, so S is just one of the
+two sides; a lazy heap per side yields the pick and a per-side count of
+vertices below their density threshold answers "is S a PDS?".  One move
+there costs O(deg(u) log n) instead of a scan of all n vertices, but
+building the two heaps costs more than a whole small search: on the
+tens of thousands of calls that every start of every graph with n <= 8
+makes, the set-up, not the moves, is the time.
+
+The cutoff, n <= 12, is measured (2-CPU VM, Python 3.11.7, 400 random
+starts on 40 random graphs per size and density, best of seven).  At
+n = 12 a first call on a graph, which builds its neighbour masks, took
+18-21 us against the heap path's 17-18 us on sparse graphs (m = 1.25n)
+and 25-29 against 30-31 us on denser ones (m = 4n and m = 2/3 of
+n(n-1)/2); every later call on the same Graph, which keeps its masks,
+took 12-14 us.  From n = 16 a first call on a sparse graph loses
+clearly: 21-38 against 16-27 us at n = 16, 54-56 against 30-35 us at 24.
 """
 
 from __future__ import annotations
@@ -27,7 +43,10 @@ from .errors import (
     KOutOfRange,
     VerificationFailed,
 )
-from .graph import Graph, VertexSet, require_connected
+from .graph import Graph, VertexSet, adjacency_masks, require_connected
+
+# the measurement behind this cutoff is in the module docstring
+SCAN_CUTOFF = 12
 
 # _DIGITS[cur] turns side bits into the binary digits of S's mask, lowest bit first
 _DIGITS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
@@ -73,6 +92,59 @@ def half_pds(
     else:
         start = VertexSet(n, (1 << half) - 1, half)
 
+    search = _scan_search if n <= SCAN_CUTOFF else _heap_search
+    mask, moves = search(g, start, half)
+    if not moves:
+        return start, ApproxTrace(start, (), start)
+    final = VertexSet(n, mask)
+    if not half <= len(final) <= half + 1:
+        raise VerificationFailed(
+            f"local search returned {len(final)} vertices, not {half} or {half + 1}"
+        )
+    return final, ApproxTrace(start, tuple(moves), final)
+
+
+def _scan_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveRecord]]:
+    """The search on S as one mask, rescanning S's members on every step."""
+    s = start.mask
+    n = g.n
+    adjm = adjacency_masks(g)
+    deg = g.deg
+    n1 = n - 1
+    full = (1 << n) - 1
+    # k = |S| - 1, half - 1 and n - half in turn; a member with c neighbours in
+    # S fails c*(n-|S|) >= (deg-c)*(|S|-1) iff c*(n-1) < deg*k
+    k, k_next = half - 1, n - half
+    moves: list[MoveRecord] = []
+    for _ in range(2 * g.m + 2):
+        dense = True
+        gain = -n  # below every deg - 2*inside
+        cut = 0
+        m = s
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            c = (adjm[v] & s).bit_count()
+            d = deg[v]
+            if c * n1 < d * k:
+                dense = False
+            cut += d - c
+            if d - 2 * c > gain:  # members ascend, so ties go to the smallest id
+                gain = d - 2 * c
+                u = v
+                o = c
+        if dense:
+            return s, moves
+        moves.append(MoveRecord(u, o, deg[u] - o, cut, cut - gain))
+        s = (full ^ s) | 1 << u
+        k, k_next = k_next, k
+    raise VerificationFailed("local search exceeded its 2m+1 move bound")
+
+
+def _heap_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveRecord]]:
+    """The search on side bits, own-side counts and a lazy heap per side."""
+    n = g.n
     adj = g.adj
     deg = g.deg
     n1 = n - 1
@@ -106,7 +178,7 @@ def half_pds(
                 bad[0] += 1
             h0.append((2 * c - d) * n + v)
     if not bad[1]:
-        return start, ApproxTrace(start, (), start)
+        return start.mask, []
     heapify(h0)
     heapify(h1)
 
@@ -160,12 +232,7 @@ def half_pds(
     else:
         raise VerificationFailed("local search exceeded its 2m+1 move bound")
 
-    final = VertexSet(n, int(side.translate(_DIGITS[cur])[::-1], 2))
-    if not half <= len(final) <= half + 1:
-        raise VerificationFailed(
-            f"local search returned {len(final)} vertices, not {half} or {half + 1}"
-        )
-    return final, ApproxTrace(start, tuple(moves), final)
+    return int(side.translate(_DIGITS[cur])[::-1], 2), moves
 
 
 def approx_ratio_bound(g: Graph) -> Fraction:

@@ -54,6 +54,10 @@ from .reductions import (
 )
 
 
+# the most searches approx --restarts runs; each costs up to O(n*m)
+MAX_RESTARTS = 1000
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -191,11 +195,14 @@ def cmd_exact(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        raise ParseError(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
     g, raw = _load_graph(args.graph)
     init = (
         VertexSet.from_ids(g.n, _parse_ids(args.init)) if args.init is not None else None
     )
-    runs = max(1, args.restarts)
+    # every search from the one given start makes the same moves
+    runs = 1 if init is not None else args.restarts
     best = None
     t0 = time.perf_counter()
     for i in range(runs):
@@ -486,7 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--init", help="explicit initial set (comma separated ids)")
-    sp.add_argument("--restarts", type=int, default=1)
+    sp.add_argument(
+        "--restarts",
+        type=int,
+        default=1,
+        help=f"seeded searches, 1 to {MAX_RESTARTS}; with --init the one search runs once",
+    )
     sp.add_argument("--trace", action="store_true", help="include the move trace")
     sp.set_defaults(func=cmd_approx)
 

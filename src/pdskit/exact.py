@@ -20,7 +20,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import InstanceTooLarge, InvalidSubsetSize, NoPds
-from .graph import Graph, VertexSet, require_connected
+from .graph import Graph, VertexSet, adjacency_masks, require_connected
 from .pds import pds_size_upper_bound
 
 DEFAULT_CAP = 24
@@ -40,17 +40,6 @@ def resolve_cap(cap: int | None = None) -> int:
     if not 2 <= cap <= HARD_CAP:
         raise InstanceTooLarge(f"enumeration cap must be in [2, {HARD_CAP}], got {cap}")
     return cap
-
-
-def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Neighbourhood of every vertex as a bitmask: bit w of entry v is set
-    iff vw is an edge.  Costs about n^2/16 bytes, so only the capped
-    solvers here build it."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
 
 
 def _colex_rank(mask: int) -> int:

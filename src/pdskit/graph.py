@@ -90,7 +90,7 @@ class Graph:
     check it themselves so that gadget graphs can be assembled piecewise.
     """
 
-    __slots__ = ("n", "m", "edges", "adj", "deg", "_connected")
+    __slots__ = ("n", "m", "edges", "adj", "deg", "_connected", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 2:
@@ -119,6 +119,7 @@ class Graph:
         object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
         object.__setattr__(self, "deg", tuple(map(len, nbrs)))
         object.__setattr__(self, "_connected", None)
+        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -173,6 +174,19 @@ def is_connected(g: Graph) -> bool:
         if isinstance(g, Graph):
             object.__setattr__(g, "_connected", known)
     return known
+
+
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Neighbourhood of every vertex as a bitmask: bit w of entry v is set
+    iff vw is an edge.  Read from g.adj alone, and kept on a Graph as
+    is_connected keeps its answer.  Costs about n^2/16 bytes, so only the
+    capped exact solvers and the small-graph local search build it."""
+    masks = getattr(g, "_masks", None)
+    if masks is None:
+        masks = tuple([sum([1 << w for w in nbrs]) for nbrs in g.adj])
+        if isinstance(g, Graph):
+            object.__setattr__(g, "_masks", masks)
+    return masks
 
 
 def require_connected(g: Graph) -> None:

@@ -145,25 +145,61 @@ class TestMatchesScanReference:
         assert half_pds(g, init=init) == half_pds_scan(g, init)
 
 
+class TestBothPathsAtTheCutoff:
+    """The scan path (n <= SCAN_CUTOFF) and the heap path make the same moves
+    as the scan loop of the reference, on both sides of the cutoff."""
+
+    def test_every_n_to_past_the_cutoff(self):
+        moved = {}
+        for n in range(3, approx.SCAN_CUTOFF + 6):
+            half = (n + 1) // 2
+            top = n * (n - 1) // 2
+            for m in sorted({n - 1, min(n + n // 4, top), min(3 * n, top), top * 2 // 3, top}):
+                for i in range(4):
+                    seed = 1000 * n + 10 * m + i
+                    g = random_connected(n, m, seed=seed)
+                    rng = random.Random(seed)
+                    for _ in range(6):
+                        init = VertexSet.from_ids(n, rng.sample(range(n), half))
+                        s, trace = half_pds(g, init=init)
+                        assert (s, trace) == half_pds_scan(g, init)
+                        scan = approx._scan_search(g, init, half)
+                        heap = approx._heap_search(g, init, half)
+                        assert scan == heap
+                        assert scan[1] == list(trace.moves)
+                        moved[n] = moved.get(n, 0) + bool(trace.moves)
+        # every size, the last scan one and the first heap one among them, moved
+        assert sorted(moved) == list(range(3, approx.SCAN_CUTOFF + 6))
+        assert all(moved.values())
+
+
 class TestSelfChecks:
     """Solver self-checks raise VerificationFailed, which python -O keeps."""
 
-    # the path 3-1-0-2-4 from {0, 1, 4} needs two moves, picking 4 then 3
+    # the path 3-1-0-2-4 from {0, 1, 4} needs two moves, picking 4 then 3;
+    # the path 0-1-...-12 is above SCAN_CUTOFF, so it takes the heap path,
+    # from its even vertices in five moves
     P5 = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
     P5_INIT = VertexSet.from_ids(5, [0, 1, 4])
+    P13 = Graph(13, [(v, v + 1) for v in range(12)])
+    P13_INIT = VertexSet.from_ids(13, range(0, 13, 2))
+    CASES = ((P5, P5_INIT, [4, 3]), (P13, P13_INIT, [2, 5, 8, 11, 0]))
 
     def test_move_bound(self):
-        _, trace = half_pds(self.P5, init=self.P5_INIT)
-        assert [mv.vertex for mv in trace.moves] == [4, 3]
-        # a graph that under-reports its edges allows at most 2*0+1 moves
-        liar = types.SimpleNamespace(n=5, m=0, adj=self.P5.adj, deg=self.P5.deg)
-        with pytest.raises(VerificationFailed, match="move bound"):
-            half_pds(liar, init=self.P5_INIT)
+        assert self.P5.n <= approx.SCAN_CUTOFF < self.P13.n
+        for g, init, picks in self.CASES:
+            _, trace = half_pds(g, init=init)
+            assert [mv.vertex for mv in trace.moves] == picks
+            # a graph that under-reports its edges allows at most 2*0+1 moves
+            liar = types.SimpleNamespace(n=g.n, m=0, adj=g.adj, deg=g.deg)
+            with pytest.raises(VerificationFailed, match="move bound"):
+                half_pds(liar, init=init)
 
     def test_final_size(self, monkeypatch):
         monkeypatch.setattr(approx, "VertexSet", lambda n, mask: VertexSet(n, 0))
-        with pytest.raises(VerificationFailed, match="returned 0 vertices"):
-            half_pds(self.P5, init=self.P5_INIT)
+        for g, init, _ in self.CASES:
+            with pytest.raises(VerificationFailed, match="returned 0 vertices"):
+                half_pds(g, init=init)
 
     def test_decide_small_answer(self, monkeypatch):
         monkeypatch.setattr(

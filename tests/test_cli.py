@@ -135,6 +135,25 @@ class TestApprox:
         code, payload, _ = run_json(capsys, "approx", "k4", "--init", "0,1")
         assert code == 0 and payload["set"] == [0, 1] and payload["moves"] == 0
 
+    @pytest.mark.parametrize("restarts", ["1000000000", "1001", "0", "-3"])
+    def test_restarts_out_of_range_rejected_before_any_work(self, capsys, monkeypatch, restarts):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before --restarts was checked")
+
+        monkeypatch.setattr(cli, "_load_graph", refuse)
+        monkeypatch.setattr(cli, "half_pds", refuse)
+        code, _, err = run(capsys, "approx", "k4", "--restarts", restarts)
+        assert code == 2 and f"--restarts must be in [1, 1000], got {restarts}" in err
+
+    def test_restarts_with_init_search_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.half_pds
+        monkeypatch.setattr(cli, "half_pds", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        code, payload, _ = run_json(
+            capsys, "approx", "path7", "--init", "0,1,2,3", "--restarts", "1000"
+        )
+        assert code == 0 and len(calls) == 1 and payload["restarts"] == 1
+
     def test_wrong_init_size(self, capsys):
         code, _, err = run(capsys, "approx", "k4", "--init", "0,1,2")
         assert code == 2 and "init" in err

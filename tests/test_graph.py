@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -154,7 +155,8 @@ class TestPredicates:
 
 
 class TestConnectivitySlot:
-    """A Graph never changes, so is_connected searches it once."""
+    """A Graph never changes, so is_connected searches it once and
+    adjacency_masks builds its masks once."""
 
     def test_one_search_per_graph(self, monkeypatch):
         calls = []
@@ -191,10 +193,22 @@ class TestConnectivitySlot:
                 solve(g)
         assert g._connected is False
 
+    def test_masks_built_once_per_graph(self):
+        g = Graph(7, [(v, (v + 1) % 7) for v in range(7)] + [(0, 3)])
+        masks = graph_mod.adjacency_masks(g)
+        assert graph_mod.adjacency_masks(g) is masks
+        max_pds_exact(g)
+        for ids in combinations(range(7), 4):
+            half_pds(g, init=VertexSet.from_ids(7, ids))
+        assert g._masks is masks
+        # anything with n and adj gets the same masks, built anew each time
+        ns = SimpleNamespace(n=7, adj=g.adj)
+        assert adjacency_masks(ns) == masks and adjacency_masks(ns) is not masks
+
     def test_still_immutable(self):
         g = Graph(4, P4.edges)
         assert is_connected(g)
-        for name in ("_connected", "n", "fresh"):
+        for name in ("_connected", "_masks", "n", "fresh"):
             with pytest.raises(AttributeError):
                 setattr(g, name, False)
         assert g._connected is True
