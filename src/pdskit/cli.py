@@ -457,21 +457,7 @@ def cmd_bench(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-@functools.cache  # built once per process: parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
-    import argparse  # loaded on first use: import pdskit.cli stays cheap
-
-    p = argparse.ArgumentParser(
-        prog="pdskit",
-        description="Proportionally dense subgraph toolkit",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def with_json(sp):
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        return sp
-
-    sp = with_json(sub.add_parser("verify", help="check whether a set is a PDS"))
+def _verify_args(sp) -> None:
     sp.add_argument("graph")
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--set", help="comma separated vertex ids")
@@ -479,17 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--connected", action="store_true", help="also require a connected subgraph"
     )
-    sp.set_defaults(func=cmd_verify)
 
-    sp = with_json(sub.add_parser("exact", help="exhaustive maximum PDS"))
+
+def _exact_args(sp) -> None:
     sp.add_argument("graph")
     sp.add_argument("--connected", action="store_true")
     sp.add_argument("--all-optima", action="store_true")
     sp.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     sp.add_argument("--extend", help="find a PDS strictly containing these ids")
-    sp.set_defaults(func=cmd_exact)
 
-    sp = with_json(sub.add_parser("approx", help="half-size local search"))
+
+def _approx_args(sp) -> None:
     sp.add_argument("graph")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--init", help="explicit initial set (comma separated ids)")
@@ -500,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"seeded searches, 1 to {MAX_RESTARTS}; with --init the one search runs once",
     )
     sp.add_argument("--trace", action="store_true", help="include the move trace")
-    sp.set_defaults(func=cmd_approx)
 
-    sp = with_json(sub.add_parser("cubic", help="Hamiltonian cubic solver"))
+
+def _cubic_args(sp) -> None:
     sp.add_argument("input", nargs="?", help="cycle-format file or fixture name")
     sp.add_argument("--random", type=int, metavar="N", help="random instance size")
     sp.add_argument("--seed", type=int, default=None)
@@ -513,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--sweep8", action="store_true", help="solve all n=8 instances")
     sp.add_argument("--no-verify", action="store_true")
-    sp.set_defaults(func=cmd_cubic)
 
-    sp = with_json(sub.add_parser("reduce", help="independent-set reductions"))
+
+def _reduce_args(sp) -> None:
     sp.add_argument("graph")
     sp.add_argument("--kind", choices=("split", "bipartite"), required=True)
     sp.add_argument("--k", type=int, default=None)
@@ -525,33 +511,73 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compute a maximum independent set and write a certificate",
     )
     sp.add_argument("--cap", type=int, default=None)
-    sp.set_defaults(func=cmd_reduce)
 
-    sp = with_json(sub.add_parser("certify", help="verify a reduction certificate"))
+
+def _certify_args(sp) -> None:
     sp.add_argument("file")
-    sp.set_defaults(func=cmd_certify)
 
-    sp = with_json(sub.add_parser("gen", help="emit graphs"))
+
+def _gen_args(sp) -> None:
     sp.add_argument("--list", action="store_true", help="list fixture names")
     sp.add_argument("--fixture")
     sp.add_argument("--random", nargs=2, type=int, metavar=("N", "M"))
     sp.add_argument("--cubic", type=int, metavar="N")
     sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("bench", help="timing suites (CSV)")
+
+def _bench_args(sp) -> None:
     sp.add_argument("--suite", required=True)
     sp.add_argument("--output")
     sp.add_argument("--sizes", help="comma separated instance sizes")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--repeats", type=int, default=3)
-    sp.set_defaults(func=cmd_bench)
 
+
+# command -> (help line, handler, its options), in the order --help lists them
+COMMANDS = {
+    "verify": ("check whether a set is a PDS", cmd_verify, _verify_args),
+    "exact": ("exhaustive maximum PDS", cmd_exact, _exact_args),
+    "approx": ("half-size local search", cmd_approx, _approx_args),
+    "cubic": ("Hamiltonian cubic solver", cmd_cubic, _cubic_args),
+    "reduce": ("independent-set reductions", cmd_reduce, _reduce_args),
+    "certify": ("verify a reduction certificate", cmd_certify, _certify_args),
+    "gen": ("emit graphs", cmd_gen, _gen_args),
+    "bench": ("timing suites (CSV)", cmd_bench, _bench_args),
+}
+
+
+@functools.cache  # built once per process and command: parse_args leaves it unchanged
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The pdskit parser.  Given one of COMMANDS, it holds only that
+    command's subparser, two parsers built instead of nine, and parses an
+    argv that starts with that command as the full parser does, with the
+    same usage, help and error text.  -h, a typo or no command needs the
+    full parser, built with command None."""
+    import argparse  # loaded on first use: import pdskit.cli stays cheap
+
+    p = argparse.ArgumentParser(
+        prog="pdskit",
+        description="Proportionally dense subgraph toolkit",
+    )
+    names = COMMANDS if command is None else (command,)
+    # the full parser's usage lists the choices; a partial one would list
+    # only its own, so it is given the full list to print
+    extra = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = p.add_subparsers(dest="command", required=True, **extra)
+    for name in names:
+        help_text, handler, add_options = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        if name != "bench":
+            sp.add_argument("--json", action="store_true", help="emit a JSON report")
+        add_options(sp)
+        sp.set_defaults(func=handler)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -41,8 +41,8 @@ import random
 import re
 from typing import Iterator, NamedTuple
 
-from .errors import InfeasibleParameters, InstanceTooLarge, UnknownFixture
-from .graph import Graph, parse_graph
+from .errors import InfeasibleParameters, InstanceTooLarge, InvalidGraph, UnknownFixture
+from .graph import MAX_VERTICES, Graph, parse_graph
 
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
 
@@ -90,9 +90,13 @@ def fixture(name: str) -> FixtureRecord:
         )
     match = _PARAMETRIC.match(name)
     if match:
-        kind, num = match.group(1), int(match.group(2))
+        kind, digits = match.group(1), match.group(2).lstrip("0") or "0"
+        # checked before the edge list is built; a count longer than the
+        # limit is refused unread, as int() rejects strings over 4300 digits
+        if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+            raise InvalidGraph(f"{name}: n={digits} is above the limit of {MAX_VERTICES} vertices")
         builder = {"star": star_graph, "path": path_graph, "cycle": cycle_graph}[kind]
-        return FixtureRecord(name, builder(num), {}, None)
+        return FixtureRecord(name, builder(int(digits)), {}, None)
     raise UnknownFixture(f"no fixture named {name!r}")
 
 
@@ -112,7 +116,8 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InfeasibleParameters("a cycle needs at least three vertices")
-    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    # the closing edge, written (0, n - 1) and second, keeps the list canonical
+    return Graph(n, [(0, 1), (0, n - 1)] + [(v, v + 1) for v in range(1, n - 1)])
 
 
 def random_connected(n: int, m: int, seed: int | None = None) -> Graph:

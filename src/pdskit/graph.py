@@ -9,7 +9,8 @@ graphs with a million vertices.
 from __future__ import annotations
 
 import json
-from itertools import compress, islice
+from itertools import compress, islice, starmap
+from operator import itemgetter, le, lt
 from typing import Iterable, Iterator
 
 from .errors import Disconnected, InvalidGraph, InvalidSubsetSize, ParseError
@@ -18,6 +19,12 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _NO_TOKEN_CHARS = dict.fromkeys(map(ord, "0123456789-"))
 _TO_COMMAS = str.maketrans(" \n", ",,")
+_SECOND = itemgetter(1)
+
+# The most vertices a Graph may have.  The n neighbour rows are allocated
+# before any edge is read, so a header such as "1000000000 0" must be
+# refused first; 2**22 is far above the largest approx-scaling graph (131,072).
+MAX_VERTICES = 2**22
 
 
 class VertexSet:
@@ -95,31 +102,37 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 2:
             raise InvalidGraph("a graph needs at least two vertices")
-        seen: set[tuple[int, int]] = set()
-        canon: list[tuple[int, int]] = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidGraph(f"vertex id out of range: ({u}, {v}) with n={n}")
-            if u == v:
-                raise InvalidGraph(f"self-loop at {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise InvalidGraph(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(canon))
-        object.__setattr__(self, "edges", tuple(canon))
+        if n > MAX_VERTICES:
+            raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
+        # an iterator is never materialised: it streams into the loop
+        canon = _canonical_edges(edges, n) if isinstance(edges, (list, tuple)) else None
+        if canon is None:  # checked edge by edge, so the first bad edge is named
+            seen: set[tuple[int, int]] = set()
+            canon = []
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidGraph(f"vertex id out of range: ({u}, {v}) with n={n}")
+                if u == v:
+                    raise InvalidGraph(f"self-loop at {u}")
+                e = (u, v) if u < v else (v, u)
+                if e in seen:
+                    raise InvalidGraph(f"duplicate edge {e}")
+                seen.add(e)
+                canon.append(e)
+            canon.sort()
+        put = object.__setattr__  # one lookup for the seven slots: tiny graphs feel it
+        put(self, "n", n)
+        put(self, "m", len(canon))
+        put(self, "edges", tuple(canon))
         # canon is sorted, so every neighbour list fills in ascending order
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in canon:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
-        object.__setattr__(self, "deg", tuple(map(len, nbrs)))
-        object.__setattr__(self, "_connected", None)
-        object.__setattr__(self, "_masks", None)
+        put(self, "adj", tuple(map(tuple, nbrs)))
+        put(self, "deg", tuple(map(len, nbrs)))
+        put(self, "_connected", None)
+        put(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -147,6 +160,25 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _canonical_edges(pairs: list | tuple, n: int) -> tuple | None:
+    """pairs as a tuple of (u, v) tuples when they are already canonical,
+    else None.  Canonical: the pairs strictly ascend, u < v in each, the
+    first u is at least 0 and the largest v below n.  Ascending order
+    rules out duplicates and u < v rules out self-loops, so these C-level
+    scans replace the per-edge checks.  emit_graph's text, the enumerator,
+    the path, star and cycle families and the split reduction give such
+    lists."""
+    try:
+        if not (all(starmap(lt, pairs)) and all(map(lt, pairs, islice(pairs, 1, None)))):
+            return None
+        canon = tuple(map(tuple, pairs))
+        if canon and not (canon[0][0] >= 0 and max(map(_SECOND, canon)) < n):
+            return None
+    except TypeError:  # items that do not compare as pairs: the loop names the fault
+        return None
+    return canon
 
 
 def _reach(adj, seen: bytearray, start: int) -> int:
@@ -307,7 +339,13 @@ def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
     if len(ints) != 2 * m + 2:
         raise ParseError(f"header promises {m} edges, found {len(ints) // 2 - 1}")
     it = islice(ints, 2, None)
-    g = Graph(n, zip(it, it))
+    pairs = zip(it, it)
+    # only a list takes Graph's canonical route, and only if the u column
+    # never descends; other text streams into the loop, as zip reuses its
+    # tuple and keeps none per line alive
+    if all(map(le, islice(ints, 2, None, 2), islice(ints, 4, None, 2))):
+        pairs = list(pairs)
+    g = Graph(n, pairs)
     if require_connectivity:
         require_connected(g)
     return g

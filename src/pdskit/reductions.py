@@ -212,7 +212,9 @@ def split_reduction(g: Graph) -> SplitReduction:
     edges += _edge_to_source_links(g, edge_ids, source_ids)
     return SplitReduction(
         source=g,
-        target=Graph(2 + m + g.n, edges),
+        # sorted, the clique and the links interleave into the canonical
+        # order that Graph takes through its C-level scans
+        target=Graph(2 + m + g.n, sorted(edges)),
         anchors=anchors,
         edge_ids=edge_ids,
         source_ids=source_ids,

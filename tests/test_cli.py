@@ -319,6 +319,36 @@ class TestHostileInput:
         code, err = self.cli("exact", str(f))
         self.assert_input_error(code, err, "nested too deeply")
 
+    # a billion vertices: refused before the rows or the edge list are
+    # allocated, so the probe runs under a 1 GiB address-space limit
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["approx", "{file}"], "1000000000 0\n"),
+            (["approx", "{file}"], '{"n": 1000000000, "edges": []}'),
+            (["approx", "path1000000000"], None),
+            (["gen", "--fixture", "star1000000000"], None),
+            (["gen", "--fixture", "cycle1" + "0" * 4999], None),
+        ],
+        ids=["header", "json", "path fixture", "gen star fixture", "gen 5000-digit fixture"],
+    )
+    def test_huge_vertex_count(self, tmp_path, argv, text):
+        import resource
+
+        f = tmp_path / "g.txt"
+        if text is not None:
+            f.write_text(text)
+        argv = [a.format(file=f) for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        limit = (1 << 30, 1 << 30)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdskit.cli", *argv],
+            capture_output=True, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        )
+        err = proc.stderr.decode(errors="replace")
+        self.assert_input_error(proc.returncode, err, "is above the limit of 4194304 vertices")
+
     def test_deeply_nested_certificate(self, capsys, tmp_path):
         f = tmp_path / "cert.json"
         f.write_text('{"kind": ' + "[" * self.DEEP + "]" * self.DEEP + "}")
@@ -420,6 +450,65 @@ class TestDispatch:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser("exact") is cli.build_parser("exact")
+        assert cli.build_parser("exact") is not cli.build_parser()
+
+    @staticmethod
+    def commands(parser) -> list[str]:
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return list(sub.choices)
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["exact", "k4"], ["exact"]),
+            (["gen", "--list"], ["gen"]),
+            (["frobnicate"], list(cli.COMMANDS)),
+            ([], list(cli.COMMANDS)),
+            (["-h"], list(cli.COMMANDS)),
+            (["--", "exact", "k4"], list(cli.COMMANDS)),
+        ],
+        ids=repr,
+    )
+    def test_a_known_command_builds_only_its_parser(self, capsys, monkeypatch, argv, built):
+        seen, build = [], cli.build_parser
+
+        def recording(command=None):
+            seen.append(build(command))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        main(argv)
+        assert [self.commands(p) for p in seen] == [built]
+
+    # help, usage and every error read the same from a one-command parser
+    ONE_COMMAND_ARGV = [
+        ["-h"], [], ["k4", "--no-such-flag"], ["k4", "two", "extra"], ["--seed", "x"],
+        ["k4", "--cap"], ["k4", "--kind", "nope"], ["k4", "--set", "1", "--set-file", "f"],
+        ["--random", "5"], ["--suite"], ["k4", "--set", "1", "--kind", "split", "--no-such-flag"],
+        ["--suite", "s", "--no-such-flag"],
+    ]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_one_command_parser_reads_as_the_full_one(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "70")  # both wrap their help to the same width
+        cli.build_parser.cache_clear()
+        texts = {}
+        for which in (None, command):
+            parser = cli.build_parser(which)
+            texts[which] = []
+            for rest in self.ONE_COMMAND_ARGV:
+                try:
+                    result = vars(parser.parse_args([command, *rest]))
+                except SystemExit as exc:
+                    result = exc.code
+                out = capsys.readouterr()
+                texts[which].append((result, out.out, out.err))
+        cli.build_parser.cache_clear()
+        assert texts[command] == texts[None]
+        # the main parser's own usage, wrapped to the width, is among them
+        every = "{" + ",".join(cli.COMMANDS) + "}"
+        assert any(err.startswith("usage: pdskit [-h]") and every in err for _, _, err in texts[None])
 
     def test_calls_share_no_options(self, capsys):
         code, payload, _ = run_json(capsys, "exact", "cycle5", "--all-optima")

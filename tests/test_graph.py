@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pdskit import (
     Disconnected,
@@ -31,6 +32,7 @@ from pdskit.exact import adjacency_masks, max_pds_exact
 from pdskit.graph import require_connected
 from pdskit.reductions import split_reduction
 
+from .graph_reference import build_graph_loop, fields
 from .strategies import graphs, graphs_with_subset
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -114,6 +116,177 @@ class TestGraph:
 
     def test_full_set(self):
         assert K4.full_set().members() == [0, 1, 2, 3]
+
+
+@st.composite
+def canonical_lists(draw, max_n: int = 12):
+    """(n, edges) with edges a sorted list of distinct u < v pairs, the form
+    emit_graph writes; possibly empty."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, sorted(draw(st.sets(st.sampled_from(pairs))))
+
+
+@st.composite
+def reordered_lists(draw):
+    """A canonical (n, edges), the same edges shuffled, and the shuffled
+    edges with some written the other way round."""
+    n, edges = draw(canonical_lists())
+    shuffled = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, edges, shuffled, [(v, u) if f else (u, v) for (u, v), f in zip(shuffled, flips)]
+
+
+def outcome(build, n, edges):
+    """The fields build(n, edges) gives, or the exception it raises."""
+    try:
+        return fields(build(n, list(edges)))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestConstructorRoutes:
+    """Graph takes a canonical list through C-level scans and any other
+    input through the edge-by-edge loop; both must match the original
+    constructor (tests/graph_reference.py) field by field, and a rejected
+    list must raise the same error with the same message."""
+
+    @staticmethod
+    def scanned(n, edges) -> bool:
+        return graph_mod._canonical_edges(edges, n) is not None
+
+    @given(canonical_lists())
+    def test_canonical_lists_take_the_scans(self, case):
+        n, edges = case
+        lists = [list(e) for e in edges]
+        for form in (edges, tuple(edges), lists):
+            assert self.scanned(n, form)
+            assert fields(Graph(n, form)) == build_graph_loop(n, form)
+
+    @given(reordered_lists())
+    def test_shuffled_and_swapped_lists_take_the_loop(self, case):
+        n, edges, shuffled, swapped = case
+        for form in (shuffled, swapped, [list(e) for e in swapped]):
+            assert self.scanned(n, form) == (list(map(tuple, form)) == edges)
+            assert fields(Graph(n, form)) == build_graph_loop(n, form)
+        # an iterator is never materialised for the scans
+        assert fields(Graph(n, iter(swapped))) == build_graph_loop(n, swapped)
+
+    @pytest.mark.parametrize("family", ["star_graph", "path_graph", "cycle_graph"])
+    def test_parametric_families_take_the_scans(self, family, monkeypatch):
+        from pdskit import generators
+
+        routes = []
+        monkeypatch.setattr(
+            generators, "Graph", lambda n, e: routes.append(self.scanned(n, e)) or Graph(n, e)
+        )
+        for n in (3, 4, 9):
+            getattr(generators, family)(n)
+        assert routes == [True] * 3
+
+    def test_parse_graph_lists_only_text_whose_u_column_ascends(self, monkeypatch):
+        # other text streams into the loop: no tuple per line is kept alive
+        kinds, build = [], graph_mod.Graph
+        monkeypatch.setattr(graph_mod, "Graph", lambda n, e: kinds.append(type(e)) or build(n, e))
+        for text in ("4 3\n0 1\n0 2\n2 3\n", "4 3\n2 3\n0 1\n0 2\n", "4 3\n0 1\n2 0\n2 3\n"):
+            parse_graph(text)
+        assert kinds == [list, zip, list]
+
+    @pytest.mark.parametrize("edges", [[], ()])
+    def test_empty(self, edges):
+        assert self.scanned(5, edges)
+        assert fields(Graph(5, edges)) == build_graph_loop(5, edges) == (5, 0, (), ((),) * 5, (0,) * 5)
+
+    @given(
+        canonical_lists(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["duplicate", "self-loop", "above n", "negative", "descending"]),
+                st.integers(min_value=0),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    def test_one_defect_gives_the_reference_error(self, case, defects):
+        n, edges = case
+        bad = edges[:]
+        for kind, at in defects:
+            i = at % (len(bad) + 1)
+            if kind == "duplicate" and bad:
+                i %= len(bad)
+                bad.insert(i + 1, bad[i])
+            elif kind == "self-loop":
+                u = bad[i][0] if i < len(bad) else n - 1
+                bad.insert(i, (u, u))
+            elif kind == "above n":
+                bad.append((n - 1, n))  # still ascending, u < v: only the max scan fails
+            elif kind == "negative":
+                bad.insert(0, (-1, 0))  # likewise, for the first u
+            elif kind == "descending" and len(bad) >= 2:
+                i %= len(bad) - 1
+                bad[i], bad[i + 1] = bad[i + 1], bad[i]
+        assert outcome(Graph, n, bad) == outcome(build_graph_loop, n, bad)
+        if bad != edges:
+            assert not self.scanned(n, bad)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), [0, 2]],  # a tuple and a list do not compare
+            [(0, 1, 2)],
+            [(0,)],
+            [5],
+            ["01"],
+            [(0.5, 1.5)],
+            [(False, True)],
+            [{0, 1}],
+            [(0, 1), (0, 1)],
+            [(2, 1), (0, 3)],
+        ],
+        ids=repr,
+    )
+    def test_odd_items_behave_as_before(self, edges):
+        assert outcome(Graph, 4, edges) == outcome(build_graph_loop, 4, edges)
+
+
+class TestVertexLimit:
+    """A vertex count above MAX_VERTICES is refused before the n neighbour
+    rows, or a parametric fixture's edge list, are allocated."""
+
+    BIG = graph_mod.MAX_VERTICES + 1
+
+    def test_constructor(self):
+        for edges in ([], iter([(0, 1)])):
+            with pytest.raises(InvalidGraph, match=f"n={self.BIG} is above the limit"):
+                Graph(self.BIG, edges)
+
+    def test_parsers(self):
+        with pytest.raises(InvalidGraph, match="above the limit"):
+            parse_graph(f"{self.BIG} 0\n")
+        with pytest.raises(InvalidGraph, match="above the limit"):
+            graph_from_json({"n": self.BIG, "edges": []})
+
+    @pytest.mark.parametrize("kind", ["path", "star", "cycle"])
+    def test_parametric_fixture(self, kind, monkeypatch):
+        from pdskit import generators
+
+        def refuse(n):
+            raise AssertionError("the edge list was built")
+
+        monkeypatch.setattr(generators, f"{kind}_graph", refuse)
+        with pytest.raises(InvalidGraph, match=f"{kind}{self.BIG}: n={self.BIG} is above"):
+            generators.fixture(f"{kind}{self.BIG}")
+        # more digits than int() converts
+        with pytest.raises(InvalidGraph, match="is above the limit"):
+            generators.fixture(f"{kind}{'9' * 5000}")
+
+    def test_leading_zeros_still_read(self):
+        from pdskit import generators
+
+        assert generators.fixture("path0004").graph.edges == ((0, 1), (1, 2), (2, 3))
+        with pytest.raises(InvalidGraph, match=f"path00{self.BIG}: n={self.BIG} is above"):
+            generators.fixture(f"path00{self.BIG}")
 
 
 class TestPredicates:
