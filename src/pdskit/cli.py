@@ -27,7 +27,7 @@ from .errors import (
     NoPds,
     ParseError,
     PdsKitError,
-    UnknownFixture,
+    UnknownName,
     VerificationFailed,
 )
 from .exact import max_independent_set_exact, max_pds_exact, pds_extension
@@ -88,7 +88,7 @@ def _load_graph(arg: str) -> tuple[Graph, str]:
     except FileNotFoundError:
         try:
             g = fixture(arg).graph
-        except UnknownFixture:
+        except UnknownName:
             raise ParseError(f"{arg}: not a file, and no such fixture") from None
         return g, emit_graph(g)
     body = raw.lstrip()

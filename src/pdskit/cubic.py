@@ -15,33 +15,31 @@ forward, BACK when at most k steps backward, untagged otherwise.  A full
 arc starting at u exists iff u is not BACK and the vertex k+1 behind u
 is not AHEAD, so one O(n) scan decides it.
 
-The answer is re-checked by pds.recheck on the instance itself: its
-neighbour table (v-1, v+1 and chord[v]) is built from the validated chord
-matching alone, so the check stays independent of the arc logic and
-costs O(n) without building a Graph.  The table shares the chord
-table's ints, and it and deg are dropped once the check is done.
-to_graph() is kept for callers that need a general Graph.
+The answer is re-checked by pds.recheck on the instance itself: g.adj is
+a view whose row v, ((v-1) mod n, (v+1) mod n, chord[v]), is made when it
+is read, from n and the validated chord matching alone.  So the check
+stays independent of the arc logic and costs O(n) without building a
+Graph or any neighbour table.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from functools import cached_property
-from itertools import chain, count, islice
+from itertools import count, islice
 from operator import eq, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (
-    GraphTooSmall,
-    InfeasibleParameters,
     InstanceTooLarge,
+    InvalidArgument,
+    InvalidGraph,
     InvalidInstance,
     ParseError,
     UnclassifiedChords,
     VerificationFailed,
 )
-from .graph import Graph, VertexSet, _data_ints, is_cubic
+from .graph import MAX_VERTICES, Graph, VertexSet, _data_ints, is_cubic
 from .pds import recheck
 
 AHEAD = "ahead"
@@ -61,7 +59,7 @@ class CubicCycleGraph:
     """Even cycle plus chord perfect matching; chord[v] is v's partner.
 
     chord may be any sequence of ints; it is stored as a tuple.  Immutable,
-    like Graph; adj and deg are cached in the instance dict."""
+    like Graph, and holds only n and chord: adj and deg are made when read."""
 
     def __init__(self, n: int, chord):
         raw = chord
@@ -108,38 +106,29 @@ class CubicCycleGraph:
         """Tag window k = ceil((n-1)/3)."""
         return (self.n + 1) // 3
 
-    @cached_property
-    def adj(self) -> tuple[tuple[int, int, int], ...]:
-        """adj[v] = ((v-1) mod n, (v+1) mod n, chord[v]): the neighbours of v,
-        for the re-check.  The arc and tag logic never reads it, and
-        _finish drops it again once the re-check is done.
+    @property
+    def adj(self) -> _Rows:
+        """adj[v] = ((v-1) mod n, (v+1) mod n, chord[v]): the neighbours of
+        v, for the re-check.  The arc and tag logic never reads it."""
+        return _Rows(self.n, self.chord)
 
-        The table makes no new ints: chord is a perfect matching, so
-        chord[chord[u]] is the chord table's own object worth u, and the
-        rows share those objects instead of 2n fresh ones."""
-        chord = self.chord
-        n = self.n
-        # own[u] = chord[chord[u]], in one C loop (a tuple, as n >= 4);
-        # about twice as fast as mapping chord.__getitem__
-        own = itemgetter(*chord)(chord)
-        # ids wrap explicitly: a -1 would index vertex n-1 only by accident.
-        prev = chain(own[-1:], islice(own, n - 1))
-        succ = chain(islice(own, 1, None), own[:1])
-        # tuple() of a bare zip grows by repeated resizing; going through a
-        # list is about twice as fast at n = 10^6.
-        rows = list(zip(prev, succ, chord))
-        del own, prev, succ  # n pointers fewer while the rows are copied
-        return tuple(rows)
-
-    @cached_property
+    @property
     def deg(self) -> tuple[int, ...]:
         return (3,) * self.n
 
-    def to_graph(self) -> Graph:
+
+class _Rows:
+    """The neighbour rows of a cycle plus chords, each made when read."""
+
+    __slots__ = ("n", "chord")
+
+    def __init__(self, n: int, chord: tuple[int, ...]):
+        self.n = n
+        self.chord = chord
+
+    def __getitem__(self, v: int) -> tuple[int, int, int]:
         n = self.n
-        edges = [(v, (v + 1) % n) for v in range(n)]
-        edges += [(v, c) for v, c in enumerate(self.chord) if v < c]
-        return Graph(n, edges)
+        return ((v - 1) % n, (v + 1) % n, self.chord[v])
 
 
 class Arc(NamedTuple):
@@ -196,7 +185,7 @@ def find_full_arc(g: CubicCycleGraph) -> Arc | None:
     """
     n = g.n
     if n < 6:
-        raise GraphTooSmall("arcs need n >= 6")
+        raise InvalidArgument("arcs need n >= 6")
     k = g.window
     tags = classify_chords(g)
     for u in range(n):
@@ -249,7 +238,8 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     two n=8 chord structures whose optimum falls below floor((2n+1)/3).
     With verify=True (default) the answer must have the target size and
     pass pds.recheck (density and induced connectivity) on g's own
-    neighbour table, g.adj; no Graph is built.
+    neighbour rows, g.adj, made from n and chord as they are read; no
+    Graph or neighbour table is built.
     """
     n = g.n
     if n == 4:
@@ -316,23 +306,17 @@ def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:
         target = max_pds_size_cubic(g.n)
         if len(s) != target:
             raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
-        built_here = {"adj", "deg"} - vars(g).keys()
-        try:
-            recheck(g, s, "answer", connected=True)
-        finally:
-            # the neighbour table is the path's largest allocation: free it
-            # and deg before the caller's output step, unless the caller
-            # had built them
-            for name in built_here:
-                vars(g).pop(name, None)
+        recheck(g, s, "answer", connected=True)
     return CubicOutcome(s, None)
 
 
 def random_cubic_cycle(n: int, seed: int | None = None) -> CubicCycleGraph:
     """Uniform over chord matchings: shuffle, pair up, retry until no pair
     duplicates a cycle edge."""
+    if n > MAX_VERTICES:
+        raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
     if n < 4 or n % 2:
-        raise InfeasibleParameters(f"need even n >= 4, got {n}")
+        raise InvalidArgument(f"need even n >= 4, got {n}")
     rng = random.Random(seed)
     order = list(range(n))
     while True:
@@ -353,7 +337,7 @@ def random_cubic_cycle(n: int, seed: int | None = None) -> CubicCycleGraph:
 def all_cubic_cycles(n: int):
     """Every valid chord matching on the n-cycle, lexicographically."""
     if n < 4 or n % 2:
-        raise InfeasibleParameters(f"need even n >= 4, got {n}")
+        raise InvalidArgument(f"need even n >= 4, got {n}")
     chord = [-1] * n
 
     def rec():

@@ -21,12 +21,8 @@ class IsStar(PdsKitError):
     """The operation is undefined on stars."""
 
 
-class GraphTooSmall(PdsKitError):
-    """The graph has fewer vertices than the operation needs."""
-
-
-class InvalidSubsetSize(PdsKitError):
-    """A vertex set violates a required size constraint."""
+class InvalidArgument(PdsKitError):
+    """A size, k, vertex set or parameter outside what the operation accepts."""
 
 
 class InstanceTooLarge(PdsKitError):
@@ -37,10 +33,6 @@ class NoPds(PdsKitError):
     """The graph admits no proportionally dense subgraph at all."""
 
 
-class KOutOfRange(PdsKitError):
-    """Parameter k outside its documented range."""
-
-
 class NotIndependent(PdsKitError):
     """A set claimed independent spans an edge."""
 
@@ -49,16 +41,8 @@ class NotAPds(PdsKitError):
     """A set claimed to be a PDS fails the proportional density check."""
 
 
-class SizeBelowThreshold(PdsKitError):
-    """A set is too small for the reduction step to apply."""
-
-
-class UnknownFixture(PdsKitError):
-    """No fixture registered under the requested name."""
-
-
-class InfeasibleParameters(PdsKitError):
-    """No graph exists with the requested parameters."""
+class UnknownName(PdsKitError):
+    """No fixture or benchmark suite registered under the requested name."""
 
 
 class InvalidInstance(PdsKitError):
@@ -67,10 +51,6 @@ class InvalidInstance(PdsKitError):
 
 class UnclassifiedChords(PdsKitError):
     """Chord tags match no recognized pattern (internal invariant breach)."""
-
-
-class UnknownSuite(PdsKitError):
-    """No benchmark suite registered under the requested name."""
 
 
 class VerificationFailed(PdsKitError):

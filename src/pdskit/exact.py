@@ -19,7 +19,7 @@ from math import comb
 from operator import sub
 from typing import NamedTuple
 
-from .errors import InstanceTooLarge, InvalidSubsetSize, NoPds
+from .errors import InstanceTooLarge, InvalidArgument, NoPds
 from .graph import Graph, VertexSet, adjacency_masks, require_connected
 from .pds import pds_size_upper_bound
 
@@ -221,7 +221,7 @@ def pds_extension(
     if n > cap:
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
     if len(base) >= n:
-        raise InvalidSubsetSize("base must be a strict subset of the vertices")
+        raise InvalidArgument("base must be a strict subset of the vertices")
     order = [v for v in range(n) if not base.mask >> v & 1] + base.members()
     label = [0] * n
     for i, v in enumerate(order):

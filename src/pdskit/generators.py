@@ -41,7 +41,7 @@ import random
 import re
 from typing import Iterator, NamedTuple
 
-from .errors import InfeasibleParameters, InstanceTooLarge, InvalidGraph, UnknownFixture
+from .errors import InstanceTooLarge, InvalidArgument, InvalidGraph, UnknownName
 from .graph import MAX_VERTICES, Graph, parse_graph
 
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
@@ -97,36 +97,38 @@ def fixture(name: str) -> FixtureRecord:
             raise InvalidGraph(f"{name}: n={digits} is above the limit of {MAX_VERTICES} vertices")
         builder = {"star": star_graph, "path": path_graph, "cycle": cycle_graph}[kind]
         return FixtureRecord(name, builder(int(digits)), {}, None)
-    raise UnknownFixture(f"no fixture named {name!r}")
+    raise UnknownName(f"no fixture named {name!r}")
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices: center 0, n-1 leaves."""
     if n < 2:
-        raise InfeasibleParameters("a star needs at least two vertices")
+        raise InvalidArgument("a star needs at least two vertices")
     return Graph(n, [(0, v) for v in range(1, n)])
 
 
 def path_graph(n: int) -> Graph:
     if n < 2:
-        raise InfeasibleParameters("a path needs at least two vertices")
+        raise InvalidArgument("a path needs at least two vertices")
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise InfeasibleParameters("a cycle needs at least three vertices")
+        raise InvalidArgument("a cycle needs at least three vertices")
     # the closing edge, written (0, n - 1) and second, keeps the list canonical
     return Graph(n, [(0, 1), (0, n - 1)] + [(v, v + 1) for v in range(1, n - 1)])
 
 
 def random_connected(n: int, m: int, seed: int | None = None) -> Graph:
     """Random connected graph: a random spanning tree plus random extra edges."""
+    if n > MAX_VERTICES:
+        raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
     if n < 2:
-        raise InfeasibleParameters("need n >= 2")
+        raise InvalidArgument("need n >= 2")
     max_m = n * (n - 1) // 2
     if not n - 1 <= m <= max_m:
-        raise InfeasibleParameters(f"need n-1 <= m <= {max_m}, got m={m}")
+        raise InvalidArgument(f"need n-1 <= m <= {max_m}, got m={m}")
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
@@ -273,7 +275,7 @@ def _connected_masks(n: int, cache=_connected_cache) -> list[tuple[int, ...]]:
 def all_connected_graphs(n: int) -> Iterator[Graph]:
     """All connected n-vertex graphs, one per isomorphism class."""
     if n < 2:
-        raise InfeasibleParameters("enumeration starts at n=2")
+        raise InvalidArgument("enumeration starts at n=2")
     if n > _ENUM_CAP:
         raise InstanceTooLarge(f"enumeration is capped at n={_ENUM_CAP}")
     for adj in _connected_masks(n):

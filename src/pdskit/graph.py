@@ -13,7 +13,7 @@ from itertools import compress, islice, starmap
 from operator import itemgetter, le, lt
 from typing import Iterable, Iterator
 
-from .errors import Disconnected, InvalidGraph, InvalidSubsetSize, ParseError
+from .errors import Disconnected, InvalidArgument, InvalidGraph, ParseError
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -34,7 +34,7 @@ class VertexSet:
 
     def __init__(self, n: int, mask: int, size: int | None = None):
         if n < 0 or mask < 0 or mask >> n:
-            raise InvalidSubsetSize(f"mask does not fit a {n}-vertex graph")
+            raise InvalidArgument(f"mask does not fit a {n}-vertex graph")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "size", mask.bit_count() if size is None else size)
@@ -44,7 +44,7 @@ class VertexSet:
         buf = bytearray((n + 7) // 8 or 1)
         for v in ids:
             if not 0 <= v < n:
-                raise InvalidSubsetSize(f"vertex {v} out of range for n={n}")
+                raise InvalidArgument(f"vertex {v} out of range for n={n}")
             buf[v >> 3] |= 1 << (v & 7)
         return cls(n, int.from_bytes(bytes(buf), "little"))
 
@@ -266,9 +266,9 @@ def is_split(g: Graph) -> bool:
 def induced_connected(g: Graph, s: VertexSet) -> bool:
     """True when the subgraph induced by s is connected (s must be non-empty).
 
-    Reads only g.adj, so a CubicCycleGraph's own neighbour table serves."""
+    Reads only g.adj, row by row, so a CubicCycleGraph's row view serves."""
     if len(s) == 0:
-        raise InvalidSubsetSize("connectivity of the empty subgraph is undefined")
+        raise InvalidArgument("connectivity of the empty subgraph is undefined")
     # non-members start out marked, so the search never leaves s
     seen = s.flags().translate(_FLIP)
     start = (s.mask & -s.mask).bit_length() - 1

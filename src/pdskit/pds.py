@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple
 
-from .errors import Disconnected, InvalidSubsetSize, NotAPds, VerificationFailed
+from .errors import Disconnected, InvalidArgument, NotAPds, VerificationFailed
 from .graph import Graph, VertexSet, induced_connected
 
 
@@ -26,12 +26,12 @@ class PdsVerdict(NamedTuple):
 def check_pds(g: Graph, s: VertexSet) -> PdsVerdict:
     """Check every member of s; collect all violators.
 
-    Reads only g.n, g.adj and g.deg, so a CubicCycleGraph is checked on
-    its own neighbour table, the same way as a Graph."""
+    Reads only g.n, g.adj[u] for members u, and g.deg, so a
+    CubicCycleGraph is checked through its row view, as a Graph is."""
     if s.n != g.n:
-        raise InvalidSubsetSize(f"set lives on {s.n} vertices, graph has {g.n}")
+        raise InvalidArgument(f"set lives on {s.n} vertices, graph has {g.n}")
     if not 2 <= len(s) < g.n:
-        raise InvalidSubsetSize(f"need 2 <= |S| < n, got |S|={len(s)}, n={g.n}")
+        raise InvalidArgument(f"need 2 <= |S| < n, got |S|={len(s)}, n={g.n}")
     flags = s.flags()
     co = g.n - len(s)
     sm1 = len(s) - 1
@@ -54,7 +54,8 @@ def recheck(g: Graph, s: VertexSet, what: str, connected: bool = False) -> bool:
     Raises VerificationFailed unless s is a PDS of g, and also unless s
     induces a connected subgraph when connected is set.  Returns whether
     it does.  Reads only g.n, g.adj and g.deg (through check_pds and
-    induced_connected), so g may be a Graph or a CubicCycleGraph.
+    induced_connected), so g may be a Graph or a CubicCycleGraph, whose
+    rows are made from its chord table as they are read.
     """
     if not check_pds(g, s).holds:
         raise VerificationFailed(f"{what} failed the re-check")

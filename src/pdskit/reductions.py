@@ -22,12 +22,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import (
+    InvalidArgument,
     IsStar,
-    KOutOfRange,
     NotAPds,
     NotIndependent,
     ParseError,
-    SizeBelowThreshold,
     VerificationFailed,
 )
 from .graph import (
@@ -167,7 +166,7 @@ class BipartiteReduction(_BipartiteFields, _ReductionBase):
         """Core plus the mapped set; needs |is_set| >= k to be a PDS."""
         _require_independent(self.source, is_set)
         if len(is_set) < self.k:
-            raise SizeBelowThreshold(
+            raise InvalidArgument(
                 f"need an independent set of size >= k={self.k}, got {len(is_set)}"
             )
         mask = self._core_mask() | self._map_source_set(is_set)
@@ -178,7 +177,7 @@ class BipartiteReduction(_BipartiteFields, _ReductionBase):
         if not check_pds(self.target, s).holds:
             raise NotAPds("normalize_pds needs a PDS of the target")
         if len(s) < self.threshold:
-            raise SizeBelowThreshold(
+            raise InvalidArgument(
                 f"need |S| >= {self.threshold}, got {len(s)}"
             )
         return VertexSet(self.target.n, s.mask | self._core_mask())
@@ -224,7 +223,7 @@ def split_reduction(g: Graph) -> SplitReduction:
 def bipartite_reduction(g: Graph, k: int) -> BipartiteReduction:
     _require_reducible(g)
     if not 1 <= k < g.n - 1:
-        raise KOutOfRange(f"need 1 <= k < n-1, got k={k}, n={g.n}")
+        raise InvalidArgument(f"need 1 <= k < n-1, got k={k}, n={g.n}")
     m = g.m
     filler_count = m * (g.n - k - 1) - k + 1
     edge_ids = {e: filler_count + i for i, e in enumerate(g.edges)}

@@ -41,6 +41,7 @@ from pdskit.exact import adjacency_masks
 from pdskit.generators import _canonical_key
 
 from .conftest import record_acceptance
+from .cubic_reference import to_graph
 from .descend_reference import ksubset_masks, mask_is_pds
 
 
@@ -257,7 +258,7 @@ def test_criterion_09_cubic_optimality():
         for inst in all_cubic_cycles(n):
             total += 1
             out = solve_hamiltonian_cubic(inst)  # verify=True re-checks the set
-            g = inst.to_graph()
+            g = to_graph(inst)
             if out.exceptional is not None:
                 exceptional += 1
                 if n != 8 or _canonical_key(8, adjacency_masks(g)) not in exceptional_keys:
@@ -274,7 +275,7 @@ def test_criterion_09_cubic_optimality():
             if out.exceptional is not None:
                 failures.append(f"stray exception at n={n} seed={seed}")
                 continue
-            g = inst.to_graph()
+            g = to_graph(inst)
             if max_pds_exact(g, connected_only=True).size != len(out.pds):
                 failures.append(f"suboptimal answer at n={n} seed={seed}")
         counts[n] = (200, 0)

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from pdskit import (
     Disconnected,
     Graph,
-    GraphTooSmall,
     InstanceTooLarge,
-    InvalidSubsetSize,
-    KOutOfRange,
+    InvalidArgument,
     VertexSet,
     all_connected_graphs,
     approx_ratio_bound,
@@ -56,13 +54,13 @@ class TestHalfPds:
         assert a[0] == b[0] and a[1].initial == b[1].initial
 
     def test_init_size_enforced(self):
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match="init must have exactly 2 vertices"):
             half_pds(K4, init=VertexSet.from_ids(4, [0, 1, 2]))
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match="init must have exactly 2 vertices"):
             half_pds(K4, init=VertexSet.from_ids(5, [0, 1]))
 
     def test_small_and_disconnected_rejected(self):
-        with pytest.raises(GraphTooSmall):
+        with pytest.raises(InvalidArgument, match="at least three vertices"):
             half_pds(Graph(2, [(0, 1)]))
         with pytest.raises(Disconnected):
             half_pds(Graph(4, [(0, 1), (2, 3)]))
@@ -258,9 +256,9 @@ class TestDecide:
                     assert decide_pds_at_least_k(g, k) == (opt >= k)
 
     def test_k_range_enforced(self):
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(InvalidArgument, match="need 2 <= k < n, got k=1"):
             decide_pds_at_least_k(K4, 1)
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(InvalidArgument, match="need 2 <= k < n, got k=4"):
             decide_pds_at_least_k(K4, 4)
 
     def test_cap_applies_only_beyond_half(self):

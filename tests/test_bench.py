@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pdskit import UnknownSuite, generators
+from pdskit import UnknownName, generators
 from pdskit.bench import (
     approx_scaling,
     cubic_scaling,
@@ -70,9 +70,9 @@ class TestSuites:
         assert len(rows) == 1
 
     def test_unknown_suite(self):
-        with pytest.raises(UnknownSuite):
+        with pytest.raises(UnknownName, match="no suite named ''"):
             run_suite("")
-        with pytest.raises(UnknownSuite):
+        with pytest.raises(UnknownName, match="no suite named 'nope'"):
             run_suite("nope")
 
 

@@ -19,6 +19,9 @@ from pdskit import (
 )
 from pdskit.cli import main
 from pdskit.generators import _connected_cache
+from pdskit.graph import MAX_VERTICES
+
+from .cubic_reference import to_graph
 
 
 def run(capsys, *argv):
@@ -198,7 +201,7 @@ class TestCubic:
 
     def test_find_cycle_is_capped(self, capsys, tmp_path):
         f = tmp_path / "cubic26.txt"
-        f.write_text(emit_graph(random_cubic_cycle(26, seed=0).to_graph()))
+        f.write_text(emit_graph(to_graph(random_cubic_cycle(26, seed=0))))
         code, _, err = run(capsys, "cubic", str(f), "--find-cycle")
         assert code == 2 and "capped at n=24" in err
 
@@ -329,8 +332,15 @@ class TestHostileInput:
             (["approx", "path1000000000"], None),
             (["gen", "--fixture", "star1000000000"], None),
             (["gen", "--fixture", "cycle1" + "0" * 4999], None),
+            # the random generators check n before they allocate anything
+            (["gen", "--random", str(MAX_VERTICES + 2), str(MAX_VERTICES + 2)], None),
+            (["gen", "--cubic", str(MAX_VERTICES + 2)], None),
+            (["cubic", "--random", str(MAX_VERTICES + 2)], None),
         ],
-        ids=["header", "json", "path fixture", "gen star fixture", "gen 5000-digit fixture"],
+        ids=[
+            "header", "json", "path fixture", "gen star fixture", "gen 5000-digit fixture",
+            "gen random", "gen cubic", "cubic random",
+        ],
     )
     def test_huge_vertex_count(self, tmp_path, argv, text):
         import resource
@@ -348,6 +358,7 @@ class TestHostileInput:
         )
         err = proc.stderr.decode(errors="replace")
         self.assert_input_error(proc.returncode, err, "is above the limit of 4194304 vertices")
+        assert err.count("\n") == 1, err
 
     def test_deeply_nested_certificate(self, capsys, tmp_path):
         f = tmp_path / "cert.json"

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from pdskit import (
     CubicCycleGraph,
-    GraphTooSmall,
-    InfeasibleParameters,
+    Graph,
+    InvalidArgument,
+    InvalidGraph,
     InvalidInstance,
     ParseError,
     UnclassifiedChords,
@@ -45,7 +46,7 @@ from pdskit.cubic import (
 )
 from pdskit.pds import recheck
 
-from .cubic_reference import arc_vertex_set_ids, classify_chords_loop
+from .cubic_reference import arc_vertex_set_ids, classify_chords_loop, to_graph
 
 K4_CHORDS = (2, 3, 0, 1)
 PRISM6_CHORDS = (3, 4, 5, 0, 1, 2)
@@ -92,14 +93,14 @@ class TestCubicCycleGraph:
     def test_valid(self):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
         assert g.window == 2
-        assert g.to_graph().deg == (3,) * 6
+        assert to_graph(g).deg == (3,) * 6
 
     def test_window(self):
         assert CubicCycleGraph(10, N10_FORCED).window == 3
         assert CubicCycleGraph(4, K4_CHORDS).window == 1
 
     def test_to_graph_k4(self):
-        g = CubicCycleGraph(4, K4_CHORDS).to_graph()
+        g = to_graph(CubicCycleGraph(4, K4_CHORDS))
         assert g.m == 6 and g.n == 4  # the complete graph
 
     def test_rejects_bad_instances(self):
@@ -130,17 +131,17 @@ class TestCubicCycleGraph:
     def test_fixture_chords_match_graphs(self):
         for name in ("exc8_paired", "exc8_alternating", "prism6", "k4"):
             rec = fixture(name)
-            assert CubicCycleGraph(rec.graph.n, rec.chords).to_graph() == rec.graph
+            assert to_graph(CubicCycleGraph(rec.graph.n, rec.chords)) == rec.graph
 
     def test_adj_k4_wraps(self):
         g = CubicCycleGraph(4, K4_CHORDS)
-        assert g.adj == ((3, 1, 2), (0, 2, 3), (1, 3, 0), (2, 0, 1))
+        assert tuple(g.adj[v] for v in range(4)) == ((3, 1, 2), (0, 2, 3), (1, 3, 0), (2, 0, 1))
         assert g.deg == (3, 3, 3, 3)
 
     @staticmethod
     def _assert_adj_matches_graph(inst):
-        graph = inst.to_graph()
-        assert len(inst.adj) == inst.n and inst.deg == graph.deg
+        graph = to_graph(inst)
+        assert inst.deg == graph.deg
         for v in range(inst.n):
             assert sorted(inst.adj[v]) == list(graph.adj[v]), (inst, v)
 
@@ -203,14 +204,14 @@ class TestArcs:
         assert find_full_arc(alternating8()) is None
 
     def test_full_arc_too_small(self):
-        with pytest.raises(GraphTooSmall):
+        with pytest.raises(InvalidArgument, match="arcs need n >= 6"):
             find_full_arc(CubicCycleGraph(4, K4_CHORDS))
 
 
 class TestSolve:
     def _assert_optimal(self, g, outcome):
         s = outcome.pds
-        graph = g.to_graph()
+        graph = to_graph(g)
         assert len(s) == max_pds_size_cubic(g.n)
         assert check_pds(graph, s).holds
         assert induced_connected(graph, s)
@@ -285,13 +286,13 @@ class TestVerification:
         assert out.pds is not None  # caller asked for no re-check
 
     def test_finish_agrees_with_graph_recheck(self):
-        """_finish on the instance's own table raises exactly when the
+        """_finish on the instance's own rows raises exactly when the
         re-check on the full Graph does, for every target-size set."""
         checked = rejected = 0
         for n in (4, 6, 8, 10):
             target = max_pds_size_cubic(n)
             for inst in all_cubic_cycles(n):
-                graph = inst.to_graph()
+                graph = to_graph(inst)
                 for ids in combinations(range(n), target):
                     s = VertexSet.from_ids(n, ids)
                     try:
@@ -319,10 +320,10 @@ class TestVerification:
             _finish(g, s, True)
 
     def test_verified_solve_never_builds_a_graph(self, monkeypatch):
-        def no_build(self):
-            raise AssertionError("the verified path must not call to_graph")
+        def no_build(self, *args):
+            raise AssertionError("the verified path must not build a Graph")
 
-        monkeypatch.setattr(CubicCycleGraph, "to_graph", no_build)
+        monkeypatch.setattr(Graph, "__init__", no_build)
         # K4, then the n=10 forced map, n=14 and both n=16 tables
         insts = [CubicCycleGraph(4, K4_CHORDS), jump(10, 3), jump(14, 3)]
         insts += [jump(16, 3), jump(16, 5), random_cubic_cycle(10**4, seed=3)]
@@ -332,8 +333,8 @@ class TestVerification:
             assert len(out.pds) == max_pds_size_cubic(inst.n)
 
     def test_verified_solve_memory_is_linear(self):
-        """The re-check reads the instance's own neighbour table, which must
-        stay linear in n: a per-vertex neighbour bitmask would cost about
+        """The re-check reads the instance's own rows, which must stay
+        linear in n: a per-vertex neighbour bitmask would cost about
         n^2/16 bytes."""
         peaks = {n: _verified_peak(n) for n in (10**4, 10**5)}
         assert peaks[10**5] < 100 * 2**20
@@ -341,7 +342,7 @@ class TestVerification:
 
     def test_verified_solve_builds_no_graph_memory(self):
         # a Graph of the instance (edge set, sorted edges, neighbour
-        # lists) peaks near 48 MB at n=10^5; the neighbour table near 16 MB
+        # lists) peaks near 48 MB at n=10^5; the row view near 5 MB
         assert _verified_peak(10**5) < 25 * 2**20
 
 
@@ -372,48 +373,37 @@ class TestSolveOracles:
 
 
 class TestLeanNeighbourTable:
-    """The re-check's table reuses the chord table's ints and lives only
-    as long as the re-check that built it, and so does deg."""
+    """The re-check reads rows made on demand from n and chord: no table
+    is kept on the instance, before, during or after a re-check."""
 
-    def test_rows_share_the_chord_tables_ints(self):
+    def test_rows_are_made_from_n_and_chord(self):
         g = random_cubic_cycle(10**4, seed=11)
         n, chord, adj = g.n, g.chord, g.adj
+        assert isinstance(vars(CubicCycleGraph)["adj"], property)
+        assert isinstance(vars(CubicCycleGraph)["deg"], property)
         for v in range(n):
             row = adj[v]
             assert row == ((v - 1) % n, (v + 1) % n, chord[v]), v
             assert row[2] is chord[v], v
-            assert row[0] is chord[chord[(v - 1) % n]], v
-            assert row[1] is chord[chord[(v + 1) % n]], v
+        assert adj[0][0] == n - 1 and adj[n - 1][1] == 0
+        assert g.deg == (3,) * n
 
     def test_verified_solve_frees_the_table_it_built(self):
         g = random_cubic_cycle(10**4, seed=12)
+        assert g.adj[0][2] == g.chord[0] and len(g.deg) == g.n  # reads store nothing
         out = solve_hamiltonian_cubic(g, verify=True)
         assert len(out.pds) == max_pds_size_cubic(g.n)
-        assert "adj" not in vars(g) and "deg" not in vars(g)
-        # read again, the table is rebuilt the same
-        assert g.adj == tuple(((v - 1) % g.n, (v + 1) % g.n, c) for v, c in enumerate(g.chord))
-
-    def test_verified_solve_keeps_a_table_built_before(self):
-        g = random_cubic_cycle(10**4, seed=13)
-        table, deg = g.adj, g.deg
-        solve_hamiltonian_cubic(g, verify=True)
-        assert vars(g)["adj"] is table and vars(g)["deg"] is deg
-
-    def test_each_attribute_follows_its_own_builder(self):
-        g = random_cubic_cycle(100, seed=14)
-        deg = g.deg
-        solve_hamiltonian_cubic(g, verify=True)
-        assert "adj" not in vars(g) and vars(g)["deg"] is deg
+        assert vars(g).keys() == {"n", "chord"}
 
     def test_failed_recheck_frees_the_table(self):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
         with pytest.raises(VerificationFailed):
             _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]), True)
-        assert "adj" not in vars(g) and "deg" not in vars(g)
+        assert vars(g).keys() == {"n", "chord"}
 
     def test_verified_peak_is_the_lean_table(self):
-        # 14.2 MiB when the rows held 2n fresh ints; about 8.3 MiB now
-        assert _verified_peak(10**5) < 11 * 2**20
+        # a cached neighbour table peaked at 7.8 MiB, the row view about 4.7
+        assert _verified_peak(10**5) < 6 * 2**20
 
 
 class TestSelfChecks:
@@ -459,10 +449,17 @@ class TestGenerators:
         seen = {random_cubic_cycle(8, seed=s).chord for s in range(40)}
         assert len(seen) > 5
 
+    def test_random_checks_the_vertex_limit_first(self, monkeypatch):
+        monkeypatch.setattr(cubic, "MAX_VERTICES", 1000)
+        with pytest.raises(InvalidGraph, match="^n=1002 is above the limit of 1000 vertices$"):
+            random_cubic_cycle(1002)
+        with pytest.raises(InvalidGraph, match="^n=1001 is above the limit"):
+            random_cubic_cycle(1001)  # before the even-n check
+
     def test_random_rejects_bad_n(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="need even n >= 4, got 7"):
             random_cubic_cycle(7)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="need even n >= 4, got 2"):
             random_cubic_cycle(2)
 
     def test_enumeration_counts(self):

@@ -10,7 +10,7 @@ from pdskit import (
     Disconnected,
     Graph,
     InstanceTooLarge,
-    InvalidSubsetSize,
+    InvalidArgument,
     NoPds,
     VertexSet,
     all_connected_graphs,
@@ -256,7 +256,7 @@ class TestExtension:
         assert ext is not None and len(ext) == 3
 
     def test_full_base_rejected(self):
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match="strict subset"):
             pds_extension(K4, K4.full_set())
 
     def test_matches_scan_on_every_base_n_le_6(self):

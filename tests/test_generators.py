@@ -5,8 +5,9 @@ import pytest
 
 from pdskit import (
     Graph,
-    InfeasibleParameters,
-    UnknownFixture,
+    InvalidArgument,
+    InvalidGraph,
+    UnknownName,
     all_connected_graphs,
     cycle_graph,
     fixture,
@@ -20,6 +21,7 @@ from pdskit import (
     random_connected,
     star_graph,
 )
+from pdskit import generators
 from pdskit.exact import adjacency_masks
 from pdskit.generators import (
     _canonical_key,
@@ -46,9 +48,9 @@ class TestFixtures:
         ]
 
     def test_unknown(self):
-        with pytest.raises(UnknownFixture):
+        with pytest.raises(UnknownName, match="no fixture named 'nope'"):
             fixture("nope")
-        with pytest.raises(UnknownFixture):
+        with pytest.raises(UnknownName, match="no fixture named 'star'"):
             fixture("star")  # parametric names need a number
 
     def test_expected_values_are_truthful(self):
@@ -90,11 +92,11 @@ class TestBuilders:
         assert cycle_graph(3).m == 3
 
     def test_bad_parameters(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="a star needs"):
             star_graph(1)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="a path needs"):
             path_graph(1)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="a cycle needs"):
             cycle_graph(2)
 
     def test_stars_have_near_full_optimum(self):
@@ -121,12 +123,17 @@ class TestRandomConnected:
         assert g.m == 180 and is_connected(g)
 
     def test_bad_parameters(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="need n-1 <= m <= 10, got m=3"):
             random_connected(5, 3, seed=0)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="need n-1 <= m <= 10, got m=11"):
             random_connected(5, 11, seed=0)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="need n >= 2"):
             random_connected(1, 0, seed=0)
+
+    def test_vertex_limit_checked_first(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_VERTICES", 1000)
+        with pytest.raises(InvalidGraph, match="^n=1001 is above the limit of 1000 vertices$"):
+            random_connected(1001, 10**9, seed=0)  # before the m check
 
 
 class TestEnumeration:
@@ -161,7 +168,7 @@ class TestEnumeration:
 
         with pytest.raises(InstanceTooLarge):
             next(all_connected_graphs(10))
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(InvalidArgument, match="starts at n=2"):
             next(all_connected_graphs(1))
 
 

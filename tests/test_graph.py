@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from pdskit import (
     Disconnected,
     Graph,
+    InvalidArgument,
     InvalidGraph,
-    InvalidSubsetSize,
     ParseError,
     VertexSet,
     emit_graph,
@@ -50,9 +50,9 @@ class TestVertexSet:
         assert VertexSet(5, 0b10110).members() == [1, 2, 4]
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match="vertex 4 out of range for n=4"):
             VertexSet.from_ids(4, [4])
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match="does not fit a 3-vertex graph"):
             VertexSet(3, 0b1000)
 
     def test_complement(self):
@@ -323,7 +323,7 @@ class TestPredicates:
     def test_induced_connected(self):
         assert induced_connected(P4, VertexSet.from_ids(4, [1, 2]))
         assert not induced_connected(P4, VertexSet.from_ids(4, [0, 3]))
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match="empty subgraph"):
             induced_connected(P4, VertexSet.from_ids(4, []))
 
 

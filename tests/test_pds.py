@@ -6,7 +6,7 @@ from hypothesis import given
 from pdskit import (
     Disconnected,
     Graph,
-    InvalidSubsetSize,
+    InvalidArgument,
     NotAPds,
     VerificationFailed,
     VertexSet,
@@ -45,11 +45,11 @@ class TestCheckPds:
         assert check_pds(C5, VertexSet.from_ids(5, [0, 1, 2])).holds
 
     def test_size_limits(self):
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match=r"need 2 <= \|S\| < n, got \|S\|=1"):
             check_pds(K4, VertexSet.from_ids(4, [0]))
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match=r"need 2 <= \|S\| < n, got \|S\|=4"):
             check_pds(K4, K4.full_set())
-        with pytest.raises(InvalidSubsetSize):
+        with pytest.raises(InvalidArgument, match="set lives on 5 vertices, graph has 4"):
             check_pds(K4, VertexSet.from_ids(5, [0, 1]))
 
     @given(graphs_with_subset(connected=False))

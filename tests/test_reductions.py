@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from pdskit import (
     Disconnected,
     Graph,
+    InvalidArgument,
     IsStar,
-    KOutOfRange,
     NotAPds,
     NotIndependent,
     ParseError,
-    SizeBelowThreshold,
     VertexSet,
     bipartite_reduction,
     certificate_from_json,
@@ -143,7 +142,7 @@ class TestBipartiteStructure:
 
     def test_k_range(self):
         for k in (0, DEMO5.n - 1, -2):
-            with pytest.raises(KOutOfRange):
+            with pytest.raises(InvalidArgument, match="need 1 <= k < n-1"):
                 bipartite_reduction(DEMO5, k)
 
     def test_adjacency(self):
@@ -160,7 +159,7 @@ class TestBipartiteStructure:
 class TestBipartiteTransfer:
     def test_embed_needs_k_vertices(self):
         inst = bipartite_reduction(DEMO5, 3)
-        with pytest.raises(SizeBelowThreshold):
+        with pytest.raises(InvalidArgument, match="independent set of size >= k=3, got 2"):
             inst.embed_independent_set(VertexSet.from_ids(5, [0, 2]))
 
     def test_embed_reaches_threshold(self):
@@ -180,7 +179,7 @@ class TestBipartiteTransfer:
     def test_normalize_enforces_threshold(self):
         inst = bipartite_reduction(DEMO5, 3)
         small = VertexSet.from_ids(inst.target.n, range(2, 6))
-        with pytest.raises((SizeBelowThreshold, NotAPds)):
+        with pytest.raises(InvalidArgument, match=r"need \|S\| >= 13, got 4"):
             inst.normalize_pds(small)
 
 
