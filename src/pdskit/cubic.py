@@ -15,18 +15,18 @@ forward, BACK when at most k steps backward, untagged otherwise.  A full
 arc starting at u exists iff u is not BACK and the vertex k+1 behind u
 is not AHEAD, so one O(n) scan decides it.
 
-The answer is re-checked by pds.recheck on the instance itself: g.adj is
-a view whose row v, ((v-1) mod n, (v+1) mod n, chord[v]), is made when it
-is read, from n and the validated chord matching alone.  So the check
-stays independent of the arc logic and costs O(n) without building a
-Graph or any neighbour table.
+The answer is re-checked from n and the validated chord matching alone,
+independently of the arc logic and without building a Graph: three byte
+lanes of membership flags sum to every inside degree, one translate table
+tests them all, and the answer's runs along the cycle, joined by its
+chords, decide connectivity.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from itertools import count, islice
+from itertools import accumulate, compress, count, islice
 from operator import eq, itemgetter, sub
 from typing import NamedTuple
 
@@ -39,8 +39,7 @@ from .errors import (
     UnclassifiedChords,
     VerificationFailed,
 )
-from .graph import MAX_VERTICES, Graph, VertexSet, _data_ints, is_cubic
-from .pds import recheck
+from .graph import MAX_VERTICES, Graph, VertexSet, _data_ints, _reach, is_cubic
 
 AHEAD = "ahead"
 BACK = "back"
@@ -59,7 +58,7 @@ class CubicCycleGraph:
     """Even cycle plus chord perfect matching; chord[v] is v's partner.
 
     chord may be any sequence of ints; it is stored as a tuple.  Immutable,
-    like Graph, and holds only n and chord: adj and deg are made when read."""
+    like Graph, and holds only n and chord."""
 
     def __init__(self, n: int, chord):
         raw = chord
@@ -105,30 +104,6 @@ class CubicCycleGraph:
     def window(self) -> int:
         """Tag window k = ceil((n-1)/3)."""
         return (self.n + 1) // 3
-
-    @property
-    def adj(self) -> _Rows:
-        """adj[v] = ((v-1) mod n, (v+1) mod n, chord[v]): the neighbours of
-        v, for the re-check.  The arc and tag logic never reads it."""
-        return _Rows(self.n, self.chord)
-
-    @property
-    def deg(self) -> tuple[int, ...]:
-        return (3,) * self.n
-
-
-class _Rows:
-    """The neighbour rows of a cycle plus chords, each made when read."""
-
-    __slots__ = ("n", "chord")
-
-    def __init__(self, n: int, chord: tuple[int, ...]):
-        self.n = n
-        self.chord = chord
-
-    def __getitem__(self, v: int) -> tuple[int, int, int]:
-        n = self.n
-        return ((v - 1) % n, (v + 1) % n, self.chord[v])
 
 
 class Arc(NamedTuple):
@@ -236,10 +211,9 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
 
     Returns the exceptional pattern name instead of a set exactly for the
     two n=8 chord structures whose optimum falls below floor((2n+1)/3).
-    With verify=True (default) the answer must have the target size and
-    pass pds.recheck (density and induced connectivity) on g's own
-    neighbour rows, g.adj, made from n and chord as they are read; no
-    Graph or neighbour table is built.
+    With verify=True (default) the answer must have the target size, be
+    proportionally dense and induce a connected subgraph, checked in bulk
+    passes over n and chord alone; no Graph or neighbour table is built.
     """
     n = g.n
     if n == 4:
@@ -306,8 +280,44 @@ def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:
         target = max_pds_size_cubic(g.n)
         if len(s) != target:
             raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
-        recheck(g, s, "answer", connected=True)
+        _recheck(g, s)
     return CubicOutcome(s, None)
+
+
+def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
+    """Raise VerificationFailed unless s (2 <= |s| < n) is a PDS of g that
+    induces a connected subgraph.  Reads only g.n and g.chord."""
+    n, chord = g.n, g.chord
+    flags = s.flags()
+    member = int.from_bytes(flags, "little")
+    # byte v of each lane is the flag of one neighbour of v: v-1, v+1 and
+    # chord[v].  Their sum is v's inside degree, at most 3, so no byte
+    # carries into the next.
+    before = int.from_bytes(flags[-1:] + flags[:-1], "little")
+    inside = before + int.from_bytes(flags[1:] + flags[:1], "little")
+    inside += int.from_bytes(bytes(itemgetter(*chord)(flags)), "little")
+    # d inside and 3 - d outside fail iff d * (n - |S|) < (3 - d) * (|S| - 1)
+    fails = bytes(d * (n - len(s)) < (3 - d) * (len(s) - 1) for d in range(4))
+    violators = inside.to_bytes(n, "little").translate(fails.ljust(256, b"\0"))
+    if int.from_bytes(violators, "little") & member:
+        raise VerificationFailed("answer failed the re-check")
+    # a run of S along the cycle starts at each member whose predecessor
+    # is not one; S is connected iff the chords inside it join its runs
+    starts = (member & ~before).to_bytes(n, "little")
+    runs = starts.count(1)
+    if runs <= 1:
+        return
+    # labels[v] counts the starts up to v.  Label 0, the members before the
+    # first start, is the tail of the run that wraps from n - 1 to 0 (and
+    # has no members when no run wraps), so it is joined to the last run.
+    labels = list(accumulate(starts))
+    joins = [set() for _ in range(runs + 1)]
+    joins[runs].add(0)
+    for u in compress(range(n), flags):
+        if flags[chord[u]]:
+            joins[labels[u]].add(labels[chord[u]])
+    if _reach(joins, bytearray(runs + 1), runs) <= runs:
+        raise VerificationFailed("answer is not connected")
 
 
 def random_cubic_cycle(n: int, seed: int | None = None) -> CubicCycleGraph:

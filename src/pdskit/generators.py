@@ -42,7 +42,7 @@ import re
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, InvalidGraph, UnknownName
-from .graph import MAX_VERTICES, Graph, parse_graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph
 
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
 
@@ -124,6 +124,8 @@ def random_connected(n: int, m: int, seed: int | None = None) -> Graph:
     """Random connected graph: a random spanning tree plus random extra edges."""
     if n > MAX_VERTICES:
         raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
+    if m > MAX_EDGES:
+        raise InvalidGraph(f"m={m} is above the limit of {MAX_EDGES} edges")
     if n < 2:
         raise InvalidArgument("need n >= 2")
     max_m = n * (n - 1) // 2

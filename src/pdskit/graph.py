@@ -26,6 +26,13 @@ _SECOND = itemgetter(1)
 # refused first; 2**22 is far above the largest approx-scaling graph (131,072).
 MAX_VERTICES = 2**22
 
+# The most edges a generated graph may have.  random_connected and the
+# bipartite reduction build their edge list before any Graph can refuse
+# it; random_connected peaked at 270-430 bytes per edge (edge set, the
+# dense draw's complement list, sorted tuple, neighbour rows), so 2**22
+# edges stay under 2 GB.  The largest approx-scaling graph has 2**19.
+MAX_EDGES = 2**22
+
 
 class VertexSet:
     """Immutable subset of the vertices of an n-vertex graph."""
@@ -264,9 +271,7 @@ def is_split(g: Graph) -> bool:
 
 
 def induced_connected(g: Graph, s: VertexSet) -> bool:
-    """True when the subgraph induced by s is connected (s must be non-empty).
-
-    Reads only g.adj, row by row, so a CubicCycleGraph's row view serves."""
+    """True when the subgraph induced by s is connected (s must be non-empty)."""
     if len(s) == 0:
         raise InvalidArgument("connectivity of the empty subgraph is undefined")
     # non-members start out marked, so the search never leaves s

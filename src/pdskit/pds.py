@@ -24,10 +24,7 @@ class PdsVerdict(NamedTuple):
 
 
 def check_pds(g: Graph, s: VertexSet) -> PdsVerdict:
-    """Check every member of s; collect all violators.
-
-    Reads only g.n, g.adj[u] for members u, and g.deg, so a
-    CubicCycleGraph is checked through its row view, as a Graph is."""
+    """Check every member of s; collect all violators."""
     if s.n != g.n:
         raise InvalidArgument(f"set lives on {s.n} vertices, graph has {g.n}")
     if not 2 <= len(s) < g.n:
@@ -53,9 +50,7 @@ def recheck(g: Graph, s: VertexSet, what: str, connected: bool = False) -> bool:
 
     Raises VerificationFailed unless s is a PDS of g, and also unless s
     induces a connected subgraph when connected is set.  Returns whether
-    it does.  Reads only g.n, g.adj and g.deg (through check_pds and
-    induced_connected), so g may be a Graph or a CubicCycleGraph, whose
-    rows are made from its chord table as they are read.
+    it does.
     """
     if not check_pds(g, s).holds:
         raise VerificationFailed(f"{what} failed the re-check")

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .errors import (
     InvalidArgument,
+    InvalidGraph,
     IsStar,
     NotAPds,
     NotIndependent,
@@ -30,6 +31,7 @@ from .errors import (
     VerificationFailed,
 )
 from .graph import (
+    MAX_EDGES,
     Graph,
     VertexSet,
     _json_ints,
@@ -226,6 +228,10 @@ def bipartite_reduction(g: Graph, k: int) -> BipartiteReduction:
         raise InvalidArgument(f"need 1 <= k < n-1, got k={k}, n={g.n}")
     m = g.m
     filler_count = m * (g.n - k - 1) - k + 1
+    # the filler-to-edge block, and each edge vertex's n - 2 source links
+    target_m = filler_count * m + m * (g.n - 2)
+    if target_m > MAX_EDGES:
+        raise InvalidGraph(f"target m={target_m} is above the limit of {MAX_EDGES} edges")
     edge_ids = {e: filler_count + i for i, e in enumerate(g.edges)}
     source_ids = tuple(filler_count + m + v for v in range(g.n))
     edges = [(f, eid) for f in range(filler_count) for eid in edge_ids.values()]

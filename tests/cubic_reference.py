@@ -3,8 +3,8 @@ an instance's general Graph.
 
 Kept only as test oracles: ``pdskit.cubic.classify_chords`` (one table
 lookup per vertex, in C-level passes) and ``Arc.vertex_set`` (a rotated
-bit run) must return exactly what these return, and the rows of
-``CubicCycleGraph.adj`` must list ``to_graph(g)``'s neighbours.
+bit run) must return exactly what these return, and the bulk re-check
+``cubic._recheck`` must agree with ``pds.recheck`` on ``to_graph(g)``.
 """
 
 from __future__ import annotations

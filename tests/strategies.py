@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from pdskit import Graph, VertexSet
+from pdskit import CubicCycleGraph, Graph, InvalidInstance, VertexSet, random_cubic_cycle
 
 
 @st.composite
@@ -38,3 +41,61 @@ def graphs_with_subset(draw, min_n: int = 3, max_n: int = 9, connected: bool = T
     size = draw(st.integers(min_value=2, max_value=g.n - 1))
     ids = draw(st.permutations(range(g.n)))[:size]
     return g, VertexSet.from_ids(g.n, ids)
+
+
+def arc_union_case(n: int, arcs, seed: int, pairing: str):
+    """A cycle-plus-chords instance on n vertices and the set S that is the
+    union of the arcs, given as (start, length) pairs; an arc may wrap
+    from n-1 to 0.
+
+    pairing "random" draws a uniform random chord matching.  "set" pairs
+    S's members among themselves at random, and "runs" pairs them within
+    each run of S along the cycle; a leftover member pairs with the next
+    run, or with a non-member.  So S is often a PDS whose runs meet only
+    through chords, and under "runs" one that is disconnected."""
+    full = (1 << n) - 1
+    mask = 0
+    for start, length in arcs:
+        run = ((1 << length) - 1) << start
+        mask |= (run | run >> n) & full
+    s = VertexSet(n, mask)
+    others = s.complement().members()
+    if pairing != "random" and others:
+        rng = random.Random(seed)
+        # in cycle order from a non-member, so that no run is cut in two
+        members = sorted(s.members(), key=lambda v: (v - others[0]) % n)
+        groups = [members]
+        if pairing == "runs":
+            groups = []
+            for v in members:
+                if (v - 1) % n not in s:
+                    groups.append([])
+                groups[-1].append(v)
+        for _ in range(20):  # a shuffle may pair two cycle neighbours
+            for part in groups + [others]:
+                rng.shuffle(part)
+            order = [v for part in groups + [others] for v in part]
+            chord = [0] * n
+            for u, v in zip(order[::2], order[1::2]):
+                chord[u], chord[v] = v, u
+            try:
+                return CubicCycleGraph(n, chord), s
+            except InvalidInstance:
+                pass
+    return random_cubic_cycle(n, seed=seed), s
+
+
+@st.composite
+def cubic_arc_unions(draw, max_n: int = 300):
+    """arc_union_case with 6 <= n <= max_n, one to five arcs of up to n/3
+    vertices each, the first one half the time across n-1 and 0, and
+    2 <= |S| < n."""
+    n = 2 * draw(st.integers(min_value=3, max_value=max_n // 2))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(1, n // 3))
+    arcs = draw(st.lists(arc, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        arcs[0] = (n - arcs[0][1] // 2 - 1, arcs[0][1])
+    pairing = draw(st.sampled_from(("random", "set", "runs")))
+    g, s = arc_union_case(n, arcs, draw(st.integers(0, 2**32)), pairing)
+    assume(2 <= len(s) < n)
+    return g, s

@@ -300,6 +300,9 @@ def test_criterion_10_linear_scaling():
         ok,
         f"slope {slope:.3f} in [0.85, 1.15], r^2 {r2:.3f} >= 0.98 on n=1e3..1e6",
     )
+    # the default verify=True path must stay linear too
+    slope, r2 = fit_loglog([r["n"] for r in rows], [r["verified_seconds"] for r in rows])
+    assert 0.85 <= slope <= 1.15 and r2 >= 0.98, f"verified_seconds slope {slope:.3f}, r^2 {r2:.3f}"
 
 
 def test_criterion_11_declared_hardness_facts():

@@ -11,6 +11,8 @@ import pytest
 from pdskit import (
     VerificationFailed,
     cli,
+    generators,
+    reductions,
     emit_graph,
     fixture,
     graph_from_json,
@@ -19,7 +21,7 @@ from pdskit import (
 )
 from pdskit.cli import main
 from pdskit.generators import _connected_cache
-from pdskit.graph import MAX_VERTICES
+from pdskit.graph import MAX_EDGES, MAX_VERTICES
 
 from .cubic_reference import to_graph
 
@@ -365,6 +367,18 @@ class TestHostileInput:
         f.write_text('{"kind": ' + "[" * self.DEEP + "]" * self.DEEP + "}")
         code, _, err = run(capsys, "certify", str(f))
         assert code == 2 and err.startswith("error: bad JSON: nested too deeply"), err
+
+
+    def test_edge_limit(self, capsys, monkeypatch):
+        # refused before a single edge is drawn or built
+        code, _, err = run(capsys, "gen", "--random", str(MAX_VERTICES), str(MAX_EDGES + 1))
+        assert code == 2 and err == f"error: m={MAX_EDGES + 1} is above the limit of {MAX_EDGES} edges\n"
+        monkeypatch.setattr(generators, "MAX_EDGES", 100)
+        monkeypatch.setattr(reductions, "MAX_EDGES", 100)
+        code, _, err = run(capsys, "gen", "--random", "20", "101")
+        assert code == 2 and err == "error: m=101 is above the limit of 100 edges\n"
+        code, _, err = run(capsys, "reduce", "demo5", "--kind", "bipartite", "--k", "1")
+        assert code == 2 and err == "error: target m=126 is above the limit of 100 edges\n"
 
 
 class TestGen:

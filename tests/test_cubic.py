@@ -6,6 +6,7 @@ import tracemalloc
 from array import array
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,12 +42,14 @@ from pdskit.cubic import (
     _assert_sealed,
     _finish,
     _pattern,
+    _recheck,
     classify_chords,
     find_full_arc,
 )
 from pdskit.pds import recheck
 
 from .cubic_reference import arc_vertex_set_ids, classify_chords_loop, to_graph
+from .strategies import arc_union_case, cubic_arc_unions
 
 K4_CHORDS = (2, 3, 0, 1)
 PRISM6_CHORDS = (3, 4, 5, 0, 1, 2)
@@ -132,28 +135,6 @@ class TestCubicCycleGraph:
         for name in ("exc8_paired", "exc8_alternating", "prism6", "k4"):
             rec = fixture(name)
             assert to_graph(CubicCycleGraph(rec.graph.n, rec.chords)) == rec.graph
-
-    def test_adj_k4_wraps(self):
-        g = CubicCycleGraph(4, K4_CHORDS)
-        assert tuple(g.adj[v] for v in range(4)) == ((3, 1, 2), (0, 2, 3), (1, 3, 0), (2, 0, 1))
-        assert g.deg == (3, 3, 3, 3)
-
-    @staticmethod
-    def _assert_adj_matches_graph(inst):
-        graph = to_graph(inst)
-        assert inst.deg == graph.deg
-        for v in range(inst.n):
-            assert sorted(inst.adj[v]) == list(graph.adj[v]), (inst, v)
-
-    def test_adj_matches_to_graph_exhaustive(self):
-        for n in (4, 6, 8, 10, 12):
-            for inst in all_cubic_cycles(n):
-                self._assert_adj_matches_graph(inst)
-
-    @pytest.mark.parametrize("n", [14, 16, 50, 1000, 10**4])
-    def test_adj_matches_to_graph_random(self, n):
-        for seed in range(3):
-            self._assert_adj_matches_graph(random_cubic_cycle(n, seed=seed))
 
 
 class TestArc:
@@ -271,7 +252,7 @@ class TestVerification:
         def no_recheck(*args, **kwargs):
             raise AssertionError("size check must run before the re-check")
 
-        monkeypatch.setattr(cubic, "recheck", no_recheck)
+        monkeypatch.setattr(cubic, "_recheck", no_recheck)
         with pytest.raises(VerificationFailed, match="size 3"):
             _finish(g, VertexSet.from_ids(6, [0, 1, 2]), True)
 
@@ -286,7 +267,7 @@ class TestVerification:
         assert out.pds is not None  # caller asked for no re-check
 
     def test_finish_agrees_with_graph_recheck(self):
-        """_finish on the instance's own rows raises exactly when the
+        """_finish on the instance itself raises exactly when the
         re-check on the full Graph does, for every target-size set."""
         checked = rejected = 0
         for n in (4, 6, 8, 10):
@@ -315,7 +296,7 @@ class TestVerification:
         # 5-8): each member keeps two of its three neighbours inside
         g = CubicCycleGraph(10, (2, 3, 0, 1, 6, 8, 4, 9, 5, 7))
         s = VertexSet.from_ids(10, [0, 1, 2, 5, 6, 7, 8])
-        assert check_pds(g, s).holds
+        assert check_pds(to_graph(g), s).holds
         with pytest.raises(VerificationFailed, match="not connected"):
             _finish(g, s, True)
 
@@ -342,8 +323,82 @@ class TestVerification:
 
     def test_verified_solve_builds_no_graph_memory(self):
         # a Graph of the instance (edge set, sorted edges, neighbour
-        # lists) peaks near 48 MB at n=10^5; the row view near 5 MB
+        # lists) peaks near 48 MB at n=10^5; the verified solve near 5 MB
         assert _verified_peak(10**5) < 25 * 2**20
+
+
+def _recheck_outcomes(g, s):
+    """(the bulk re-check's outcome, pds.recheck's on the instance's Graph):
+    the message's ending, or "ok" when the set passes."""
+    outcomes = []
+    for check in (lambda: _recheck(g, s), lambda: recheck(to_graph(g), s, "answer", connected=True)):
+        try:
+            check()
+            outcomes.append("ok")
+        except VerificationFailed as exc:
+            outcomes.append(str(exc).removeprefix("answer "))
+    return tuple(outcomes)
+
+
+def _runs(s):
+    """How many maximal runs of consecutive cycle vertices s has."""
+    return sum(v in s and (v - 1) % s.n not in s for v in range(s.n))
+
+
+class TestBulkRecheck:
+    """cubic._recheck against pds.recheck(to_graph(g), s, connected=True):
+    the same sets pass, and a failing set fails with the same message."""
+
+    def test_matches_graph_recheck_on_every_small_set(self):
+        seen = set()
+        for n in (4, 6, 8):
+            for g in all_cubic_cycles(n):
+                for mask in range(1, 1 << n):
+                    s = VertexSet(n, mask)
+                    if 2 <= len(s) < n:
+                        got, expected = _recheck_outcomes(g, s)
+                        assert got == expected, (g, s)
+                        seen.add(got)
+        assert seen == {"ok", "failed the re-check"}  # n <= 8 has no disconnected PDS
+
+    @pytest.mark.parametrize("n", [14, 16, 50, 1000, 10**4])
+    def test_matches_graph_recheck_on_random_instances(self, n):
+        rng = random.Random(n)
+        for seed in range(3):
+            g = random_cubic_cycle(n, seed=seed)
+            sets = [solve_hamiltonian_cubic(g, verify=False).pds]
+            sets += [VertexSet(n, rng.getrandbits(n)) for _ in range(3)]
+            cases = [(g, s) for s in sets if 2 <= len(s) < n]
+            cases.append(arc_union_case(n, [(rng.randrange(n), n // 5) for _ in range(3)], seed, "runs"))
+            for inst, s in cases:
+                got, expected = _recheck_outcomes(inst, s)
+                assert got == expected, (n, seed, s)
+
+    def test_arc_unions_cover_every_case(self):
+        """The sets the property below draws: several runs joined only by
+        chords, disconnected PDSs, and both with a run through n-1 and 0."""
+        rng = random.Random(0)
+        cases = set()
+        for seed in range(400):
+            n = 2 * rng.randint(3, 150)
+            arcs = [(rng.randrange(n), rng.randint(1, n // 3)) for _ in range(rng.randint(1, 5))]
+            g, s = arc_union_case(n, arcs, seed, rng.choice(("random", "set", "runs")))
+            if not 2 <= len(s) < n:
+                continue
+            got, expected = _recheck_outcomes(g, s)
+            assert got == expected, (g, s)
+            if _runs(s) > 1:
+                cases.add({"ok": "joined by chords", "is not connected": "disconnected"}.get(got))
+                if 0 in s and n - 1 in s:
+                    cases.add(f"wraps, {got}")
+        assert {"joined by chords", "disconnected", "wraps, ok", "wraps, is not connected"} <= cases
+
+
+@given(cubic_arc_unions())
+@settings(max_examples=200, deadline=None)
+def test_bulk_recheck_property(case):
+    got, expected = _recheck_outcomes(*case)
+    assert got == expected, case
 
 
 class TestSolveOracles:
@@ -373,24 +428,18 @@ class TestSolveOracles:
 
 
 class TestLeanNeighbourTable:
-    """The re-check reads rows made on demand from n and chord: no table
-    is kept on the instance, before, during or after a re-check."""
+    """The re-check reads only n and chord: nothing is kept on the
+    instance, before, during or after a re-check."""
 
-    def test_rows_are_made_from_n_and_chord(self):
+    def test_recheck_reads_only_n_and_chord(self):
         g = random_cubic_cycle(10**4, seed=11)
-        n, chord, adj = g.n, g.chord, g.adj
-        assert isinstance(vars(CubicCycleGraph)["adj"], property)
-        assert isinstance(vars(CubicCycleGraph)["deg"], property)
-        for v in range(n):
-            row = adj[v]
-            assert row == ((v - 1) % n, (v + 1) % n, chord[v]), v
-            assert row[2] is chord[v], v
-        assert adj[0][0] == n - 1 and adj[n - 1][1] == 0
-        assert g.deg == (3,) * n
+        bare = SimpleNamespace(n=g.n, chord=g.chord)
+        _recheck(bare, solve_hamiltonian_cubic(g, verify=False).pds)
+        with pytest.raises(VerificationFailed, match="^answer failed the re-check$"):
+            _recheck(bare, VertexSet.from_ids(g.n, range(0, g.n, 2)))
 
     def test_verified_solve_frees_the_table_it_built(self):
         g = random_cubic_cycle(10**4, seed=12)
-        assert g.adj[0][2] == g.chord[0] and len(g.deg) == g.n  # reads store nothing
         out = solve_hamiltonian_cubic(g, verify=True)
         assert len(out.pds) == max_pds_size_cubic(g.n)
         assert vars(g).keys() == {"n", "chord"}
@@ -402,7 +451,9 @@ class TestLeanNeighbourTable:
         assert vars(g).keys() == {"n", "chord"}
 
     def test_verified_peak_is_the_lean_table(self):
-        # a cached neighbour table peaked at 7.8 MiB, the row view about 4.7
+        # a cached neighbour table peaked at 7.8 MiB; now the unverified
+        # solve's tag tuples set the peak, about 4.7 MiB (the re-check's
+        # byte lanes about 1.2)
         assert _verified_peak(10**5) < 6 * 2**20
 
 

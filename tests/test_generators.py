@@ -135,6 +135,16 @@ class TestRandomConnected:
         with pytest.raises(InvalidGraph, match="^n=1001 is above the limit of 1000 vertices$"):
             random_connected(1001, 10**9, seed=0)  # before the m check
 
+    def test_edge_limit_checked_before_any_edge_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_EDGES", 100)
+        assert random_connected(20, 100, seed=0).m == 100
+        # the dense path would list the complement, the sparse one draw edges
+        for n in (20, 100):
+            with pytest.raises(InvalidGraph, match="^m=101 is above the limit of 100 edges$"):
+                random_connected(n, 101, seed=0)
+        with pytest.raises(InvalidGraph, match="^m=10000000000 is above"):
+            random_connected(10, 10**10, seed=0)  # before the m range check
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", sorted(CONNECTED_COUNTS.items()))

@@ -9,6 +9,7 @@ from pdskit import (
     Disconnected,
     Graph,
     InvalidArgument,
+    InvalidGraph,
     IsStar,
     NotAPds,
     NotIndependent,
@@ -25,6 +26,7 @@ from pdskit import (
     split_reduction,
     verify_certificate,
 )
+from pdskit import reductions
 from pdskit.reductions import ReductionCertificate
 
 from .strategies import graphs
@@ -144,6 +146,15 @@ class TestBipartiteStructure:
         for k in (0, DEMO5.n - 1, -2):
             with pytest.raises(InvalidArgument, match="need 1 <= k < n-1"):
                 bipartite_reduction(DEMO5, k)
+
+    def test_edge_limit_checked_before_the_target_is_built(self, monkeypatch):
+        for k in (1, 2, 3):  # filler_count * m edges, and n - 2 source links per edge
+            inst = bipartite_reduction(DEMO5, k)
+            assert inst.target.m == inst.filler_count * DEMO5.m + DEMO5.m * (DEMO5.n - 2)
+        monkeypatch.setattr(reductions, "MAX_EDGES", 125)
+        assert bipartite_reduction(DEMO5, 2).target.m == 84
+        with pytest.raises(InvalidGraph, match="^target m=126 is above the limit of 125 edges$"):
+            bipartite_reduction(DEMO5, 1)
 
     def test_adjacency(self):
         inst = bipartite_reduction(TRIANGLE, 1)
