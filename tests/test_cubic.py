@@ -136,6 +136,40 @@ class TestCubicCycleGraph:
             rec = fixture(name)
             assert to_graph(CubicCycleGraph(rec.graph.n, rec.chords)) == rec.graph
 
+    @staticmethod
+    def _rows(inst):
+        """Each vertex's neighbours as the re-check reads them: the cycle
+        neighbours v - 1 and v + 1, wrapping at 0 and n - 1, and chord[v]."""
+        n = inst.n
+        return [sorted(((v - 1) % n, (v + 1) % n, c)) for v, c in enumerate(inst.chord)]
+
+    def test_adj_k4_wraps(self):
+        g = CubicCycleGraph(4, K4_CHORDS)
+        graph = to_graph(g)
+        assert self._rows(g) == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        assert [list(row) for row in graph.adj] == self._rows(g)
+        assert graph.deg == (3, 3, 3, 3)
+        # {0, 3} and {3, 0, 1} are joined only by the wrap edge 3-0
+        for ids in ((0, 3), (3, 0, 1)):
+            s = VertexSet.from_ids(4, ids)
+            got, expected = _recheck_outcomes(g, s)
+            assert got == expected == "ok", ids
+
+    def test_adj_matches_to_graph_exhaustive(self):
+        for n in (4, 6, 8, 10, 12):
+            for inst in all_cubic_cycles(n):
+                graph = to_graph(inst)
+                assert graph.deg == (3,) * n
+                assert [list(row) for row in graph.adj] == self._rows(inst), inst
+                if 6 <= n <= 10:  # each closed neighbourhood, re-checked both ways
+                    for v, row in enumerate(self._rows(inst)):
+                        s = VertexSet.from_ids(n, [v, *row])
+                        got, expected = _recheck_outcomes(inst, s)
+                        assert got == expected, (inst, v)
+        assert [max_pds_size_cubic(n) for n in (4, 6, 8, 10, 12, 14)] == [
+            3, 4, 5, 7, 8, 9,
+        ]
+
 
 class TestArc:
     def test_wraparound_membership(self):
