@@ -294,16 +294,14 @@ def cmd_cubic(args) -> int:
                 inst = cubic_mod.CubicCycleGraph(rec.graph.n, rec.chords)
                 raw = cubic_mod.emit_cubic(inst)
 
+    # the text and the instance go before the answer's set is emitted
+    payload = {"command": "cubic", "input_digest": _digest(raw), "n": inst.n}
+    del raw
     t0 = time.perf_counter()
     outcome = cubic_mod.solve_hamiltonian_cubic(inst, verify=not args.no_verify)
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "command": "cubic",
-        "input_digest": _digest(raw),
-        "n": inst.n,
-        "seconds": elapsed,
-        "verified": not args.no_verify,
-    }
+    payload["seconds"] = time.perf_counter() - t0
+    payload["verified"] = not args.no_verify
+    del inst
     if outcome.exceptional:
         payload["exceptional"] = outcome.exceptional
         _emit(args, payload, [f"exceptional {outcome.exceptional}", "no PDS of target size"])
@@ -311,10 +309,10 @@ def cmd_cubic(args) -> int:
     s = outcome.pds
     if order is not None:
         # translate cycle positions back to the labels the user supplied
-        s = VertexSet.from_ids(inst.n, (order[v] for v in s.members()))
+        s = VertexSet.from_ids(s.n, (order[v] for v in s.members()))
         payload["cycle"] = order
     payload["size"] = len(s)
-    payload["set"] = s.members() if inst.n <= 100_000 else None
+    payload["set"] = s.members() if s.n <= 100_000 else None
     _emit(args, payload, [f"size {len(s)}"] + _set_lines(s))
     return 0
 

@@ -11,9 +11,11 @@ it yields the optimum.
 
 Every vertex is tagged by where its chord lands relative to the walk
 direction: AHEAD when the chord reaches at most k = ceil((n-1)/3) steps
-forward, BACK when at most k steps backward, untagged otherwise.  A full
-arc starting at u exists iff u is not BACK and the vertex k+1 behind u
-is not AHEAD, so one O(n) scan decides it.
+forward, BACK when at most k steps backward, untagged otherwise.  The tags
+are kept as one code byte per vertex (1 AHEAD, 2 BACK, 0 untagged).  A full
+arc starting at u exists iff u is not BACK and the vertex k+1 behind u is
+not AHEAD; two translates of the codes and one AND of little-endian ints
+find the first such u, and a no-full-arc pattern is one bytes comparison.
 
 The answer is re-checked from n and the validated chord matching alone,
 independently of the arc logic and without building a Graph: three byte
@@ -46,7 +48,10 @@ BACK = "back"
 
 PAIRED = "paired"  # tags run AHEAD,AHEAD,BACK,BACK around the cycle
 ALTERNATING = "alternating"  # tags strictly alternate
-_TAGS = (None, AHEAD, BACK)  # by classify_chords' codes
+_TAGS = (None, AHEAD, BACK)  # by code byte
+_NOT_BACK = b"\1\1".ljust(256, b"\0")  # translate tables of the code bytes
+_NOT_AHEAD = b"\1\0\1".ljust(256, b"\0")
+CODE_BLOCK = 4096  # vertices per itemgetter lookup of the code table
 
 
 def max_pds_size_cubic(n: int) -> int:
@@ -134,16 +139,24 @@ class CubicOutcome(NamedTuple):
     exceptional: str | None
 
 
-def classify_chords(g: CubicCycleGraph) -> tuple[str | None, ...]:
+def _chord_codes(g: CubicCycleGraph) -> bytes:
+    """One code byte per vertex: 1 AHEAD, 2 BACK, 0 untagged."""
     n = g.n
     k = g.window
-    # code[d] for d = (c - v) mod n: 1 AHEAD, 2 BACK, 0 untagged (2k < n, so
-    # the runs never meet).  As -n < c - v < n, indexing by c - v itself
-    # wraps the same way.  One byte per entry stays in cache at n = 10^6,
-    # where a table of n pointers would not.
+    # code[d] for d = (c - v) mod n (2k < n, so the runs never meet).  As
+    # -n < c - v < n, indexing by c - v itself wraps the same way.  One byte
+    # per entry stays in cache at n = 10^6.  No n-entry tuple is built: n and
+    # CODE_BLOCK are even, so no block has the lone entry itemgetter returns bare.
     code = bytes(2) + b"\1" * (k - 1) + bytes(n - 2 * k - 1) + b"\2" * (k - 1) + bytes(1)
-    codes = itemgetter(*map(sub, g.chord, range(n)))(code)
-    return itemgetter(*codes)(_TAGS)
+    chord = g.chord
+    return b"".join(
+        bytes(itemgetter(*map(sub, chord[lo : lo + CODE_BLOCK], range(lo, n)))(code))
+        for lo in range(0, n, CODE_BLOCK)
+    )
+
+
+def classify_chords(g: CubicCycleGraph) -> tuple[str | None, ...]:
+    return itemgetter(*_chord_codes(g))(_TAGS)
 
 
 def _assert_sealed(g: CubicCycleGraph, arc: Arc) -> None:
@@ -162,36 +175,32 @@ def find_full_arc(g: CubicCycleGraph) -> Arc | None:
     if n < 6:
         raise InvalidArgument("arcs need n >= 6")
     k = g.window
-    tags = classify_chords(g)
-    for u in range(n):
-        if tags[u] is not BACK and tags[(u - k - 1) % n] is not AHEAD:
-            arc = Arc(n, u, n - k)
-            _assert_sealed(g, arc)
-            return arc
-    return None
+    codes = _chord_codes(g)
+    behind = codes[-k - 1 :] + codes[: -k - 1]  # byte u is the code of u-k-1
+    # byte u of each flag int is 0 or 1, so bit 8u is the lowest bit of u
+    starts = int.from_bytes(codes.translate(_NOT_BACK), "little")
+    starts &= int.from_bytes(behind.translate(_NOT_AHEAD), "little")
+    if not starts:
+        return None
+    arc = Arc(n, (starts & -starts).bit_length() // 8, n - k)
+    _assert_sealed(g, arc)
+    return arc
 
 
-def _pattern(tags: tuple[str | None, ...], n: int) -> tuple[str, int]:
-    """Classify a no-full-arc tag vector; returns (pattern, rotation).
+def _pattern(codes: bytes) -> tuple[str, int]:
+    """Classify a no-full-arc code string; returns (pattern, rotation).
 
     Rotation r aligns labels so that AHEAD sits on the even residues
     (alternating) or on residues 0,1 mod 4 (paired)."""
-    if any(t is None for t in tags):
+    if 0 in codes:
         raise UnclassifiedChords("untagged vertex despite no full arc")
-    if all(tags[i] != tags[(i + 1) % n] for i in range(n)):
-        return ALTERNATING, 0 if tags[0] == AHEAD else 1
-    for r in range(n):
-        if (
-            tags[r] == AHEAD
-            and tags[(r + 1) % n] == AHEAD
-            and tags[(r + 2) % n] == BACK
-        ):
-            expected = (AHEAD, AHEAD, BACK, BACK)
-            if n % 4 == 0 and all(
-                tags[(r + i) % n] == expected[i % 4] for i in range(n)
-            ):
-                return PAIRED, r
-            break
+    n = len(codes)
+    for pattern, unit in ((ALTERNATING, b"\1\2"), (PAIRED, b"\1\1\2\2")):
+        if n % len(unit) == 0:
+            for r in range(len(unit)):
+                # codes[r + i] is unit[i mod len(unit)]
+                if codes == (unit[-r:] + unit[:-r]) * (n // len(unit)):
+                    return pattern, r
     raise UnclassifiedChords("tags fit neither recognized pattern")
 
 
@@ -222,7 +231,7 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     if arc is not None:
         return _finish(g, arc.vertex_set(), verify)
     k = g.window
-    pattern, r = _pattern(classify_chords(g), n)
+    pattern, r = _pattern(_chord_codes(g))
     if n == 8:
         return CubicOutcome(None, pattern)
 
@@ -231,20 +240,21 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     def cr(v: int) -> int:
         return (chord[(v + r) % n] - r) % n
 
+    # the answer is the arc {start..start+n-k} of the rotated labels, less
+    # its vertex out
+    start, size = 0, n - k + 1
     if n == 10:
         if not _match_table(cr, _TABLE_N10):
             raise UnclassifiedChords("impossible chord map at n=10")
-        drop = {0, 6, 9}
-        kept = [v for v in range(10) if v not in drop]
+        start, out = 1, 6
     elif n == 14:
-        # alternating, arc {0..9}; one interior vertex comes out
+        # alternating
         if cr(6) != 9:
             out = 6
         elif cr(3) != 0:
             out = 3
         else:
             out = 4
-        kept = [v for v in range(10) if v != out]
     elif n == 16:
         if _match_table(cr, _TABLE_N16_NEAR):
             out = 4
@@ -252,26 +262,21 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
             if not _match_table(cr, _TABLE_N16_FAR):
                 raise UnclassifiedChords("impossible chord map at n=16")
             out = 3
-        kept = [v for v in range(12) if v != out]
     else:
         if n < 20:
             raise UnclassifiedChords("unreachable: n in {6, 12, 18} always has a full arc")
         if pattern == ALTERNATING:
-            # arc {0..n-k}
-            size = n - k + 1
             if cr(3) != 0:
                 out = 3
             elif cr(n - k - 3) != n - k:
                 out = n - k - 3
             else:
                 out = k - 2
-            kept = [v for v in range(size) if v != out]
-        else:
-            # paired: arc {1..n-k+1}
-            arc1 = Arc(n, 1, n - k + 1)
-            out = k - 2 if cr(k - 1) in arc1 else k - 1
-            kept = [v % n for v in range(1, n - k + 2) if v != out]
-    answer = VertexSet.from_ids(n, ((v + r) % n for v in kept))
+        else:  # paired
+            start = 1
+            out = k - 2 if cr(k - 1) in Arc(n, 1, size) else k - 1
+    arc = Arc(n, (start + r) % n, size).vertex_set()
+    answer = VertexSet(n, arc.mask & ~(1 << (out + r) % n), size - 1)
     return _finish(g, answer, verify)
 
 

@@ -43,6 +43,30 @@ def graphs_with_subset(draw, min_n: int = 3, max_n: int = 9, connected: bool = T
     return g, VertexSet.from_ids(g.n, ids)
 
 
+def jump(n: int, d: int) -> CubicCycleGraph:
+    """Every even vertex's chord jumps d ahead.  For odd d <= k the tags
+    alternate, so there is no full arc exactly when k = (n+1)//3 is odd."""
+    return CubicCycleGraph(n, [(v + d if v % 2 == 0 else v - d) % n for v in range(n)])
+
+
+def paired(n: int, a: int, b: int) -> CubicCycleGraph:
+    """Vertices 4i and 4i+1 jump a = 3 and b = 1 (mod 4) ahead, so the tags
+    run AHEAD, AHEAD, BACK, BACK for a, b <= k.  With n = 0 (mod 4) and
+    k = 3 (mod 4) the vertex k+1 behind each non-BACK one is AHEAD: no full
+    arc."""
+    chord = [0] * n
+    for v in range(0, n, 4):
+        for u, d in ((v, a), (v + 1, b)):
+            chord[u], chord[(u + d) % n] = (u + d) % n, u
+    return CubicCycleGraph(n, chord)
+
+
+def rotated(g: CubicCycleGraph, t: int) -> CubicCycleGraph:
+    """g with every label moved t steps along the cycle."""
+    n = g.n
+    return CubicCycleGraph(n, [(g.chord[(v - t) % n] + t) % n for v in range(n)])
+
+
 def arc_union_case(n: int, arcs, seed: int, pairing: str):
     """A cycle-plus-chords instance on n vertices and the set S that is the
     union of the arcs, given as (start, length) pairs; an arc may wrap

@@ -1,9 +1,11 @@
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from pdskit import (
     cli,
     generators,
     reductions,
+    emit_cubic,
     emit_graph,
     fixture,
     graph_from_json,
@@ -187,6 +190,23 @@ class TestCubic:
         assert code == 0
         assert payload["instances"] == 31
         assert payload["exceptional"] == {"paired": 4, "alternating": 2}
+
+    def test_json_run_peak_at_1e5(self, tmp_path):
+        """The text goes once its digest is taken and the instance once the
+        solve returns, so neither is alive while the 66,667-member set is
+        emitted; the run peaked at 11.1 MiB while both were, now 6.7."""
+        f = tmp_path / "cubic.txt"
+        f.write_text(emit_cubic(random_cubic_cycle(10**5, seed=0)))
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(["cubic", str(f), "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out.getvalue())["size"] == 66_667
+        assert peak < 8 * 2**20
 
     def test_find_cycle(self, capsys, tmp_path):
         f = tmp_path / "prism.txt"

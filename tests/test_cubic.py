@@ -39,7 +39,9 @@ from pdskit.cubic import (
     BACK,
     PAIRED,
     Arc,
+    _TAGS,
     _assert_sealed,
+    _chord_codes,
     _finish,
     _pattern,
     _recheck,
@@ -48,8 +50,15 @@ from pdskit.cubic import (
 )
 from pdskit.pds import recheck
 
-from .cubic_reference import arc_vertex_set_ids, classify_chords_loop, to_graph
-from .strategies import arc_union_case, cubic_arc_unions
+from .cubic_reference import (
+    arc_vertex_set_ids,
+    classify_chords_loop,
+    full_arc_start_loop,
+    no_arc_answer_ids,
+    pattern_loop,
+    to_graph,
+)
+from .strategies import arc_union_case, cubic_arc_unions, jump, paired, rotated
 
 K4_CHORDS = (2, 3, 0, 1)
 PRISM6_CHORDS = (3, 4, 5, 0, 1, 2)
@@ -57,19 +66,12 @@ PRISM6_CHORDS = (3, 4, 5, 0, 1, 2)
 N10_FORCED = (3, 8, 5, 0, 7, 2, 9, 4, 1, 6)
 
 
-def jump(n, d):
-    """Every even vertex's chord jumps d ahead.  For odd d <= (n+1)//3 the
-    tags alternate, so there is no full arc."""
-    chord = [(v + d if v % 2 == 0 else v - d) % n for v in range(n)]
-    return CubicCycleGraph(n, tuple(chord))
-
-
-def _verified_peak(n):
-    """tracemalloc peak of one verified solve of a fresh random instance."""
+def _verified_peak(n, verify=True):
+    """tracemalloc peak of one solve of a fresh random instance."""
     g = random_cubic_cycle(n, seed=0)
     tracemalloc.start()
     try:
-        out = solve_hamiltonian_cubic(g, verify=True)
+        out = solve_hamiltonian_cubic(g, verify=verify)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,16 +199,21 @@ class TestClassification:
         assert all(t is not None for t in tags)
 
     def test_pattern_names(self):
-        assert _pattern((AHEAD, BACK) * 5, 10) == (ALTERNATING, 0)
-        assert _pattern((BACK, AHEAD) * 5, 10) == (ALTERNATING, 1)
-        assert _pattern((AHEAD, AHEAD, BACK, BACK) * 2, 8) == (PAIRED, 0)
-        assert _pattern((BACK, AHEAD, AHEAD, BACK) * 2, 8) == (PAIRED, 1)
+        # code bytes: 1 AHEAD, 2 BACK
+        assert _pattern(b"\1\2" * 5) == (ALTERNATING, 0)
+        assert _pattern(b"\2\1" * 5) == (ALTERNATING, 1)
+        assert _pattern(b"\1\1\2\2" * 2) == (PAIRED, 0)
+        assert _pattern(b"\2\1\1\2" * 2) == (PAIRED, 1)
+        assert _pattern(b"\2\2\1\1" * 2) == (PAIRED, 2)
+        assert _pattern(b"\1\2\2\1" * 2) == (PAIRED, 3)
 
     def test_pattern_rejects_untagged_or_garbage(self):
-        with pytest.raises(UnclassifiedChords):
-            _pattern((AHEAD, None, BACK, BACK), 4)
-        with pytest.raises(UnclassifiedChords):
-            _pattern((AHEAD, AHEAD, AHEAD, BACK, BACK, BACK), 6)
+        with pytest.raises(UnclassifiedChords, match="untagged"):
+            _pattern(b"\1\0\2\2")
+        with pytest.raises(UnclassifiedChords, match="neither"):
+            _pattern(b"\1\1\1\2\2\2")
+        with pytest.raises(UnclassifiedChords, match="neither"):
+            _pattern(b"\1\1\2\2\1\2")  # paired start, n not a multiple of 4
 
 
 class TestArcs:
@@ -357,7 +364,7 @@ class TestVerification:
 
     def test_verified_solve_builds_no_graph_memory(self):
         # a Graph of the instance (edge set, sorted edges, neighbour
-        # lists) peaks near 48 MB at n=10^5; the verified solve near 5 MB
+        # lists) peaks near 48 MB at n=10^5; the verified solve near 1.2 MB
         assert _verified_peak(10**5) < 25 * 2**20
 
 
@@ -435,14 +442,46 @@ def test_bulk_recheck_property(case):
     assert got == expected, case
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except UnclassifiedChords as exc:
+        return str(exc)
+
+
+def _bulk_against_loops(g):
+    """Compare the code string, the arc start, the pattern and the answer
+    with the per-vertex oracles; returns (pattern, rotation) when g has no
+    full arc, "arc" when it has one."""
+    n = g.n
+    tags = classify_chords_loop(g)
+    codes = _chord_codes(g)
+    assert codes == bytes(map(_TAGS.index, tags)), g
+    if n < 6:
+        return None
+    arc = find_full_arc(g)
+    assert (None if arc is None else arc.start) == full_arc_start_loop(g), g
+    if arc is not None:
+        return "arc"
+    got = _outcome(_pattern, codes)
+    assert got == _outcome(pattern_loop, tags, n), g
+    if n >= 10:
+        assert solve_hamiltonian_cubic(g, verify=True).pds == no_arc_answer_ids(g), g
+    return got
+
+
 class TestSolveOracles:
-    """The C-level tagging and the arithmetic arc set against the
-    per-vertex oracles in cubic_reference.py."""
+    """The code string, the bulk arc search, the bytes pattern test, the
+    answer masks and the arithmetic arc set against the per-vertex oracles
+    in cubic_reference.py."""
 
     def test_tags_on_every_small_table(self):
+        seen = set()
         for n in (4, 6, 8, 10, 12):
             for g in all_cubic_cycles(n):
                 assert classify_chords(g) == classify_chords_loop(g), g
+                seen.add(_bulk_against_loops(g))
+        assert {(ALTERNATING, 0), (ALTERNATING, 1), (PAIRED, 0), (PAIRED, 1)} <= seen
 
     def test_tags_on_random_tables(self):
         rng = random.Random(0)
@@ -450,6 +489,45 @@ class TestSolveOracles:
             n = 2 * int(2 ** rng.uniform(1, 12.29))  # log-uniform, 4 <= n <= 10^4
             g = random_cubic_cycle(n, seed=seed)
             assert classify_chords(g) == classify_chords_loop(g), (n, seed)
+            _bulk_against_loops(g)
+
+    def test_jump_families(self):
+        """Every odd jump d <= k, both rotations.  The tags alternate, so a
+        full arc exists iff k is even (u and u-k-1 of opposite parity)."""
+        sizes = [*range(10, 62, 2), 998, 1000]
+        cases = [(n, d) for n in sizes for d in range(3, (n + 1) // 3 + 1, 2)]
+        for n in (9998, 10**4):
+            cases += [(n, d) for d in (3, 5, 7, 1001, 3331, 3333) if d <= (n + 1) // 3]
+        for n, d in cases:
+            for t in (0, 1):
+                expected = "arc" if (n + 1) // 3 % 2 == 0 else (ALTERNATING, t)
+                assert _bulk_against_loops(rotated(jump(n, d), t)) == expected, (n, d)
+
+    def test_paired_families(self):
+        """AHEAD, AHEAD, BACK, BACK at every rotation, for n = 8 (mod 12),
+        where k = 3 (mod 4) leaves no full arc."""
+        cases = []
+        for n in range(20, 141, 12):
+            k = (n + 1) // 3
+            cases += [(n, a, b) for a in range(3, k + 1, 4) for b in range(5, k + 1, 4)]
+        rng = random.Random(5)
+        for n in (1004, 9992):
+            k = (n + 1) // 3
+            cases += [(n, 3, 5), (n, k, k - 2)]
+            cases += [(n, 4 * rng.randrange(k // 4) + 3, 4 * rng.randrange(1, k // 4) + 1) for _ in range(3)]
+        for n, a, b in cases:
+            for t in range(4):
+                assert _bulk_against_loops(rotated(paired(n, a, b), t)) == (PAIRED, t), (n, a, b)
+
+    def test_no_full_arc_answer_is_a_mask(self, monkeypatch):
+        """No-full-arc answers are an arc less one vertex, never a member list."""
+
+        def no_ids(*args):
+            raise AssertionError("the answer must not be built from a member list")
+
+        monkeypatch.setattr(VertexSet, "from_ids", no_ids)
+        for g in (jump(10**4, 3), rotated(jump(10**4, 5), 1), paired(9992, 7, 9), rotated(paired(1004, 3, 5), 2)):
+            assert len(solve_hamiltonian_cubic(g, verify=True).pds) == max_pds_size_cubic(g.n)
 
     def test_every_arc_set(self):
         for n in (6, 8, 10, 14):
@@ -485,10 +563,13 @@ class TestLeanNeighbourTable:
         assert vars(g).keys() == {"n", "chord"}
 
     def test_verified_peak_is_the_lean_table(self):
-        # a cached neighbour table peaked at 7.8 MiB; now the unverified
-        # solve's tag tuples set the peak, about 4.7 MiB (the re-check's
-        # byte lanes about 1.2)
-        assert _verified_peak(10**5) < 6 * 2**20
+        # a cached neighbour table peaked at 7.8 MiB and the tag tuples
+        # 4.7 MiB; now the re-check's byte lanes set the peak, about 1.2
+        assert _verified_peak(10**5) < 2 * 2**20
+
+    def test_unverified_peak_is_the_code_string(self):
+        # n code bytes, their translates and flag ints: about 0.6 MiB
+        assert _verified_peak(10**5, verify=False) < 2 * 2**20
 
 
 class TestSelfChecks:
