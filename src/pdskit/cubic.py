@@ -11,10 +11,11 @@ it yields the optimum.
 
 Every vertex is tagged by where its chord lands relative to the walk
 direction: AHEAD when the chord reaches at most k = ceil((n-1)/3) steps
-forward, BACK when at most k steps backward, untagged otherwise.  The tags
-are kept as one code byte per vertex (1 AHEAD, 2 BACK, 0 untagged).  A full
-arc starting at u exists iff u is not BACK and the vertex k+1 behind u is
-not AHEAD; two translates of the codes and one AND of little-endian ints
+forward, BACK when at most k steps backward, untagged otherwise.  The
+instance's validation pass keeps the tags as one code byte per vertex (1
+AHEAD, 2 BACK, 0 untagged; 3, a loop or cycle-edge chord, is rejected).  A
+full arc starting at u exists iff u is not BACK and the vertex k+1 behind u
+is not AHEAD; two translates of the codes and one AND of little-endian ints
 find the first such u, and a no-full-arc pattern is one bytes comparison.
 
 The answer is re-checked from n and the validated chord matching alone,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
 from operator import eq, itemgetter, sub
 from typing import NamedTuple
 
@@ -63,7 +64,7 @@ class CubicCycleGraph:
     """Even cycle plus chord perfect matching; chord[v] is v's partner.
 
     chord may be any sequence of ints; it is stored as a tuple.  Immutable,
-    like Graph, and holds only n and chord."""
+    like Graph; holds only n, chord and codes, the n-byte chord tag string."""
 
     def __init__(self, n: int, chord):
         raw = chord
@@ -88,10 +89,10 @@ class CubicCycleGraph:
             raise InvalidInstance(f"chord ({v}, {raw[v]}) is out of range or not matched")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "chord", chord)
-        # given a matching, c - v in {0, 1, 1 - n} finds every loop and cycle-edge chord
-        if not {0, 1, 1 - n}.isdisjoint(map(sub, chord, range(n))):
-            v = next(v for v, c in enumerate(chord) if c - v in (0, 1, 1 - n))
+        codes = _chord_codes(self)  # given a matching, 3 marks each loop and cycle edge
+        if (v := codes.find(3)) >= 0:
             raise InvalidInstance(f"chord ({v}, {chord[v]}) repeats a cycle edge")
+        object.__setattr__(self, "codes", codes)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicCycleGraph is immutable")
@@ -140,14 +141,14 @@ class CubicOutcome(NamedTuple):
 
 
 def _chord_codes(g: CubicCycleGraph) -> bytes:
-    """One code byte per vertex: 1 AHEAD, 2 BACK, 0 untagged."""
+    """One code byte per vertex: 1 AHEAD, 2 BACK, 0 untagged, 3 c = v or v + 1."""
     n = g.n
     k = g.window
     # code[d] for d = (c - v) mod n (2k < n, so the runs never meet).  As
-    # -n < c - v < n, indexing by c - v itself wraps the same way.  One byte
-    # per entry stays in cache at n = 10^6.  No n-entry tuple is built: n and
-    # CODE_BLOCK are even, so no block has the lone entry itemgetter returns bare.
-    code = bytes(2) + b"\1" * (k - 1) + bytes(n - 2 * k - 1) + b"\2" * (k - 1) + bytes(1)
+    # -n < c - v < n, indexing by c - v wraps the same way (1 - n to entry 1).
+    # One byte per entry stays in cache at n = 10^6.  No n-entry tuple is built:
+    # n and CODE_BLOCK are even, so no block has the lone entry itemgetter returns bare.
+    code = b"\3\3" + b"\1" * (k - 1) + bytes(n - 2 * k - 1) + b"\2" * (k - 1) + bytes(1)
     chord = g.chord
     return b"".join(
         bytes(itemgetter(*map(sub, chord[lo : lo + CODE_BLOCK], range(lo, n)))(code))
@@ -156,7 +157,7 @@ def _chord_codes(g: CubicCycleGraph) -> bytes:
 
 
 def classify_chords(g: CubicCycleGraph) -> tuple[str | None, ...]:
-    return itemgetter(*_chord_codes(g))(_TAGS)
+    return itemgetter(*g.codes)(_TAGS)
 
 
 def _assert_sealed(g: CubicCycleGraph, arc: Arc) -> None:
@@ -175,7 +176,7 @@ def find_full_arc(g: CubicCycleGraph) -> Arc | None:
     if n < 6:
         raise InvalidArgument("arcs need n >= 6")
     k = g.window
-    codes = _chord_codes(g)
+    codes = g.codes
     behind = codes[-k - 1 :] + codes[: -k - 1]  # byte u is the code of u-k-1
     # byte u of each flag int is 0 or 1, so bit 8u is the lowest bit of u
     starts = int.from_bytes(codes.translate(_NOT_BACK), "little")
@@ -231,7 +232,7 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     if arc is not None:
         return _finish(g, arc.vertex_set(), verify)
     k = g.window
-    pattern, r = _pattern(_chord_codes(g))
+    pattern, r = _pattern(g.codes)
     if n == 8:
         return CubicOutcome(None, pattern)
 
@@ -294,13 +295,13 @@ def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
     induces a connected subgraph.  Reads only g.n and g.chord."""
     n, chord = g.n, g.chord
     flags = s.flags()
+    # byte v of each lane is the flag of one neighbour of v: chord[v], v-1
+    # and v+1.  Their sum is v's inside degree, at most 3, so no byte
+    # carries into the next.  The chord lane's n-entry tuple goes first.
+    across = int.from_bytes(bytes(itemgetter(*chord)(flags)), "little")
     member = int.from_bytes(flags, "little")
-    # byte v of each lane is the flag of one neighbour of v: v-1, v+1 and
-    # chord[v].  Their sum is v's inside degree, at most 3, so no byte
-    # carries into the next.
     before = int.from_bytes(flags[-1:] + flags[:-1], "little")
-    inside = before + int.from_bytes(flags[1:] + flags[:1], "little")
-    inside += int.from_bytes(bytes(itemgetter(*chord)(flags)), "little")
+    inside = before + int.from_bytes(flags[1:] + flags[:1], "little") + across
     # d inside and 3 - d outside fail iff d * (n - |S|) < (3 - d) * (|S| - 1)
     fails = bytes(d * (n - len(s)) < (3 - d) * (len(s) - 1) for d in range(4))
     violators = inside.to_bytes(n, "little").translate(fails.ljust(256, b"\0"))
@@ -312,15 +313,16 @@ def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
     runs = starts.count(1)
     if runs <= 1:
         return
-    # labels[v] counts the starts up to v.  Label 0, the members before the
-    # first start, is the tail of the run that wraps from n - 1 to 0 (and
-    # has no members when no run wraps), so it is joined to the last run.
-    labels = list(accumulate(starts))
-    joins = [set() for _ in range(runs + 1)]
+    # Label L covers the vertices from the L-th start to the next and far[v]
+    # is the label of chord[v].  Label 0, before the first start, is the tail
+    # of the run that wraps from n - 1 to 0 (or empty): join it to the last.
+    sizes = [len(part) + 1 for part in starts.split(b"\1")]
+    sizes[0] -= 1  # label 0 holds no start
+    bounds = [0, *accumulate(sizes)]
+    far = itemgetter(*chord)(list(chain.from_iterable(map(repeat, count(), sizes))))
+    inner = (member & across).to_bytes(n, "little")  # chord stays inside S
+    joins = [set(compress(far[a:b], inner[a:b])) for a, b in pairwise(bounds)]
     joins[runs].add(0)
-    for u in compress(range(n), flags):
-        if flags[chord[u]]:
-            joins[labels[u]].add(labels[chord[u]])
     if _reach(joins, bytearray(runs + 1), runs) <= runs:
         raise VerificationFailed("answer is not connected")
 
@@ -356,14 +358,10 @@ def all_cubic_cycles(n: int):
     chord = [-1] * n
 
     def rec():
-        u = -1
-        for v in range(n):
-            if chord[v] < 0:
-                u = v
-                break
-        if u < 0:
+        if -1 not in chord:
             yield CubicCycleGraph(n, tuple(chord))
             return
+        u = chord.index(-1)
         for v in range(u + 1, n):
             if chord[v] < 0 and (v - u) % n not in (1, n - 1):
                 chord[u] = v
@@ -429,19 +427,21 @@ def parse_cubic(text: str) -> CubicCycleGraph:
     n = ints[0]
     if len(ints) - 1 != n // 2 * 2:
         raise ParseError(f"expected {n // 2} chord lines, found {(len(ints) - 1) // 2}")
-    # n >= 2 once there is a chord line, so n itself never trips the minimum
-    if len(ints) > 1 and (min(ints) < 0 or max(islice(ints, 1, None)) >= n):
+    # n is 0 or 1 with no chord line and at least 2 with one, never negative
+    if min(ints) < 0:
         raise ParseError(f"chord vertex out of range for n={n}")
     # a repeated vertex leaves another at -1, which CubicCycleGraph rejects;
     # a compact array lets the parsed ints go before the table is laid out
     chord = array("q", [-1]) * n
     it = islice(ints, 1, None)
-    for u, v in zip(it, it):
-        chord[u] = v
-        chord[v] = u
-    del ints, it
     try:
+        for u, v in zip(it, it):  # IndexError at a vertex >= n, OverflowError past 64 bits
+            chord[u] = v
+            chord[v] = u
+        del ints, it
         return CubicCycleGraph(n, chord)
+    except (IndexError, OverflowError):
+        raise ParseError(f"chord vertex out of range for n={n}") from None
     except InvalidInstance as exc:
         raise ParseError(str(exc)) from exc
 

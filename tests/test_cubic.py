@@ -415,6 +415,27 @@ class TestBulkRecheck:
                 got, expected = _recheck_outcomes(inst, s)
                 assert got == expected, (n, seed, s)
 
+    def test_matches_graph_recheck_past_255_runs(self):
+        # 300 runs of four vertices, one every six: the run labels pass 255
+        n, arcs = 1800, [(6 * i + 3, 4) for i in range(300)]
+        seen = set()
+        for seed, pairing in enumerate(("set", "set", "random")):
+            g, s = arc_union_case(n, arcs, seed, pairing)
+            assert _runs(s) == 300
+            got, expected = _recheck_outcomes(g, s)
+            assert got == expected, (seed, pairing)
+            seen.add(got)
+        assert "ok" in seen
+        # each run's chords stay inside it: a PDS whose 300 runs never meet
+        chord = [0] * n
+        for a in range(0, n, 6):
+            chord[a : a + 4] = a + 2, a + 3, a, a + 1
+        for a in range(0, n, 12):  # the gap vertices a+4, a+5 and a+10, a+11
+            chord[a + 4], chord[a + 5], chord[a + 10], chord[a + 11] = a + 10, a + 11, a + 4, a + 5
+        s = VertexSet.from_ids(n, [v for v in range(n) if v % 6 < 4])
+        got, expected = _recheck_outcomes(CubicCycleGraph(n, chord), s)
+        assert got == expected == "is not connected"
+
     def test_arc_unions_cover_every_case(self):
         """The sets the property below draws: several runs joined only by
         chords, disconnected PDSs, and both with a run through n-1 and 0."""
@@ -455,8 +476,8 @@ def _bulk_against_loops(g):
     full arc, "arc" when it has one."""
     n = g.n
     tags = classify_chords_loop(g)
-    codes = _chord_codes(g)
-    assert codes == bytes(map(_TAGS.index, tags)), g
+    codes = g.codes
+    assert codes == _chord_codes(g) == bytes(map(_TAGS.index, tags)), g
     if n < 6:
         return None
     arc = find_full_arc(g)
@@ -554,22 +575,100 @@ class TestLeanNeighbourTable:
         g = random_cubic_cycle(10**4, seed=12)
         out = solve_hamiltonian_cubic(g, verify=True)
         assert len(out.pds) == max_pds_size_cubic(g.n)
-        assert vars(g).keys() == {"n", "chord"}
+        assert vars(g).keys() == {"n", "chord", "codes"}
+        assert len(g.codes) == g.n
 
     def test_failed_recheck_frees_the_table(self):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
         with pytest.raises(VerificationFailed):
             _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]), True)
-        assert vars(g).keys() == {"n", "chord"}
+        assert vars(g).keys() == {"n", "chord", "codes"}
+        assert len(g.codes) == g.n
 
     def test_verified_peak_is_the_lean_table(self):
         # a cached neighbour table peaked at 7.8 MiB and the tag tuples
-        # 4.7 MiB; now the re-check's byte lanes set the peak, about 1.2
+        # 4.7 MiB; now the re-check's byte lanes set the peak, about 1.0
         assert _verified_peak(10**5) < 2 * 2**20
 
     def test_unverified_peak_is_the_code_string(self):
         # n code bytes, their translates and flag ints: about 0.6 MiB
         assert _verified_peak(10**5, verify=False) < 2 * 2**20
+
+
+def _involutions(n):
+    """Every chord table that is a perfect matching on range(n), loops
+    allowed (v paired with itself)."""
+    chord = [-1] * n
+
+    def rec():
+        if -1 not in chord:
+            yield tuple(chord)
+            return
+        u = chord.index(-1)
+        for v in range(u, n):
+            if chord[v] < 0:
+                chord[u], chord[v] = v, u
+                yield from rec()
+                chord[u] = chord[v] = -1
+
+    yield from rec()
+
+
+class TestCodeString:
+    """The constructor's validation pass builds the code string the solver
+    reads: one _chord_codes call per instance, none per solve."""
+
+    @pytest.mark.parametrize("make", [lambda: random_cubic_cycle(1000, seed=3), lambda: jump(1000, 3)])
+    def test_built_once_and_never_by_a_solve(self, monkeypatch, make):
+        chord = make().chord
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return _chord_codes(g)
+
+        monkeypatch.setattr(cubic, "_chord_codes", counted)
+        g = CubicCycleGraph(1000, chord)
+        assert calls == [1000]
+        for verify in (False, True):
+            assert len(solve_hamiltonian_cubic(g, verify=verify).pds) == max_pds_size_cubic(1000)
+        assert classify_chords(g) == classify_chords_loop(g)
+        assert calls == [1000]
+        assert type(g.codes) is bytes
+        with pytest.raises(AttributeError):
+            g.codes = b""
+
+    @pytest.mark.parametrize(
+        "n, chord, message",
+        [
+            (4, (0, 3, 2, 1), "chord (0, 0) repeats a cycle edge"),  # loop
+            (6, (3, 5, 2, 0, 4, 1), "chord (2, 2) repeats a cycle edge"),  # loops at 2 and 4
+            (4, (1, 0, 3, 2), "chord (0, 1) repeats a cycle edge"),  # +1
+            (8, (4, 5, 3, 2, 0, 1, 7, 6), "chord (2, 3) repeats a cycle edge"),  # -1 at 3
+            (6, (5, 3, 4, 1, 2, 0), "chord (5, 0) repeats a cycle edge"),  # wrap (n-1, 0)
+            (8, (7, 5, 6, 4, 3, 1, 2, 0), "chord (3, 4) repeats a cycle edge"),  # before the wrap 7-0
+            (6, (3, 4, 5, 0, 1, 3), "chord (2, 5) is out of range or not matched"),
+            (4, (4, 3, 2, 1), "chord (0, 4) is out of range or not matched"),
+        ],
+    )
+    def test_constructor_messages(self, n, chord, message):
+        with pytest.raises(InvalidInstance) as info:
+            CubicCycleGraph(n, chord)
+        assert str(info.value) == message
+
+    def test_cycle_edge_message_names_the_first_vertex(self):
+        # every matching with a loop or cycle-edge chord names the first v
+        # with chord[v] - v in (0, 1, 1 - n)
+        for n in (4, 6, 8, 10):
+            for chord in _involutions(n):
+                bad = [v for v, c in enumerate(chord) if c - v in (0, 1, 1 - n)]
+                if not bad:
+                    assert CubicCycleGraph(n, chord).chord == chord
+                    continue
+                v = bad[0]
+                with pytest.raises(InvalidInstance) as info:
+                    CubicCycleGraph(n, chord)
+                assert str(info.value) == f"chord ({v}, {chord[v]}) repeats a cycle edge"
 
 
 class TestSelfChecks:

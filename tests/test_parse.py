@@ -149,6 +149,19 @@ def test_wrong_token_count_names_the_line():
         parse_graph("\n4\n0 1\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["4\n0 4\n1 3\n", "4\n4 0\n1 3\n", "4\n0 2\n1 9\n", "4\n0 2\n3 -1\n",
+     f"4\n0 {2**63}\n1 3\n", f"4\n{2**63} 0\n1 3\n", f"4\n0 2\n1 {2**70}\n",
+     "4\n0 2\n0 4\n", "6\n0 2\n0 3\n1 6\n"],
+)
+def test_parse_cubic_names_an_out_of_range_vertex(text):
+    # the fill raises at the first entry >= n, even after a repeated vertex
+    with pytest.raises(ParseError) as info:
+        parse_cubic(text)
+    assert str(info.value) == f"chord vertex out of range for n={text.split()[0]}"
+
+
 def test_parse_cubic_frees_its_token_rows():
     """The token rows of a 10^5-vertex text (about 8 MB) must be gone before
     the chord table is built; the peak was near 20 MB while they outlived

@@ -158,14 +158,16 @@ def test_cubic_instance_rejects_cached_attribute_assignment():
     for name in ("n", "chord", "window"):
         with pytest.raises(AttributeError):
             setattr(g, name, ())
-    assert vars(g).keys() == {"n", "chord"}
+    assert vars(g).keys() == {"n", "chord", "codes"}
+    assert len(g.codes) == g.n
 
 
 def test_finish_still_drops_the_neighbour_table():
     g = random_cubic_cycle(20, seed=1)
     out = _finish(g, solve_hamiltonian_cubic(g, verify=False).pds, True)
     assert out.pds is not None
-    assert vars(g).keys() == {"n", "chord"}  # no table was kept
+    assert vars(g).keys() == {"n", "chord", "codes"}  # no table was kept
+    assert len(g.codes) == g.n
 
 
 def test_reduction_properties_from_the_mixin():
