@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import eq, itemgetter, sub
 from typing import NamedTuple
 
@@ -79,8 +79,9 @@ class CubicCycleGraph:
             # Ints made in another order (by value, or by input line) sit at
             # scattered addresses, so reading chord[0], chord[1], ... would
             # miss the cache at every vertex at n = 10^6.  Read back from a
-            # compact array, the ints are made anew in vertex order.
-            chord = tuple(array("q", raw))
+            # compact array (parse_cubic's own, or a copy), they are made anew.
+            table = raw if isinstance(raw, array) and raw.typecode == "q" else array("q", raw)
+            chord = tuple(table)
             matched = all(map(eq, itemgetter(*chord)(chord), count()))
         except (IndexError, OverflowError):
             matched = False
@@ -313,15 +314,15 @@ def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
     runs = starts.count(1)
     if runs <= 1:
         return
-    # Label L covers the vertices from the L-th start to the next and far[v]
-    # is the label of chord[v].  Label 0, before the first start, is the tail
-    # of the run that wraps from n - 1 to 0 (or empty): join it to the last.
+    # Label L covers the vertices from the L-th start to the next.  Label 0,
+    # before the first start, is the tail of the run that wraps from n - 1
+    # to 0 (or empty): join it to the last.  Each run takes its own slice.
     sizes = [len(part) + 1 for part in starts.split(b"\1")]
     sizes[0] -= 1  # label 0 holds no start
-    bounds = [0, *accumulate(sizes)]
-    far = itemgetter(*chord)(list(chain.from_iterable(map(repeat, count(), sizes))))
+    label = list(chain.from_iterable(map(repeat, count(), sizes))).__getitem__
     inner = (member & across).to_bytes(n, "little")  # chord stays inside S
-    joins = [set(compress(far[a:b], inner[a:b])) for a, b in pairwise(bounds)]
+    ends, kept = iter(chord), iter(inner)
+    joins = [set(map(label, compress(islice(ends, size), islice(kept, size)))) for size in sizes]
     joins[runs].add(0)
     if _reach(joins, bytearray(runs + 1), runs) <= runs:
         raise VerificationFailed("answer is not connected")
