@@ -142,7 +142,7 @@ class CubicOutcome(NamedTuple):
 
 
 def _chord_codes(g: CubicCycleGraph) -> bytes:
-    """One code byte per vertex: 1 AHEAD, 2 BACK, 0 untagged, 3 c = v or v + 1."""
+    """One code byte per vertex: 1 AHEAD, 2 BACK, 0 untagged, 3 c = v or v + 1 (mod n)."""
     n = g.n
     k = g.window
     # code[d] for d = (c - v) mod n (2k < n, so the runs never meet).  As
@@ -314,9 +314,10 @@ def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
     runs = starts.count(1)
     if runs <= 1:
         return
-    # Label L covers the vertices from the L-th start to the next.  Label 0,
+    # Label L covers the vertices from the L-th start to the next; label 0,
     # before the first start, is the tail of the run that wraps from n - 1
-    # to 0 (or empty): join it to the last.  Each run takes its own slice.
+    # to 0 (or empty): join it to the last.  The runs read chord and inner
+    # in turn through shared iterators, so no slice or n-entry tuple is made.
     sizes = [len(part) + 1 for part in starts.split(b"\1")]
     sizes[0] -= 1  # label 0 holds no start
     label = list(chain.from_iterable(map(repeat, count(), sizes))).__getitem__
