@@ -47,15 +47,14 @@ def approx_scaling(
 def cubic_scaling(
     sizes: tuple[int, ...] = CUBIC_SIZES, seed: int = 0, repeats: int = 3
 ) -> list[dict]:
-    """Cycle-plus-chords solver, chord tags included: seconds with
-    verification off, verified_seconds on the default verify=True path."""
+    """Cycle-plus-chords solver from a chord table, instance checks and tags
+    included: seconds with verification off, verified_seconds with it on."""
     rows = []
     for i, n in enumerate(sizes):
-        g = cubic.random_cubic_cycle(n, seed=seed + i)
+        chord = cubic.random_cubic_cycle(n, seed=seed + i).chord
 
-        def solve(verify, g=g):  # the tags the constructor builds, then the solve
-            cubic._chord_codes(g)
-            cubic.solve_hamiltonian_cubic(g, verify=verify)
+        def solve(verify, n=n, chord=chord):
+            cubic.solve_hamiltonian_cubic(cubic.CubicCycleGraph(n, chord), verify=verify)
 
         seconds = _best_of(lambda: solve(False), repeats)
         verified = _best_of(lambda: solve(True), repeats)

@@ -11,12 +11,11 @@ it yields the optimum.
 
 Every vertex is tagged by where its chord lands relative to the walk
 direction: AHEAD when the chord reaches at most k = ceil((n-1)/3) steps
-forward, BACK when at most k steps backward, untagged otherwise.  The
-instance's validation pass keeps the tags as one code byte per vertex (1
-AHEAD, 2 BACK, 0 untagged; 3, a loop or cycle-edge chord, is rejected).  A
-full arc starting at u exists iff u is not BACK and the vertex k+1 behind u
-is not AHEAD; two translates of the codes and one AND of little-endian ints
-find the first such u, and a no-full-arc pattern is one bytes comparison.
+forward, BACK when at most k steps backward, untagged otherwise.  Each
+instance holds one code byte per vertex (1 AHEAD, 2 BACK, 0 untagged).  A
+full arc from u exists iff u is not BACK and the vertex k+1 behind u is not
+AHEAD; two translates of the codes and one AND of little-endian ints find
+the first such u, and a no-full-arc pattern is one bytes comparison.
 
 The answer is re-checked from n and the validated chord matching alone,
 independently of the arc logic and without building a Graph: three byte
@@ -79,9 +78,8 @@ class CubicCycleGraph:
             # Ints made in another order (by value, or by input line) sit at
             # scattered addresses, so reading chord[0], chord[1], ... would
             # miss the cache at every vertex at n = 10^6.  Read back from a
-            # compact array (parse_cubic's own, or a copy), they are made anew.
-            table = raw if isinstance(raw, array) and raw.typecode == "q" else array("q", raw)
-            chord = tuple(table)
+            # compact array, the ints are made anew in vertex order.
+            chord = tuple(array("q", raw))
             matched = all(map(eq, itemgetter(*chord)(chord), count()))
         except (IndexError, OverflowError):
             matched = False
@@ -314,15 +312,13 @@ def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
     runs = starts.count(1)
     if runs <= 1:
         return
-    # Label L covers the vertices from the L-th start to the next; label 0,
-    # before the first start, is the tail of the run that wraps from n - 1
-    # to 0 (or empty): join it to the last.  The runs read chord and inner
-    # in turn through shared iterators, so no slice or n-entry tuple is made.
+    # Label L runs from the L-th start to the next; label 0, before the first
+    # start, is the tail of a run wrapping from n - 1 to 0 (or empty): join it
+    # to the last.  Shared iterators hand each run its stretch, with no copy.
     sizes = [len(part) + 1 for part in starts.split(b"\1")]
     sizes[0] -= 1  # label 0 holds no start
     label = list(chain.from_iterable(map(repeat, count(), sizes))).__getitem__
-    inner = (member & across).to_bytes(n, "little")  # chord stays inside S
-    ends, kept = iter(chord), iter(inner)
+    ends, kept = iter(chord), iter((member & across).to_bytes(n, "little"))  # kept: chord in S
     joins = [set(map(label, compress(islice(ends, size), islice(kept, size)))) for size in sizes]
     joins[runs].add(0)
     if _reach(joins, bytearray(runs + 1), runs) <= runs:
@@ -360,10 +356,14 @@ def all_cubic_cycles(n: int):
     chord = [-1] * n
 
     def rec():
-        if -1 not in chord:
+        u = -1
+        for v in range(n):
+            if chord[v] < 0:
+                u = v
+                break
+        if u < 0:
             yield CubicCycleGraph(n, tuple(chord))
             return
-        u = chord.index(-1)
         for v in range(u + 1, n):
             if chord[v] < 0 and (v - u) % n not in (1, n - 1):
                 chord[u] = v
@@ -440,10 +440,11 @@ def parse_cubic(text: str) -> CubicCycleGraph:
         for u, v in zip(it, it):  # IndexError at a vertex >= n, OverflowError past 64 bits
             chord[u] = v
             chord[v] = u
-        del ints, it
-        return CubicCycleGraph(n, chord)
     except (IndexError, OverflowError):
         raise ParseError(f"chord vertex out of range for n={n}") from None
+    del ints, it
+    try:
+        return CubicCycleGraph(n, chord)
     except InvalidInstance as exc:
         raise ParseError(str(exc)) from exc
 

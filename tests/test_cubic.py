@@ -129,21 +129,6 @@ class TestCubicCycleGraph:
             assert g == CubicCycleGraph(4, K4_CHORDS)
         assert type(parse_cubic("4\n0 2\n1 3\n").chord) is tuple
 
-    def test_a_q_array_table_is_not_copied(self):
-        # parse_cubic hands over its array('q'); copying it cost 8 bytes per
-        # vertex more at the constructor's peak
-        n = 10**5
-        chord = random_cubic_cycle(n, seed=5).chord
-        peaks = []
-        for table in (list(chord), array("q", chord)):
-            tracemalloc.start()
-            try:
-                assert CubicCycleGraph(n, table).chord == chord
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < peaks[0] - 6 * n
-
     def test_rejects_entries_past_64_bits(self):
         with pytest.raises(InvalidInstance, match=r"^chord \(0, 2361"):
             CubicCycleGraph(4, (2**71, 3, 0, 1))

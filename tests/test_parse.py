@@ -12,6 +12,7 @@ from pdskit import (
     InvalidInstance,
     ParseError,
     PdsKitError,
+    cubic,
     emit_cubic,
     emit_graph,
     parse_cubic,
@@ -160,6 +161,16 @@ def test_parse_cubic_names_an_out_of_range_vertex(text):
     with pytest.raises(ParseError) as info:
         parse_cubic(text)
     assert str(info.value) == f"chord vertex out of range for n={text.split()[0]}"
+
+
+def test_parse_cubic_reports_only_the_fill_as_out_of_range(monkeypatch):
+    # an IndexError raised past the fill is a fault, not a vertex >= n
+    def fail(g):
+        raise IndexError("inside the constructor")
+
+    monkeypatch.setattr(cubic, "_chord_codes", fail)
+    with pytest.raises(IndexError, match="inside the constructor"):
+        parse_cubic("4\n0 2\n1 3\n")
 
 
 def test_parse_cubic_frees_its_token_rows():
