@@ -88,7 +88,7 @@ def half_pds(
     elif seed is not None:
         start = VertexSet.from_ids(n, random.Random(seed).sample(range(n), half))
     else:
-        start = VertexSet(n, (1 << half) - 1, half)
+        start = VertexSet(n, (1 << half) - 1)
 
     search = _scan_search if n <= SCAN_CUTOFF else _heap_search
     mask, moves = search(g, start, half)

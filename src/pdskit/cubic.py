@@ -129,7 +129,7 @@ class Arc(NamedTuple):
         n = self.n
         mask = ((1 << self.size) - 1) << self.start
         # the bits past n - 1 wrap round to 0
-        return VertexSet(n, (mask & ((1 << n) - 1)) | (mask >> n), self.size)
+        return VertexSet(n, (mask & ((1 << n) - 1)) | (mask >> n))
 
 
 class CubicOutcome(NamedTuple):
@@ -276,7 +276,7 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
             start = 1
             out = k - 2 if cr(k - 1) in Arc(n, 1, size) else k - 1
     arc = Arc(n, (start + r) % n, size).vertex_set()
-    answer = VertexSet(n, arc.mask & ~(1 << (out + r) % n), size - 1)
+    answer = VertexSet(n, arc.mask & ~(1 << (out + r) % n))
     return _finish(g, answer, verify)
 
 

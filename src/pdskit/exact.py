@@ -200,10 +200,9 @@ def max_pds_exact(
     hits, checked = _descend(g, 2, connected_only, all_optima)
     if not hits:
         raise NoPds(f"no subset with 2 <= |S| < {n} is a PDS")
-    size = hits[0].bit_count()
-    witness = VertexSet(n, hits[0], size)
-    optima = tuple(VertexSet(n, h, size) for h in hits) if all_optima else None
-    return ExactResult(size, witness, optima, checked)
+    witness = VertexSet(n, hits[0])
+    optima = tuple(VertexSet(n, h) for h in hits) if all_optima else None
+    return ExactResult(witness.size, witness, optima, checked)
 
 
 def pds_extension(
@@ -274,4 +273,4 @@ def max_independent_set_exact(
         raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
     best = [0, 0]
     _grow_independent(adjacency_masks(g), best, (1 << n) - 1, 0, 0)
-    return best[0], VertexSet(n, best[1], best[0])
+    return best[0], VertexSet(n, best[1])

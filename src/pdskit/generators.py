@@ -9,19 +9,20 @@ time and deduplicating on a canonical key.
 The key is the smallest adjacency bitstring over the leaves of a search
 on ordered partitions of the vertices into bitmask cells (McKay &
 Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014).  Each
-node refines its partition until it is equitable: a cell splits by how
-many neighbours its vertices have in a splitter cell, and the sub-cells
-take its place in ascending count order.  The first cell left with more
-than one vertex then branches, each child individualising one of its
-vertices.  Every choice depends on counts and cell order, never on
-vertex ids, so relabelling a graph relabels its whole search tree and
-leaves the set of leaf bitstrings as it was: isomorphic graphs get equal
-keys, and a key, read as an adjacency matrix, is the graph itself up to
-isomorphism.  When the branching cell holds twins (equal neighbourhoods
-apart from each other; being twins is transitive, so comparing each
-vertex with the first is enough), swapping two of them is an automorphism
-that keeps the partition, so their subtrees hold the same bitstrings and
-only the first is searched.
+node refines its partition in rounds until it is equitable: a round
+splits every cell by the tuple of neighbour counts its vertices have in
+all the round's cells, and the sub-cells take its place in ascending
+tuple order.  The first cell left with more than one vertex then
+branches, each child individualising one of its vertices.  Every choice
+depends on counts and cell order, never on vertex ids, so relabelling a
+graph relabels its whole search tree and leaves the set of leaf
+bitstrings as it was: isomorphic graphs get equal keys, and a key, read
+as an adjacency matrix, is the graph itself up to isomorphism.  When
+the branching cell holds twins (equal neighbourhoods apart from each
+other; being twins is transitive, so comparing each vertex with the
+first is enough), swapping two of them is an automorphism that keeps the
+partition, so their subtrees hold the same bitstrings and only the first
+is searched.
 
 Before the canonical key is computed, a child is dropped unless its
 new vertex n-1 passes the cheap first test of canonical augmentation
@@ -32,13 +33,16 @@ graph G, take a non-cut vertex v whose invariant is the largest among
 the non-cut vertices.  G - v is connected, so it is isomorphic to some
 (n-1)-vertex representative, and the child that re-adds v puts the new
 vertex in v's place; that child passes the test.  For n <= 7 the test
-leaves 1,700 of 7,814 children to the canonical key.
+leaves 1,700 of 7,814 children to the canonical key.  Each class keeps
+the first child that reaches it, so the representatives and their order
+depend on the key's classes, not on its values.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from operator import or_
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, InvalidGraph, UnknownName
@@ -156,29 +160,29 @@ def random_connected(n: int, m: int, seed: int | None = None) -> Graph:
 
 
 def _equitable(adj: tuple[int, ...], cells: list[int]) -> list[int]:
-    """Refine the ordered cells in place until they are equitable; the
-    splitter scan restarts after any split."""
-    j = 0
-    while j < len(cells):
-        splitter = cells[j]
-        j += 1
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            i += 1
+    """Refine the ordered cells in rounds until they are equitable.  Each
+    round splits every cell by its vertices' tuples of neighbour counts in
+    all the round's cells, the parts in ascending tuple order; the first
+    round that splits nothing ends it."""
+    while True:
+        out: list[int] = []
+        for cell in cells:
             if cell & (cell - 1):
-                groups: dict[int, int] = {}
+                groups: dict[tuple[int, ...], int] = {}
                 rest = cell
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
-                    k = (adj[bit.bit_length() - 1] & splitter).bit_count()
+                    row = adj[bit.bit_length() - 1]
+                    k = tuple([(row & c).bit_count() for c in cells])
                     groups[k] = groups.get(k, 0) | bit
                 if len(groups) > 1:
-                    cells[i - 1 : i] = [groups[k] for k in sorted(groups)]
-                    i += len(groups) - 1
-                    j = 0
-    return cells
+                    out += [groups[k] for k in sorted(groups)]
+                    continue
+            out.append(cell)
+        if len(out) == len(cells):
+            return out
+        cells = out
 
 
 def _canonical_key(n: int, adj: tuple[int, ...]) -> int:
@@ -258,12 +262,13 @@ def _connected_masks(n: int, cache=_connected_cache) -> list[tuple[int, ...]]:
     if n == 2:
         reps = [(0b10, 0b01)]
     else:
+        top = 1 << (n - 1)
+        # column[hood]: the bit each old vertex gains when hood joins it to n-1
+        column = [tuple([(hood >> v & 1) << (n - 1) for v in range(n - 1)]) for hood in range(top)]
         seen: dict[int, tuple[int, ...]] = {}
         for parent in _connected_masks(n - 1, cache):
-            for hood in range(1, 1 << (n - 1)):
-                adj = tuple(
-                    row | (hood >> v & 1) << (n - 1) for v, row in enumerate(parent)
-                ) + (hood,)
+            for hood in range(1, top):
+                adj = (*map(or_, parent, column[hood]), hood)
                 if not _new_vertex_may_be_removed(n, adj):
                     continue
                 key = _canonical_key(n, adj)

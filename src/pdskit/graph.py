@@ -39,12 +39,13 @@ class VertexSet:
 
     __slots__ = ("n", "mask", "size")
 
-    def __init__(self, n: int, mask: int, size: int | None = None):
+    def __init__(self, n: int, mask: int):
         if n < 0 or mask < 0 or mask >> n:
             raise InvalidArgument(f"mask does not fit a {n}-vertex graph")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "size", mask.bit_count() if size is None else size)
+        # always counted, never taken from a caller: the re-check reads it
+        object.__setattr__(self, "size", mask.bit_count())
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
@@ -67,7 +68,7 @@ class VertexSet:
 
     def complement(self) -> "VertexSet":
         full = (1 << self.n) - 1
-        return VertexSet(self.n, full & ~self.mask, self.n - self.size)
+        return VertexSet(self.n, full & ~self.mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
@@ -155,7 +156,7 @@ class Graph:
         return VertexSet.from_ids(self.n, ids)
 
     def full_set(self) -> VertexSet:
-        return VertexSet(self.n, (1 << self.n) - 1, self.n)
+        return VertexSet(self.n, (1 << self.n) - 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,7 +220,8 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Neighbourhood of every vertex as a bitmask: bit w of entry v is set
     iff vw is an edge.  Read from g.adj alone, and kept on a Graph as
     is_connected keeps its answer.  Costs about n^2/16 bytes, so only the
-    capped exact solvers and the small-graph local search build it."""
+    capped exact solvers and the small-graph local search build it;
+    check_pds reads it when it is held."""
     masks = getattr(g, "_masks", None)
     if masks is None:
         masks = tuple([sum([1 << w for w in nbrs]) for nbrs in g.adj])

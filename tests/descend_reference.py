@@ -91,5 +91,5 @@ def extension_scan(g: Graph, base: VertexSet) -> VertexSet | None:
                 smask |= 1 << free[low.bit_length() - 1]
                 m ^= low
             if mask_is_pds(adjm, deg, smask, co, sm1):
-                return VertexSet(n, smask, size)
+                return VertexSet(n, smask)
     return None

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations, permutations
 
@@ -172,6 +174,15 @@ class TestEnumeration:
             assert _canonical_key(5, adjacency_masks(relabeled)) == _canonical_key(
                 5, adjacency_masks(g)
             )
+
+    def test_representatives_are_pinned(self):
+        # every representative and its order, for n = 3..7, from a cold cache
+        cache: dict = {}
+        _connected_masks(7, cache)
+        text = json.dumps([cache[n] for n in range(3, 8)])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dedc8f20cc22224ea885d99dc76bde61cbd366980d0a34d142af7b9c87ecb127"
+        )
 
     def test_cap(self):
         from pdskit import InstanceTooLarge

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pdskit import (
     Disconnected,
@@ -10,14 +11,16 @@ from pdskit import (
     NotAPds,
     VerificationFailed,
     VertexSet,
+    all_connected_graphs,
     check_pds,
     is_inclusionwise_maximal,
     pds_size_upper_bound,
 )
 
+from pdskit.graph import adjacency_masks
 from pdskit.pds import recheck
 
-from .strategies import graphs_with_subset
+from .strategies import graphs, graphs_with_subset
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -66,6 +69,44 @@ class TestCheckPds:
                 bad.append((u, d_in, g.deg[u] - d_in))
         assert verdict.holds == (not bad)
         assert list(verdict.unsatisfied) == bad
+
+    def test_size_is_counted_from_the_mask(self):
+        # {0,1,2} on P4 fails at vertex 2: 1 neighbour inside, 1 outside.
+        # A size passed in by the caller once let a wrong |S| pass it.
+        with pytest.raises(TypeError):
+            VertexSet(4, 0b0111, 2)
+        s = VertexSet(4, 0b0111)
+        assert len(s) == 3
+        g = Graph(4, P4.edges)
+        assert check_pds(g, s) == (False, ((2, 1, 1),))
+        adjacency_masks(g)  # and again on the held masks
+        assert check_pds(g, s) == (False, ((2, 1, 1),))
+
+
+class TestCheckPdsSources:
+    """The held-mask path against the g.adj path, on equal graphs."""
+
+    @given(st.data())
+    def test_held_masks_agree_with_adj(self, data):
+        g = data.draw(graphs(min_n=3, max_n=12))
+        fresh = Graph(g.n, g.edges)
+        adjacency_masks(g)
+        masks = st.integers(0, (1 << g.n) - 1).filter(lambda m: 2 <= m.bit_count() < g.n)
+        for mask in data.draw(st.lists(masks, min_size=1, max_size=8)):
+            s = VertexSet(g.n, mask)
+            assert check_pds(g, s) == check_pds(fresh, s)
+        assert fresh._masks is None  # a check never builds the table
+
+    def test_masks_match_adj_rows(self):
+        graphs_seen = 0
+        for n in range(3, 8):
+            for g in all_connected_graphs(n):
+                rows = adjacency_masks(g)
+                assert [[w for w in range(n) if row >> w & 1] for row in rows] == list(
+                    map(list, g.adj)
+                )
+                graphs_seen += 1
+        assert graphs_seen == 994
 
 
 class TestRecheck:
