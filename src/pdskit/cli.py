@@ -81,19 +81,42 @@ def _read_source(arg: str) -> str:
     raise FileNotFoundError(arg)
 
 
-def _load_graph(arg: str) -> tuple[Graph, str]:
-    """Returns (graph, raw text used for the input digest)."""
+def _load(arg: str, parse, from_fixture) -> tuple[object, str]:
+    """(object, input digest) of file arg, or of stdin for "-", read by
+    parse; a name that is no file goes to from_fixture, which returns
+    (object, text to digest).  The text is gone once this returns."""
     try:
         raw = _read_source(arg)
     except FileNotFoundError:
-        try:
-            g = fixture(arg).graph
-        except UnknownName:
-            raise ParseError(f"{arg}: not a file, and no such fixture") from None
-        return g, emit_graph(g)
-    body = raw.lstrip()
-    g = graph_from_json(raw) if body.startswith("{") else parse_graph(raw)
-    return g, raw
+        obj, raw = from_fixture(arg)
+        return obj, _digest(raw)
+    digest = _digest(raw)
+    return parse(raw), digest
+
+
+def _graph_fixture(arg: str) -> tuple[Graph, str]:
+    try:
+        g = fixture(arg).graph
+    except UnknownName:
+        raise ParseError(f"{arg}: not a file, and no such fixture") from None
+    return g, emit_graph(g)
+
+
+def _parse_any_graph(raw: str) -> Graph:
+    return graph_from_json(raw) if raw.lstrip().startswith("{") else parse_graph(raw)
+
+
+def _load_graph(arg: str) -> tuple[Graph, str]:
+    """(graph, input digest) of an edge-list or JSON file, or a fixture."""
+    return _load(arg, _parse_any_graph, _graph_fixture)
+
+
+def _cubic_fixture(arg: str) -> tuple[cubic_mod.CubicCycleGraph, str]:
+    rec = fixture(arg)
+    if rec.chords is None:
+        raise InvalidInstance(f"fixture {arg!r} carries no cycle-plus-chords form")
+    inst = cubic_mod.CubicCycleGraph(rec.graph.n, rec.chords)
+    return inst, cubic_mod.emit_cubic(inst)
 
 
 def _parse_ids(text: str) -> list[int]:
@@ -103,12 +126,14 @@ def _parse_ids(text: str) -> list[int]:
         raise ParseError(f"bad vertex list {text!r}") from exc
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload))
+def _report(args, code: int, human: list[str], **fields) -> int:
+    """Print {"command": ..., **fields} as one JSON line under --json, or
+    else the human lines; returns the exit code."""
+    if args.json:
+        print(json.dumps({"command": args.command, **fields}))
     else:
-        for line in human:
-            print(line)
+        print(*human, sep="\n")
+    return code
 
 
 def _set_lines(s: VertexSet, limit: int = 200) -> list[str]:
@@ -121,7 +146,7 @@ def _set_lines(s: VertexSet, limit: int = 200) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    g, raw = _load_graph(args.graph)
+    g, digest = _load_graph(args.graph)
     if args.set is not None:
         s = VertexSet.from_ids(g.n, _parse_ids(args.set))
     else:
@@ -129,75 +154,49 @@ def cmd_verify(args) -> int:
     verdict = check_pds(g, s)
     connected = induced_connected(g, s) if len(s) else False
     ok = verdict.holds and (connected or not args.connected)
-    payload = {
-        "command": "verify",
-        "input_digest": _digest(raw),
-        "holds": verdict.holds,
-        "connected": connected,
-        "unsatisfied": [
-            {"vertex": u, "inside": di, "outside": do}
-            for u, di, do in verdict.unsatisfied
-        ],
-    }
     human = [f"pds {str(verdict.holds).lower()}", f"connected {str(connected).lower()}"]
-    human += [
-        f"violated by {u}: inside {di}, outside {do}"
-        for u, di, do in verdict.unsatisfied
-    ]
-    _emit(args, payload, human)
-    return 0 if ok else 1
+    human += [f"violated by {u}: inside {di}, outside {do}" for u, di, do in verdict.unsatisfied]
+    unsatisfied = [{"vertex": u, "inside": di, "outside": do} for u, di, do in verdict.unsatisfied]
+    return _report(
+        args, 0 if ok else 1, human,
+        input_digest=digest, holds=verdict.holds, connected=connected, unsatisfied=unsatisfied,
+    )
 
 
 def cmd_exact(args) -> int:
-    g, raw = _load_graph(args.graph)
+    g, digest = _load_graph(args.graph)
     if args.extend is not None:
         base = VertexSet.from_ids(g.n, _parse_ids(args.extend))
         ext = pds_extension(g, base, cap=args.cap)
         if ext is None:
-            _emit(
-                args,
-                {"command": "exact", "input_digest": _digest(raw), "extension": None},
-                ["no extension"],
-            )
-            return 1
+            return _report(args, 1, ["no extension"], input_digest=digest, extension=None)
         recheck(g, ext, "extension")
-        payload = {
-            "command": "exact",
-            "input_digest": _digest(raw),
-            "extension": ext.members(),
-            "verified": True,
-        }
-        _emit(args, payload, [f"extension of size {len(ext)}"] + _set_lines(ext))
-        return 0
+        return _report(
+            args, 0, [f"extension of size {len(ext)}", *_set_lines(ext)],
+            input_digest=digest, extension=ext.members(), verified=True,
+        )
     t0 = time.perf_counter()
     res = max_pds_exact(
         g, connected_only=args.connected, all_optima=args.all_optima, cap=args.cap
     )
     elapsed = time.perf_counter() - t0
     connected = recheck(g, res.witness, "exact witness", args.connected)
-    payload = {
-        "command": "exact",
-        "input_digest": _digest(raw),
-        "size": res.size,
-        "witness": res.witness.members(),
-        "connected": connected,
-        "optima": [s.members() for s in res.optima] if res.optima else None,
-        "subsets_checked": res.subsets_checked,
-        "seconds": elapsed,
-        "verified": True,
-    }
-    human = [f"size {res.size}"] + _set_lines(res.witness)
+    human = [f"size {res.size}", *_set_lines(res.witness)]
     if res.optima:
         human.append(f"optima {len(res.optima)}")
     human.append(f"subsets checked {res.subsets_checked}")
-    _emit(args, payload, human)
-    return 0
+    return _report(
+        args, 0, human,
+        input_digest=digest, size=res.size, witness=res.witness.members(), connected=connected,
+        optima=[s.members() for s in res.optima] if res.optima else None,
+        subsets_checked=res.subsets_checked, seconds=elapsed, verified=True,
+    )
 
 
 def cmd_approx(args) -> int:
     if not 1 <= args.restarts <= MAX_RESTARTS:
         raise ParseError(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
-    g, raw = _load_graph(args.graph)
+    g, digest = _load_graph(args.graph)
     init = (
         VertexSet.from_ids(g.n, _parse_ids(args.init)) if args.init is not None else None
     )
@@ -218,185 +217,110 @@ def cmd_approx(args) -> int:
     elapsed = time.perf_counter() - t0
     s, trace = best
     connected = recheck(g, s, "local search output")
-    payload = {
-        "command": "approx",
-        "input_digest": _digest(raw),
-        "size": len(s),
-        "set": s.members(),
-        "connected": connected,
-        "moves": trace.iterations,
-        "restarts": runs,
-        "seconds": elapsed,
-        "verified": True,
+    fields = {
+        "input_digest": digest, "size": len(s), "set": s.members(), "connected": connected,
+        "moves": trace.iterations, "restarts": runs, "seconds": elapsed, "verified": True,
     }
     if args.trace:
-        payload["trace"] = [
-            {
-                "vertex": mv.vertex,
-                "inside": mv.inside_degree,
-                "outside": mv.outside_degree,
-                "cut_before": mv.cut_before,
-                "cut_after": mv.cut_after,
-            }
+        fields["trace"] = [
+            {"vertex": mv.vertex, "inside": mv.inside_degree, "outside": mv.outside_degree,
+             "cut_before": mv.cut_before, "cut_after": mv.cut_after}
             for mv in trace.moves
         ]
-    human = [
-        f"size {len(s)}",
-        *_set_lines(s),
-        f"connected {str(connected).lower()}",
-        f"moves {trace.iterations}",
-    ]
-    _emit(args, payload, human)
-    return 0
+    human = [f"size {len(s)}", *_set_lines(s), f"connected {str(connected).lower()}"]
+    return _report(args, 0, human + [f"moves {trace.iterations}"], **fields)
 
 
 def cmd_cubic(args) -> int:
     if args.sweep8:
-        counts = {"paired": 0, "alternating": 0}
-        total = 0
-        for inst in cubic_mod.all_cubic_cycles(8):
-            total += 1
-            outcome = cubic_mod.solve_hamiltonian_cubic(inst)
-            if outcome.exceptional:
-                counts[outcome.exceptional] += 1
-        payload = {"command": "cubic", "instances": total, "exceptional": counts}
-        _emit(
-            args,
-            payload,
-            [
-                f"instances {total}",
-                f"exceptional paired {counts['paired']}",
-                f"exceptional alternating {counts['alternating']}",
-            ],
-        )
-        return 0
+        solve = cubic_mod.solve_hamiltonian_cubic
+        kinds = [solve(inst).exceptional for inst in cubic_mod.all_cubic_cycles(8)]
+        counts = {k: kinds.count(k) for k in ("paired", "alternating")}
+        human = [f"instances {len(kinds)}", *(f"exceptional {k} {c}" for k, c in counts.items())]
+        return _report(args, 0, human, instances=len(kinds), exceptional=counts)
 
     order: list[int] | None = None
     if args.random is not None:
         inst = cubic_mod.random_cubic_cycle(args.random, seed=args.seed)
-        raw = cubic_mod.emit_cubic(inst)
+        digest = _digest(cubic_mod.emit_cubic(inst))
+    elif args.input is None:
+        raise ParseError("cubic needs an input, --random N, or --sweep8")
+    elif args.find_cycle:
+        g, digest = _load_graph(args.input)
+        inst, order = cubic_mod._cubic_from_graph(g)
     else:
-        if args.input is None:
-            raise ParseError("cubic needs an input, --random N, or --sweep8")
-        if args.find_cycle:
-            g, raw = _load_graph(args.input)
-            inst, order = cubic_mod._cubic_from_graph(g)
-        else:
-            try:
-                raw = _read_source(args.input)
-                inst = cubic_mod.parse_cubic(raw)
-            except FileNotFoundError:
-                rec = fixture(args.input)
-                if rec.chords is None:
-                    raise InvalidInstance(
-                        f"fixture {args.input!r} carries no cycle-plus-chords form"
-                    ) from None
-                inst = cubic_mod.CubicCycleGraph(rec.graph.n, rec.chords)
-                raw = cubic_mod.emit_cubic(inst)
+        inst, digest = _load(args.input, cubic_mod.parse_cubic, _cubic_fixture)
 
-    # the text and the instance go before the answer's set is emitted
-    payload = {"command": "cubic", "input_digest": _digest(raw), "n": inst.n}
-    del raw
+    fields = {"input_digest": digest, "n": inst.n}
     t0 = time.perf_counter()
     outcome = cubic_mod.solve_hamiltonian_cubic(inst, verify=not args.no_verify)
-    payload["seconds"] = time.perf_counter() - t0
-    payload["verified"] = not args.no_verify
-    del inst
+    fields.update(seconds=time.perf_counter() - t0, verified=not args.no_verify)
+    del inst  # the instance goes before the answer's set is emitted
     if outcome.exceptional:
-        payload["exceptional"] = outcome.exceptional
-        _emit(args, payload, [f"exceptional {outcome.exceptional}", "no PDS of target size"])
-        return 1
+        human = [f"exceptional {outcome.exceptional}", "no PDS of target size"]
+        return _report(args, 1, human, **fields, exceptional=outcome.exceptional)
     s = outcome.pds
     if order is not None:
         # translate cycle positions back to the labels the user supplied
         s = VertexSet.from_ids(s.n, (order[v] for v in s.members()))
-        payload["cycle"] = order
-    payload["size"] = len(s)
-    payload["set"] = s.members() if s.n <= 100_000 else None
-    _emit(args, payload, [f"size {len(s)}"] + _set_lines(s))
-    return 0
+        fields["cycle"] = order
+    return _report(
+        args, 0, [f"size {len(s)}", *_set_lines(s)],
+        **fields, size=len(s), set=s.members() if s.n <= 100_000 else None,
+    )
 
 
 def cmd_reduce(args) -> int:
-    g, raw = _load_graph(args.graph)
+    g, digest = _load_graph(args.graph)
     if args.kind == "split":
         inst = split_reduction(g)
-        payload = {
-            "command": "reduce",
-            "kind": "split",
-            "input_digest": _digest(raw),
-            "target": graph_to_json(inst.target),
-            "anchors": list(inst.anchors),
-            "edge_block": [[list(e), i] for e, i in inst.edge_ids.items()],
-            "source_block": list(inst.source_ids),
-            "core_size": inst.core_size,
-        }
-        human = [
-            f"target n {inst.target.n} m {inst.target.m}",
-            f"core size {inst.core_size}",
-        ]
+        head = {"target": graph_to_json(inst.target), "anchors": list(inst.anchors)}
+        tail = {"core_size": inst.core_size}
+        human = [f"core size {inst.core_size}"]
     else:
         if args.k is None:
             raise ParseError("bipartite reduction needs --k")
         inst = bipartite_reduction(g, args.k)
-        payload = {
-            "command": "reduce",
-            "kind": "bipartite",
-            "input_digest": _digest(raw),
-            "k": args.k,
-            "target": graph_to_json(inst.target),
-            "filler_count": inst.filler_count,
-            "edge_block": [[list(e), i] for e, i in inst.edge_ids.items()],
-            "source_block": list(inst.source_ids),
-            "threshold": inst.threshold,
+        head = {
+            "k": args.k, "target": graph_to_json(inst.target), "filler_count": inst.filler_count
         }
-        human = [
-            f"target n {inst.target.n} m {inst.target.m}",
-            f"filler {inst.filler_count}",
-            f"threshold {inst.threshold}",
-        ]
+        tail = {"threshold": inst.threshold}
+        human = [f"filler {inst.filler_count}", f"threshold {inst.threshold}"]
+    fields = {
+        "kind": args.kind,
+        "input_digest": digest,
+        **head,
+        "edge_block": [[list(e), i] for e, i in inst.edge_ids.items()],
+        "source_block": list(inst.source_ids),
+        **tail,
+    }
+    human.insert(0, f"target n {inst.target.n} m {inst.target.m}")
     if args.certificate:
         alpha, is_set = max_independent_set_exact(g, cap=args.cap)
         if args.kind == "bipartite" and alpha < args.k:
-            raise NoPds(
-                f"alpha(G) = {alpha} < k = {args.k}: no certificate exists"
-            )
-        pds = inst.embed_independent_set(is_set)
+            raise NoPds(f"alpha(G) = {alpha} < k = {args.k}: no certificate exists")
         cert = ReductionCertificate(
-            kind=args.kind,
-            direction="forward",
-            k=getattr(inst, "k", None),
-            independent_set=is_set,
-            pds=pds,
+            kind=args.kind, direction="forward", k=getattr(inst, "k", None),
+            independent_set=is_set, pds=inst.embed_independent_set(is_set),
         )
         problems = verify_certificate(inst, cert)
         if problems:
             raise VerificationFailed("; ".join(problems))
-        Path(args.certificate).write_text(
-            json.dumps(certificate_to_json(inst, cert), indent=2) + "\n"
-        )
-        payload["certificate"] = args.certificate
-        payload["alpha"] = alpha
-        human.append(f"alpha {alpha}")
-        human.append(f"certificate written to {args.certificate}")
-    _emit(args, payload, human)
-    return 0
+        text = json.dumps(certificate_to_json(inst, cert), indent=2) + "\n"
+        Path(args.certificate).write_text(text)
+        fields.update(certificate=args.certificate, alpha=alpha)
+        human += [f"alpha {alpha}", f"certificate written to {args.certificate}"]
+    return _report(args, 0, human, **fields)
 
 
 def cmd_certify(args) -> int:
     obj = _json_object(_read_source(args.file), "kind", "direction")
     inst, cert = certificate_from_json(obj)
     problems = verify_certificate(inst, cert)
-    payload = {
-        "command": "certify",
-        "kind": cert.kind,
-        "direction": cert.direction,
-        "valid": not problems,
-        "problems": problems,
-    }
-    human = [f"valid {str(not problems).lower()}"] + problems
-    _emit(args, payload, human)
-    return 0 if not problems else 1
+    return _report(
+        args, 0 if not problems else 1, [f"valid {str(not problems).lower()}", *problems],
+        kind=cert.kind, direction=cert.direction, valid=not problems, problems=problems,
+    )
 
 
 def cmd_gen(args) -> int:
@@ -424,9 +348,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ParseError(f"--repeats must be at least 1, got {args.repeats}")
     kwargs = {"seed": args.seed, "repeats": args.repeats}
-    if args.sizes:
-        kwargs["sizes"] = tuple(_parse_ids(args.sizes))
+    if args.sizes is not None:
+        sizes = _parse_ids(args.sizes)
+        if not sizes or len(set(sizes)) < len(sizes):
+            raise ParseError(f"--sizes must list distinct sizes, got {args.sizes!r}")
+        kwargs["sizes"] = tuple(sizes)
     rows = bench_mod.run_suite(args.suite, **kwargs)
     cols = list(rows[0].keys())
     lines = [",".join(cols)]

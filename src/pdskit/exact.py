@@ -20,7 +20,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, NoPds
-from .graph import Graph, VertexSet, adjacency_masks, require_connected
+from .graph import Graph, VertexSet, _mask_connected, adjacency_masks, require_connected
 from .pds import pds_size_upper_bound
 
 DEFAULT_CAP = 24
@@ -53,21 +53,6 @@ def _colex_rank(mask: int) -> int:
         rank += comb(low.bit_length() - 1, i)
         mask ^= low
     return rank
-
-
-def _mask_connected(adjm, smask: int) -> bool:
-    seen = smask & -smask
-    frontier = seen
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reach |= adjm[low.bit_length() - 1]
-            m ^= low
-        frontier = reach & smask & ~seen
-        seen |= frontier
-    return seen == smask
 
 
 class ExactResult(NamedTuple):

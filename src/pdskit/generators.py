@@ -46,7 +46,7 @@ from operator import or_
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, InvalidGraph, UnknownName
-from .graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, _mask_connected, parse_graph
 
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
 
@@ -214,21 +214,6 @@ def _canonical_key(n: int, adj: tuple[int, ...]) -> int:
     return best
 
 
-def _connected_without(n: int, adj: tuple[int, ...], w: int) -> bool:
-    """True when the graph on adj stays connected once w is removed."""
-    rest = (1 << n) - 1 & ~(1 << w)
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        while frontier:
-            bit = frontier & -frontier
-            reach |= adj[bit.bit_length() - 1]
-            frontier ^= bit
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen == rest
-
-
 def _new_vertex_may_be_removed(n: int, adj: tuple[int, ...]) -> bool:
     """Cheap first test of canonical augmentation: no non-cut vertex has a
     strictly larger (degree, sum of neighbour degrees) than vertex n-1."""
@@ -247,7 +232,7 @@ def _new_vertex_may_be_removed(n: int, adj: tuple[int, ...]) -> bool:
                 new_sum = nbr_degrees(n - 1)
             if nbr_degrees(w) <= new_sum:
                 continue
-        if _connected_without(n, adj, w):
+        if _mask_connected(adj, ((1 << n) - 1) ^ (1 << w)):  # w is no cut vertex
             return False
     return True
 
@@ -259,6 +244,10 @@ def _connected_masks(n: int, cache=_connected_cache) -> list[tuple[int, ...]]:
     """Adjacency masks, one connected graph per class; bench passes an empty cache of its own."""
     if n in cache:
         return cache[n]
+    if n < 2:
+        raise InvalidArgument("enumeration starts at n=2")
+    if n > _ENUM_CAP:
+        raise InstanceTooLarge(f"enumeration is capped at n={_ENUM_CAP}")
     if n == 2:
         reps = [(0b10, 0b01)]
     else:
@@ -281,10 +270,6 @@ def _connected_masks(n: int, cache=_connected_cache) -> list[tuple[int, ...]]:
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:
     """All connected n-vertex graphs, one per isomorphism class."""
-    if n < 2:
-        raise InvalidArgument("enumeration starts at n=2")
-    if n > _ENUM_CAP:
-        raise InstanceTooLarge(f"enumeration is capped at n={_ENUM_CAP}")
     for adj in _connected_masks(n):
         yield Graph(
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]

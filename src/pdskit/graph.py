@@ -207,6 +207,23 @@ def _reach(adj, seen: bytearray, start: int) -> int:
     return marked
 
 
+def _mask_connected(adjm, smask: int) -> bool:
+    """True when the vertices of smask induce a connected subgraph of the
+    graph whose neighbour masks are adjm."""
+    seen = smask & -smask
+    frontier = seen
+    while frontier:
+        reach = 0
+        m = frontier
+        while m:
+            low = m & -m
+            reach |= adjm[low.bit_length() - 1]
+            m ^= low
+        frontier = reach & smask & ~seen
+        seen |= frontier
+    return seen == smask
+
+
 def is_connected(g: Graph) -> bool:
     known = getattr(g, "_connected", None)  # a Graph is immutable: search once
     if known is None:

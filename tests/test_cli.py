@@ -472,6 +472,35 @@ class TestBench:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "bench", "--suite", "nothing")[0] == 2
 
+    # each once ended in a traceback: KeyError, IndexError or ValueError
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["--repeats", "0"], "--repeats must be at least 1, got 0"),
+            (["--repeats", "-3"], "--repeats must be at least 1, got -3"),
+            (["--sizes", ","], "--sizes must list distinct sizes, got ','"),
+            (["--sizes", ""], "--sizes must list distinct sizes, got ''"),
+            (["--sizes", "3,3"], "--sizes must list distinct sizes, got '3,3'"),
+            (["--sizes", "4,3,4"], "--sizes must list distinct sizes, got '4,3,4'"),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("suite", ["exact-scaling", "enum-scaling"])
+    def test_bad_sizes_or_repeats_rejected_before_any_suite(self, capsys, monkeypatch, suite, argv, what):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran before its options were checked")
+
+        monkeypatch.setattr(cli.bench_mod, "run_suite", refuse)
+        code, out, err = run(capsys, "bench", "--suite", suite, *argv)
+        assert (code, out, err) == (2, "", f"error: {what}\n")
+
+    @pytest.mark.parametrize(
+        "sizes, what", [("0", "starts at n=2"), ("1,2", "starts at n=2"), ("10", "is capped at n=9")]
+    )
+    def test_enum_scaling_sizes_out_of_range(self, capsys, sizes, what):
+        code, out, err = run(capsys, "bench", "--suite", "enum-scaling", "--sizes", sizes, "--repeats", "1")
+        assert (code, out, err) == (2, "", f"error: enumeration {what}\n")
+
 
 class TestDispatch:
     # the report keys of each solver command; --json prints them on one line
