@@ -36,11 +36,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from . import exact
-from .errors import (
-    InstanceTooLarge,
-    InvalidArgument,
-    VerificationFailed,
-)
+from .errors import InvalidArgument, VerificationFailed
 from .graph import Graph, VertexSet, adjacency_masks, require_connected
 
 # the measurement behind this cutoff is in the module docstring
@@ -257,7 +253,5 @@ def decide_pds_at_least_k(g: Graph, k: int, cap: int | None = None) -> bool:
         if len(s) < k:
             raise VerificationFailed(f"local search returned {len(s)} vertices, below k={k}")
         return True
-    cap = exact.resolve_cap(cap)
-    if n > cap:
-        raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
+    exact._require_within_cap(g, cap)
     return bool(exact._descend(g, k)[0])

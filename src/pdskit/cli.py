@@ -324,6 +324,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.json and (args.list or args.cubic is not None):
+        raise ParseError("gen --json needs --fixture or --random")
     if args.list:
         for name in fixture_names():
             print(name)

@@ -42,6 +42,12 @@ def resolve_cap(cap: int | None = None) -> int:
     return cap
 
 
+def _require_within_cap(g: Graph, cap: int | None) -> None:
+    cap = resolve_cap(cap)
+    if g.n > cap:
+        raise InstanceTooLarge(f"n={g.n} exceeds the enumeration cap {cap}")
+
+
 def _colex_rank(mask: int) -> int:
     """Position of mask among the masks of its bit count in ascending
     numeric order: sum C(c_i, i) over its bits c_1 < c_2 < ..."""
@@ -177,11 +183,10 @@ def max_pds_exact(
     (see _descend); subsets_checked is computed, not counted, and equals
     the number a one-by-one test of the masks would report.
     """
-    cap = resolve_cap(cap)
+    cap = resolve_cap(cap)  # a bad cap is reported before a disconnected graph
     require_connected(g)
+    _require_within_cap(g, cap)
     n = g.n
-    if n > cap:
-        raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
     hits, checked = _descend(g, 2, connected_only, all_optima)
     if not hits:
         raise NoPds(f"no subset with 2 <= |S| < {n} is a PDS")
@@ -200,10 +205,8 @@ def pds_extension(
     is _pick's on a relabelling that keeps the order of the free vertices
     and puts base above them, so base is the prefix every pick extends.
     """
-    cap = resolve_cap(cap)
+    _require_within_cap(g, cap)
     n = g.n
-    if n > cap:
-        raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
     if len(base) >= n:
         raise InvalidArgument("base must be a strict subset of the vertices")
     order = [v for v in range(n) if not base.mask >> v & 1] + base.members()
@@ -252,10 +255,8 @@ def max_independent_set_exact(
     g: Graph, cap: int | None = None
 ) -> tuple[int, VertexSet]:
     """Maximum independent set by branch and bound (deterministic witness)."""
-    cap = resolve_cap(cap)
+    _require_within_cap(g, cap)
     n = g.n
-    if n > cap:
-        raise InstanceTooLarge(f"n={n} exceeds the enumeration cap {cap}")
     best = [0, 0]
     _grow_independent(adjacency_masks(g), best, (1 << n) - 1, 0, 0)
     return best[0], VertexSet(n, best[1])

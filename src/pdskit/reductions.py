@@ -13,6 +13,12 @@ any large PDS.
   size m*(n-k-1) - k + 1 wired completely to the edge block; the target
   is bipartite and has a PDS of size filler + m + k iff alpha(G) >= k.
 
+Both share one layout: the core is ids 0 .. core_size-1, its last m ids
+are the edge block in g.edges order, and source vertex v is id
+core_size + v.  A set crosses between the graphs by a shift: an
+independent set embeds as the core's mask OR its own mask shifted up by
+core_size, and a normalized PDS extracts as its mask shifted down.
+
 Certificates bundle an independent set and a PDS whose sizes witness the
 correspondence in either direction; they re-verify from scratch.
 """
@@ -44,71 +50,44 @@ from .pds import check_pds
 
 
 def _require_independent(g: Graph, s: VertexSet) -> None:
+    if s.n != g.n:
+        raise InvalidArgument(f"set lives on {s.n} vertices, source graph has {g.n}")
     flags = s.flags()
     for u, v in g.edges:
         if flags[u] and flags[v]:
             raise NotIndependent(f"edge ({u}, {v}) lies inside the set")
 
 
-class _ReductionBase:
-    """Shared plumbing: block bookkeeping and set translation.  A mixin,
-    listed after a NamedTuple of the fields; it adds no instance state."""
-
-    __slots__ = ()
-    source: Graph
-    target: Graph
-    edge_ids: dict[tuple[int, int], int]
-    source_ids: tuple[int, ...]
-
-    @property
-    def core_size(self) -> int:
-        """Vertices the construction forces into every large PDS."""
-        raise NotImplementedError
-
-    def _core_mask(self) -> int:
-        return (1 << self.core_size) - 1
-
-    def _map_source_set(self, s: VertexSet) -> int:
-        mask = 0
-        for v in s.members():
-            mask |= 1 << self.source_ids[v]
-        return mask
-
-    def _source_block_members(self, s: VertexSet) -> list[int]:
-        base = self.source_ids[0]
-        return [t - base for t in s.members() if t >= base]
-
-    def extract_independent_set(self, s: VertexSet) -> VertexSet:
-        """Project a PDS of the target back to an independent set of the source."""
-        fixed = self.normalize_pds(s)
-        out = VertexSet.from_ids(self.source.n, self._source_block_members(fixed))
-        _require_independent(self.source, out)  # guaranteed; fail loudly if not
-        return out
-
-    def normalize_pds(self, s: VertexSet) -> VertexSet:
-        raise NotImplementedError
+def _embed(inst, is_set: VertexSet) -> VertexSet:
+    core = inst.core_size
+    return VertexSet(inst.target.n, (1 << core) - 1 | is_set.mask << core)
 
 
-class _SplitFields(NamedTuple):
+def _extract(inst, s: VertexSet) -> VertexSet:
+    """Project a PDS of the target back to an independent set of the source."""
+    out = VertexSet(inst.source.n, inst.normalize_pds(s).mask >> inst.core_size)
+    _require_independent(inst.source, out)  # guaranteed; fail loudly if not
+    return out
+
+
+class SplitReduction(NamedTuple):
     source: Graph
     target: Graph
     anchors: tuple[int, int]
     edge_ids: dict[tuple[int, int], int]
     source_ids: tuple[int, ...]
 
-
-class SplitReduction(_SplitFields, _ReductionBase):
-    __slots__ = ()
-
     @property
     def core_size(self) -> int:
+        """Vertices the construction forces into every large PDS."""
         return self.source.m + 2
 
     def embed_independent_set(self, is_set: VertexSet) -> VertexSet:
         """Core plus the mapped independent set; always a PDS of the target."""
         _require_independent(self.source, is_set)
-        mask = self._core_mask() | self._map_source_set(is_set)
-        return VertexSet(self.target.n, mask)
+        return _embed(self, is_set)
+
+    extract_independent_set = _extract
 
     def normalize_pds(self, s: VertexSet) -> VertexSet:
         """Rewrite a PDS so it contains the whole core, never shrinking it.
@@ -117,33 +96,25 @@ class SplitReduction(_SplitFields, _ReductionBase):
         density condition only when both its endpoints sit inside (its
         non-neighbors are exactly its two endpoints, so both inside means
         d(e) = |S|-3 < |S|-2).  Evicting the smaller endpoint repairs e
-        for good and harms nobody, so the loop runs at most once per
-        edge vertex the input was missing.
+        for good and harms nobody, so one pass over the edges in order
+        repairs them all, evicting at most once per edge vertex the input
+        was missing.
         """
         if not check_pds(self.target, s).holds:
             raise NotAPds("normalize_pds needs a PDS of the target")
-        inside = set(s.members())
-        budget = sum(
-            1 for eid in self.edge_ids.values() if eid not in inside
-        )
-        inside.update(range(self.core_size))
-        while True:
-            offender = None
-            for (u, v), _eid in self.edge_ids.items():
-                if self.source_ids[u] in inside and self.source_ids[v] in inside:
-                    offender = (u, v)
-                    break
-            if offender is None:
-                break
-            if budget <= 0:
-                raise VerificationFailed("edge-block transfer loop exceeded its bound")
-            budget -= 1
-            u, v = offender
-            inside.discard(min(self.source_ids[u], self.source_ids[v]))
-        return VertexSet.from_ids(self.target.n, inside)
+        core, m = self.core_size, self.source.m
+        inside = s.mask >> core
+        evicted = 0
+        for u, v in self.source.edges:  # u < v
+            if inside >> u & inside >> v & 1:
+                inside ^= 1 << u
+                evicted += 1
+        if evicted > (~s.mask >> (core - m) & (1 << m) - 1).bit_count():
+            raise VerificationFailed("edge-block transfer loop exceeded its bound")
+        return VertexSet(self.target.n, (1 << core) - 1 | inside << core)
 
 
-class _BipartiteFields(NamedTuple):
+class BipartiteReduction(NamedTuple):
     source: Graph
     target: Graph
     k: int
@@ -151,12 +122,9 @@ class _BipartiteFields(NamedTuple):
     edge_ids: dict[tuple[int, int], int]
     source_ids: tuple[int, ...]
 
-
-class BipartiteReduction(_BipartiteFields, _ReductionBase):
-    __slots__ = ()
-
     @property
     def core_size(self) -> int:
+        """Vertices the construction forces into every large PDS."""
         return self.filler_count + self.source.m
 
     @property
@@ -171,29 +139,32 @@ class BipartiteReduction(_BipartiteFields, _ReductionBase):
             raise InvalidArgument(
                 f"need an independent set of size >= k={self.k}, got {len(is_set)}"
             )
-        mask = self._core_mask() | self._map_source_set(is_set)
-        return VertexSet(self.target.n, mask)
+        return _embed(self, is_set)
+
+    extract_independent_set = _extract
 
     def normalize_pds(self, s: VertexSet) -> VertexSet:
         """Absorb the core into a large PDS; no transfer loop is needed."""
         if not check_pds(self.target, s).holds:
             raise NotAPds("normalize_pds needs a PDS of the target")
         if len(s) < self.threshold:
-            raise InvalidArgument(
-                f"need |S| >= {self.threshold}, got {len(s)}"
-            )
-        return VertexSet(self.target.n, s.mask | self._core_mask())
+            raise InvalidArgument(f"need |S| >= {self.threshold}, got {len(s)}")
+        return VertexSet(self.target.n, s.mask | (1 << self.core_size) - 1)
 
 
-def _edge_to_source_links(
-    g: Graph, edge_ids: dict[tuple[int, int], int], source_ids: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    links = []
-    for (u, v), eid in edge_ids.items():
-        for w in range(g.n):
-            if w != u and w != v:
-                links.append((eid, source_ids[w]))
-    return links
+def _layout(g: Graph, core_size: int):
+    """The edge block's ids (the core's last m, in g.edges order), the
+    source block's ids (core_size + v) and each edge vertex's links to
+    the sources off its endpoints, in that order."""
+    first = core_size - g.m
+    edge_ids = {e: first + i for i, e in enumerate(g.edges)}
+    links = [
+        (first + i, core_size + w)
+        for i, (u, v) in enumerate(g.edges)
+        for w in range(g.n)
+        if w != u and w != v
+    ]
+    return edge_ids, tuple(range(core_size, core_size + g.n)), links
 
 
 def _require_reducible(g: Graph) -> None:
@@ -204,19 +175,15 @@ def _require_reducible(g: Graph) -> None:
 
 def split_reduction(g: Graph) -> SplitReduction:
     _require_reducible(g)
-    m = g.m
-    anchors = (0, 1)
-    edge_ids = {e: 2 + i for i, e in enumerate(g.edges)}
-    source_ids = tuple(2 + m + v for v in range(g.n))
-    core = list(range(m + 2))
-    edges = [(core[i], core[j]) for i in range(m + 2) for j in range(i + 1, m + 2)]
-    edges += _edge_to_source_links(g, edge_ids, source_ids)
+    core_size = g.m + 2
+    edge_ids, source_ids, links = _layout(g, core_size)
+    clique = [(i, j) for i in range(core_size) for j in range(i + 1, core_size)]
     return SplitReduction(
         source=g,
         # sorted, the clique and the links interleave into the canonical
         # order that Graph takes through its C-level scans
-        target=Graph(2 + m + g.n, sorted(edges)),
-        anchors=anchors,
+        target=Graph(core_size + g.n, sorted(clique + links)),
+        anchors=(0, 1),
         edge_ids=edge_ids,
         source_ids=source_ids,
     )
@@ -232,13 +199,11 @@ def bipartite_reduction(g: Graph, k: int) -> BipartiteReduction:
     target_m = filler_count * m + m * (g.n - 2)
     if target_m > MAX_EDGES:
         raise InvalidGraph(f"target m={target_m} is above the limit of {MAX_EDGES} edges")
-    edge_ids = {e: filler_count + i for i, e in enumerate(g.edges)}
-    source_ids = tuple(filler_count + m + v for v in range(g.n))
+    edge_ids, source_ids, links = _layout(g, filler_count + m)
     edges = [(f, eid) for f in range(filler_count) for eid in edge_ids.values()]
-    edges += _edge_to_source_links(g, edge_ids, source_ids)
     return BipartiteReduction(
         source=g,
-        target=Graph(filler_count + m + g.n, edges),
+        target=Graph(filler_count + m + g.n, edges + links),
         k=k,
         filler_count=filler_count,
         edge_ids=edge_ids,
@@ -285,9 +250,7 @@ def verify_certificate(
     else:
         problems.append(f"unknown direction {cert.direction!r}")
     if isinstance(inst, BipartiteReduction) and len(cert.independent_set) < inst.k:
-        problems.append(
-            f"independent set smaller than k={inst.k}"
-        )
+        problems.append(f"independent set smaller than k={inst.k}")
     return problems
 
 

@@ -429,6 +429,12 @@ class TestGen:
     def test_no_mode(self, capsys):
         assert run(capsys, "gen")[0] == 2
 
+    @pytest.mark.parametrize("mode", [["--list"], ["--cubic", "6"]])
+    def test_json_only_with_a_graph_mode(self, capsys, mode):
+        code, out, err = run(capsys, "gen", *mode, "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: gen --json needs --fixture or --random\n"
+
 
 class TestBench:
     def test_csv_to_file(self, capsys, tmp_path):

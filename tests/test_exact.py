@@ -15,6 +15,7 @@ from pdskit import (
     VertexSet,
     all_connected_graphs,
     check_pds,
+    decide_pds_at_least_k,
     is_star,
     max_independent_set_exact,
     max_pds_exact,
@@ -238,6 +239,24 @@ class TestCaps:
         monkeypatch.setenv("PDSKIT_CAP", "lots")
         with pytest.raises(InstanceTooLarge):
             resolve_cap(None)
+
+    def test_every_entry_point_names_n_and_the_cap(self):
+        g = Graph(7, [(v, (v + 1) % 7) for v in range(7)])
+        for call in (
+            lambda: max_pds_exact(g, cap=6),
+            lambda: pds_extension(g, VertexSet.from_ids(7, [0]), cap=6),
+            lambda: max_independent_set_exact(g, cap=6),
+            lambda: decide_pds_at_least_k(g, 5, cap=6),
+        ):
+            with pytest.raises(InstanceTooLarge, match="^n=7 exceeds the enumeration cap 6$"):
+                call()
+
+    def test_max_pds_checks_the_cap_then_connectivity_then_n(self):
+        two_paths = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        with pytest.raises(InstanceTooLarge, match="enumeration cap must be in"):
+            max_pds_exact(two_paths, cap=1)
+        with pytest.raises(Disconnected):
+            max_pds_exact(two_paths, cap=6)
 
 
 class TestExtension:

@@ -2,7 +2,7 @@ import json
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdskit import (
@@ -14,13 +14,17 @@ from pdskit import (
     NotAPds,
     NotIndependent,
     ParseError,
+    PdsKitError,
+    SplitReduction,
     VertexSet,
+    all_connected_graphs,
     bipartite_reduction,
     certificate_from_json,
     certificate_to_json,
     check_pds,
     is_bipartite,
     is_split,
+    is_star,
     max_independent_set_exact,
     max_pds_exact,
     split_reduction,
@@ -29,6 +33,7 @@ from pdskit import (
 from pdskit import reductions
 from pdskit.reductions import ReductionCertificate
 
+from .reduction_reference import normalize_pds_restart
 from .strategies import graphs
 
 TRIANGLE = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -291,3 +296,61 @@ def test_split_embed_property(g, rnd):
     s = inst.embed_independent_set(VertexSet.from_ids(g.n, chosen))
     assert check_pds(inst.target, s).holds
     assert inst.extract_independent_set(s) == VertexSet.from_ids(g.n, chosen)
+
+
+@given(graphs(min_n=3, max_n=8, connected=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_layout_that_the_shifts_rely_on(g, data):
+    assume(not is_star(g))
+    k = data.draw(st.integers(min_value=1, max_value=g.n - 2))
+    for inst in (split_reduction(g), bipartite_reduction(g, k)):
+        core = inst.core_size
+        assert inst.source_ids == tuple(range(core, inst.target.n))
+        assert inst.edge_ids == {e: core - g.m + i for i, e in enumerate(g.edges)}
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_sets_on_the_wrong_vertex_count_are_rejected(n):
+    split, bip = split_reduction(DEMO5), bipartite_reduction(DEMO5, 1)
+    wrong = VertexSet.from_ids(n, [0, 2])  # members below 5: a shift alone would accept them
+    message = f"^set lives on {n} vertices, source graph has 5$"
+    for inst in (split, bip):
+        with pytest.raises(InvalidArgument, match=message):
+            inst.embed_independent_set(wrong)
+        good = inst.embed_independent_set(VertexSet.from_ids(5, [0, 2]))
+        with pytest.raises(InvalidArgument, match="^set lives on"):
+            inst.extract_independent_set(VertexSet(inst.target.n + n - 5, good.mask))
+        cert = ReductionCertificate(
+            kind="split" if inst is split else "bipartite",
+            direction="forward",
+            k=None if inst is split else 1,
+            independent_set=wrong,
+            pds=good,
+        )
+        with pytest.raises(InvalidArgument, match=message):
+            verify_certificate(inst, cert)
+
+
+def _outcome(normalize, inst, s):
+    try:
+        return normalize(inst, s)
+    except PdsKitError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_pass_normalize_matches_the_restart_loop():
+    compared = 0
+    for n in range(3, 6):
+        for g in all_connected_graphs(n):
+            if g.m > 6 or is_star(g):
+                continue
+            inst = split_reduction(g)
+            t = inst.target
+            for mask in range(1 << t.n):
+                s = VertexSet(t.n, mask)
+                if not 2 <= s.size < t.n or not check_pds(t, s).holds:
+                    continue
+                got = _outcome(SplitReduction.normalize_pds, inst, s)
+                assert got == _outcome(normalize_pds_restart, inst, s), (g.edges, s)
+                compared += 1
+    assert compared == 10505
