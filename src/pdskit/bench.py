@@ -14,16 +14,14 @@ EXACT_SIZES = (16, 18, 20, 22, 24)
 ENUM_SIZES = (3, 4, 5, 6, 7, 8)
 
 
-def _best_of(fn, repeats: int, fresh=None) -> float:
-    """Least wall time of fn() over repeats; with fresh, of fn(fresh()),
-    where fresh() runs untimed."""
+def _best_of(fn, repeats: int) -> tuple[float, object]:
+    """(least wall time of fn() over repeats, what the last call returned)."""
     best = math.inf
     for _ in range(repeats):
-        args = () if fresh is None else (fresh(),)
         t0 = time.perf_counter()
-        fn(*args)
+        out = fn()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, out
 
 
 def approx_scaling(
@@ -33,13 +31,7 @@ def approx_scaling(
     rows = []
     for i, n in enumerate(sizes):
         g = generators.random_connected(n, 4 * n, seed=seed + i)
-        result = {}
-
-        def run(g=g, result=result):
-            result["out"] = approx.half_pds(g)
-
-        seconds = _best_of(run, repeats)
-        _, trace = result["out"]
+        seconds, (_, trace) = _best_of(lambda: approx.half_pds(g), repeats)
         rows.append({"n": n, "m": g.m, "seconds": seconds, "moves": trace.iterations})
     return rows
 
@@ -53,11 +45,11 @@ def cubic_scaling(
     for i, n in enumerate(sizes):
         chord = cubic.random_cubic_cycle(n, seed=seed + i).chord
 
-        def solve(verify, n=n, chord=chord):
+        def solve(verify):
             cubic.solve_hamiltonian_cubic(cubic.CubicCycleGraph(n, chord), verify=verify)
 
-        seconds = _best_of(lambda: solve(False), repeats)
-        verified = _best_of(lambda: solve(True), repeats)
+        seconds, _ = _best_of(lambda: solve(False), repeats)
+        verified, _ = _best_of(lambda: solve(True), repeats)
         rows.append({"n": n, "seconds": seconds, "verified_seconds": verified})
     return rows
 
@@ -69,22 +61,11 @@ def exact_scaling(
     rows = []
     for i, n in enumerate(sizes):
         g = generators.random_connected(n, 3 * n // 2, seed=seed + i)
-        result = {}
-
-        def run(g=g, result=result):
-            result["out"] = exact.max_pds_exact(g, connected_only=True, all_optima=True)
-
-        seconds = _best_of(run, repeats)
-        res = result["out"]
-        rows.append(
-            {
-                "n": n,
-                "m": g.m,
-                "size": res.size,
-                "subsets_checked": res.subsets_checked,
-                "seconds": seconds,
-            }
+        seconds, res = _best_of(
+            lambda: exact.max_pds_exact(g, connected_only=True, all_optima=True), repeats
         )
+        rows.append({"n": n, "m": g.m, "size": res.size,
+                     "subsets_checked": res.subsets_checked, "seconds": seconds})
     return rows
 
 
@@ -93,34 +74,29 @@ def enum_scaling(
 ) -> list[dict]:
     """Cold enumeration of the connected graphs on n vertices, every
     smaller n included; the enumeration is exhaustive, so seed is unused.
-    Each repeat fills the suite's own emptied cache, not the module's."""
-    cache: dict = {}
-
-    def cold() -> dict:
-        cache.clear()
-        return cache
-
+    Each repeat fills an empty cache of its own, not the module's."""
     rows = []
     for n in sizes:
-        seconds = _best_of(
-            lambda c, n=n: generators._connected_masks(n, c), repeats, fresh=cold
-        )
-        rows.append({"n": n, "graphs": len(cache[n]), "seconds": seconds})
+        seconds, reps = _best_of(lambda: generators._connected_masks(n, {}), repeats)
+        rows.append({"n": n, "graphs": len(reps), "seconds": seconds})
     return rows
 
 
+# name -> (suite, exponential).  Enumeration grows exponentially in n, and
+# the exact search follows each instance's optimum: neither is a power of n,
+# so their seconds get a semilog fit, the others a log-log one
 SUITES = {
-    "approx-scaling": approx_scaling,
-    "cubic-scaling": cubic_scaling,
-    "exact-scaling": exact_scaling,
-    "enum-scaling": enum_scaling,
+    "approx-scaling": (approx_scaling, False),
+    "cubic-scaling": (cubic_scaling, False),
+    "exact-scaling": (exact_scaling, True),
+    "enum-scaling": (enum_scaling, True),
 }
 
 
 def run_suite(name: str, **kwargs) -> list[dict]:
     if name not in SUITES:
         raise UnknownName(f"no suite named {name!r}; have {sorted(SUITES)}")
-    return SUITES[name](**kwargs)
+    return SUITES[name][0](**kwargs)
 
 
 def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float, float]:

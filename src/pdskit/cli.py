@@ -164,6 +164,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.extend is not None and (args.connected or args.all_optima):
+        raise ParseError("exact --extend takes neither --connected nor --all-optima")
     g, digest = _load_graph(args.graph)
     if args.extend is not None:
         base = VertexSet.from_ids(g.n, _parse_ids(args.extend))
@@ -232,6 +234,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_cubic(args) -> int:
+    if (args.input is not None) + (args.random is not None) + args.sweep8 > 1:
+        raise ParseError("cubic takes only one of an input, --random N and --sweep8")
     if args.sweep8:
         solve = cubic_mod.solve_hamiltonian_cubic
         kinds = [solve(inst).exceptional for inst in cubic_mod.all_cubic_cycles(8)]
@@ -271,6 +275,8 @@ def cmd_cubic(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.kind == "split" and args.k is not None:
+        raise ParseError("split reduction takes no --k")
     g, digest = _load_graph(args.graph)
     if args.kind == "split":
         inst = split_reduction(g)
@@ -324,6 +330,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    modes = (args.list, args.fixture is not None, args.random is not None, args.cubic is not None)
+    if sum(modes) > 1:
+        raise ParseError("gen takes only one of --list, --fixture, --random and --cubic")
     if args.json and (args.list or args.cubic is not None):
         raise ParseError("gen --json needs --fixture or --random")
     if args.list:
@@ -361,19 +370,18 @@ def cmd_bench(args) -> int:
     rows = bench_mod.run_suite(args.suite, **kwargs)
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
-    lines += [",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols) for r in rows]
+    lines += [",".join(str(r[c]) for c in cols) for r in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     if len(rows) > 1:
+        exponential = bench_mod.SUITES[args.suite][1]
         for col in ("seconds", "verified_seconds"):
             if col in cols:
                 xs, ys = [r["n"] for r in rows], [r[col] for r in rows]
-                # enumeration grows exponentially in n, and the exact search
-                # follows each instance's optimum: neither is a power of n
-                if args.suite in ("enum-scaling", "exact-scaling"):
+                if exponential:
                     slope, r2 = bench_mod.fit_semilog(xs, ys)
                     line = f"per-vertex growth {col} x{math.exp(slope):.2f} r2 {r2:.3f}"
                 else:

@@ -43,12 +43,8 @@ from .errors import (
 )
 from .graph import MAX_VERTICES, Graph, VertexSet, _data_ints, _reach, is_cubic
 
-AHEAD = "ahead"
-BACK = "back"
-
 PAIRED = "paired"  # tags run AHEAD,AHEAD,BACK,BACK around the cycle
 ALTERNATING = "alternating"  # tags strictly alternate
-_TAGS = (None, AHEAD, BACK)  # by code byte
 _NOT_BACK = b"\1\1".ljust(256, b"\0")  # translate tables of the code bytes
 _NOT_AHEAD = b"\1\0\1".ljust(256, b"\0")
 CODE_BLOCK = 4096  # vertices per itemgetter lookup of the code table
@@ -153,10 +149,6 @@ def _chord_codes(g: CubicCycleGraph) -> bytes:
         bytes(itemgetter(*map(sub, chord[lo : lo + CODE_BLOCK], range(lo, n)))(code))
         for lo in range(0, n, CODE_BLOCK)
     )
-
-
-def classify_chords(g: CubicCycleGraph) -> tuple[str | None, ...]:
-    return itemgetter(*g.codes)(_TAGS)
 
 
 def _assert_sealed(g: CubicCycleGraph, arc: Arc) -> None:

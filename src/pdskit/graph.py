@@ -152,9 +152,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def vertex_set(self, ids: Iterable[int]) -> VertexSet:
-        return VertexSet.from_ids(self.n, ids)
-
     def full_set(self) -> VertexSet:
         return VertexSet(self.n, (1 << self.n) - 1)
 
@@ -351,7 +348,7 @@ def _data_ints(text: str, head: int = 2) -> list[int]:
         raise ParseError(f"bad token: {exc}") from exc
 
 
-def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: a header line "n m", then m lines "u v".
 
     Blank lines and lines starting with '#' are ignored.
@@ -369,10 +366,7 @@ def parse_graph(text: str, require_connectivity: bool = False) -> Graph:
     # tuple and keeps none per line alive
     if all(map(le, islice(ints, 2, None, 2), islice(ints, 4, None, 2))):
         pairs = list(pairs)
-    g = Graph(n, pairs)
-    if require_connectivity:
-        require_connected(g)
-    return g
+    return Graph(n, pairs)
 
 
 def emit_graph(g: Graph) -> str:

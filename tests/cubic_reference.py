@@ -1,7 +1,9 @@
-"""The original per-vertex chord tagging, arc scan, pattern test and
-member-list answers, and an instance's general Graph.
+"""The chord tags, the original per-vertex chord tagging, arc scan, pattern
+test and member-list answers, and an instance's general Graph.
 
-Kept only as test oracles: the code string of ``pdskit.cubic._chord_codes``
+Kept only as test oracles.  ``AHEAD``, ``BACK`` and ``_TAGS`` name the
+code bytes 1, 2 and 0 of ``CubicCycleGraph.codes``, and ``classify_chords``
+reads those codes as tags.  The code string of ``pdskit.cubic._chord_codes``
 (one table lookup per vertex, a block at a time), ``find_full_arc`` (an
 AND of two translated flag strings), ``_pattern`` (bytes comparisons), the
 answer masks of ``solve_hamiltonian_cubic`` and ``Arc.vertex_set`` (a
@@ -11,8 +13,18 @@ rotated bit run) must match what these return, and the bulk re-check
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from pdskit import CubicCycleGraph, Graph, UnclassifiedChords, VertexSet
-from pdskit.cubic import ALTERNATING, AHEAD, BACK, PAIRED, Arc
+from pdskit.cubic import ALTERNATING, PAIRED, Arc
+
+AHEAD = "ahead"
+BACK = "back"
+_TAGS = (None, AHEAD, BACK)  # by code byte
+
+
+def classify_chords(g: CubicCycleGraph) -> tuple[str | None, ...]:
+    return itemgetter(*g.codes)(_TAGS)
 
 
 def classify_chords_loop(g: CubicCycleGraph) -> tuple[str | None, ...]:

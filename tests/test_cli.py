@@ -12,6 +12,7 @@ import pytest
 
 from pdskit import (
     VerificationFailed,
+    bench,
     cli,
     generators,
     reductions,
@@ -436,6 +437,49 @@ class TestGen:
         assert err == "error: gen --json needs --fixture or --random\n"
 
 
+# exact --extend 1,3 answers {1, 2, 3, 6} here, which is not connected
+GRAPH7 = "7 7\n0 1\n0 2\n0 4\n0 5\n0 6\n1 3\n2 6\n"
+
+EXTEND_ALONE = "exact --extend takes neither --connected nor --all-optima"
+CUBIC_MODES = "cubic takes only one of an input, --random N and --sweep8"
+GEN_MODES = "gen takes only one of --list, --fixture, --random and --cubic"
+
+
+class TestRejectedCombinations:
+    def test_extend_answers_only_the_plain_question(self, capsys, tmp_path):
+        f = tmp_path / "g7.txt"
+        f.write_text(GRAPH7)
+        code, payload, _ = run_json(capsys, "exact", str(f), "--extend", "1,3")
+        assert (code, payload["extension"]) == (0, [1, 2, 3, 6])
+        assert run(capsys, "verify", str(f), "--set", "1,2,3,6", "--connected")[0] == 1
+        code, out, err = run(capsys, "exact", str(f), "--extend", "1,3", "--connected", "--json")
+        assert (code, out, err) == (2, "", f"error: {EXTEND_ALONE}\n")
+
+    # each once ran one of the two questions and dropped the other option
+    REJECTED = {
+        ("exact", "k4", "--extend", "0,1", "--connected", "--json"): EXTEND_ALONE,
+        ("exact", "k4", "--extend", "0,1", "--all-optima"): EXTEND_ALONE,
+        ("cubic", "prism6", "--random", "10"): CUBIC_MODES,
+        ("cubic", "--sweep8", "prism6"): CUBIC_MODES,
+        ("cubic", "--sweep8", "--random", "10"): CUBIC_MODES,
+        ("gen", "--fixture", "k4", "--random", "5", "6"): GEN_MODES,
+        ("gen", "--list", "--cubic", "6"): GEN_MODES,
+        ("gen", "--list", "--cubic", "6", "--json"): GEN_MODES,
+        ("reduce", "demo5", "--kind", "split", "--k", "3"): "split reduction takes no --k",
+    }
+
+    @pytest.mark.parametrize("argv, what", REJECTED.items(), ids=map(" ".join, REJECTED))
+    def test_rejected_before_any_input_is_read(self, capsys, monkeypatch, argv, what):
+        def refuse(*args, **kwargs):
+            raise AssertionError("input was read before the options were checked")
+
+        for name in ("_load", "fixture", "fixture_names", "random_connected"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.cubic_mod, "random_cubic_cycle", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {what}\n")
+
+
 class TestBench:
     def test_csv_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "rows.csv"
@@ -455,25 +499,30 @@ class TestBench:
         )
         assert code == 0 and out.startswith("n,m,seconds,moves")
 
-    def test_enum_scaling_fits_per_vertex_growth(self, capsys):
-        before = dict(_connected_cache)
-        code, out, err = run(
-            capsys, "bench", "--suite", "enum-scaling", "--sizes", "3,4,5",
-            "--repeats", "1",
-        )
-        assert _connected_cache == before  # the suite keeps its own cache
-        assert code == 0 and out.startswith("n,graphs,seconds")
-        # time grows exponentially in n, so no power-law slope is printed
-        assert re.fullmatch(r"per-vertex growth seconds x\d+\.\d\d r2 \d\.\d{3}\n", err), err
-
-    def test_exact_scaling_fits_per_vertex_growth(self, capsys):
-        code, out, err = run(
-            capsys, "bench", "--suite", "exact-scaling", "--sizes", "12,14,16",
-            "--repeats", "1",
-        )
-        assert code == 0 and out.startswith("n,m,size,subsets_checked,seconds")
+    SLOPE = r"log-log slope {} -?\d+\.\d{{3}} r2 \d\.\d{{3}}\n"
+    GROWTH = r"per-vertex growth {} x\d+\.\d\d r2 \d\.\d{{3}}\n"
+    # suite -> (sizes, CSV header, fit lines); a new suite must be named here
+    FITS = {
+        "approx-scaling": ("32,64", "n,m,seconds,moves", SLOPE.format("seconds")),
+        "cubic-scaling": (
+            "100,200", "n,seconds,verified_seconds",
+            SLOPE.format("seconds") + SLOPE.format("verified_seconds"),
+        ),
         # time follows each instance's optimum, not a power of n
-        assert re.fullmatch(r"per-vertex growth seconds x\d+\.\d\d r2 \d\.\d{3}\n", err), err
+        "exact-scaling": ("12,14,16", "n,m,size,subsets_checked,seconds", GROWTH.format("seconds")),
+        # time grows exponentially in n, so no power-law slope is printed
+        "enum-scaling": ("3,4,5", "n,graphs,seconds", GROWTH.format("seconds")),
+    }
+
+    @pytest.mark.parametrize("suite", sorted(bench.SUITES))
+    def test_each_suite_prints_its_fit(self, capsys, suite):
+        assert set(self.FITS) == set(bench.SUITES)
+        sizes, header, fits = self.FITS[suite]
+        before = dict(_connected_cache)
+        code, out, err = run(capsys, "bench", "--suite", suite, "--sizes", sizes, "--repeats", "1")
+        assert _connected_cache == before  # enum-scaling keeps its own cache
+        assert code == 0 and out.startswith(header + "\n")
+        assert re.fullmatch(fits, err), err
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "bench", "--suite", "nothing")[0] == 2

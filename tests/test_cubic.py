@@ -34,24 +34,24 @@ from pdskit import (
 )
 from pdskit import cubic
 from pdskit.cubic import (
-    AHEAD,
     ALTERNATING,
-    BACK,
     PAIRED,
     Arc,
-    _TAGS,
     _assert_sealed,
     _chord_codes,
     _finish,
     _pattern,
     _recheck,
-    classify_chords,
     find_full_arc,
 )
 from pdskit.pds import recheck
 
 from .cubic_reference import (
+    AHEAD,
+    BACK,
+    _TAGS,
     arc_vertex_set_ids,
+    classify_chords,
     classify_chords_loop,
     full_arc_start_loop,
     no_arc_answer_ids,

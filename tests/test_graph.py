@@ -403,12 +403,6 @@ class TestSerialisation:
             with pytest.raises(ParseError):
                 parse_graph(text)
 
-    def test_parse_requires_connectivity_on_demand(self):
-        text = "4 2\n0 1\n2 3\n"
-        parse_graph(text)
-        with pytest.raises(Disconnected):
-            parse_graph(text, require_connectivity=True)
-
     def test_json_roundtrip(self):
         obj = graph_to_json(P4)
         assert obj == {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
