@@ -6,7 +6,7 @@ import math
 import time
 
 from . import approx, cubic, exact, generators
-from .errors import UnknownName
+from .errors import InvalidArgument, UnknownName
 
 APPROX_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 CUBIC_SIZES = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
@@ -96,6 +96,8 @@ SUITES = {
 def run_suite(name: str, **kwargs) -> list[dict]:
     if name not in SUITES:
         raise UnknownName(f"no suite named {name!r}; have {sorted(SUITES)}")
+    if kwargs.get("repeats", 1) < 1:
+        raise InvalidArgument(f"repeats must be at least 1, got {kwargs['repeats']}")
     return SUITES[name][0](**kwargs)
 
 

@@ -88,17 +88,17 @@ def _load(arg: str, parse, from_fixture) -> tuple[object, str]:
     try:
         raw = _read_source(arg)
     except FileNotFoundError:
-        obj, raw = from_fixture(arg)
+        try:
+            obj, raw = from_fixture(arg)
+        except UnknownName:
+            raise ParseError(f"{arg}: not a file, and no such fixture") from None
         return obj, _digest(raw)
     digest = _digest(raw)
     return parse(raw), digest
 
 
 def _graph_fixture(arg: str) -> tuple[Graph, str]:
-    try:
-        g = fixture(arg).graph
-    except UnknownName:
-        raise ParseError(f"{arg}: not a file, and no such fixture") from None
+    g = fixture(arg).graph
     return g, emit_graph(g)
 
 
@@ -198,6 +198,8 @@ def cmd_exact(args) -> int:
 def cmd_approx(args) -> int:
     if not 1 <= args.restarts <= MAX_RESTARTS:
         raise ParseError(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
+    if args.init is not None and args.seed is not None:
+        raise ParseError("approx --init takes no --seed")
     g, digest = _load_graph(args.graph)
     init = (
         VertexSet.from_ids(g.n, _parse_ids(args.init)) if args.init is not None else None
@@ -207,9 +209,7 @@ def cmd_approx(args) -> int:
     best = None
     t0 = time.perf_counter()
     for i in range(runs):
-        if init is not None:
-            seed = None
-        elif args.seed is not None:
+        if args.seed is not None:
             seed = args.seed + i
         else:
             seed = i if runs > 1 else None
@@ -236,6 +236,10 @@ def cmd_approx(args) -> int:
 def cmd_cubic(args) -> int:
     if (args.input is not None) + (args.random is not None) + args.sweep8 > 1:
         raise ParseError("cubic takes only one of an input, --random N and --sweep8")
+    if args.find_cycle and (args.random is not None or args.sweep8):
+        raise ParseError("cubic --find-cycle needs an input, not --random N or --sweep8")
+    if args.sweep8 and args.no_verify:
+        raise ParseError("cubic --sweep8 takes no --no-verify")
     if args.sweep8:
         solve = cubic_mod.solve_hamiltonian_cubic
         kinds = [solve(inst).exceptional for inst in cubic_mod.all_cubic_cycles(8)]

@@ -107,27 +107,6 @@ class CubicCycleGraph:
         return (self.n + 1) // 3
 
 
-class Arc(NamedTuple):
-    """size consecutive cycle vertices starting at start."""
-
-    n: int
-    start: int
-    size: int
-
-    @property
-    def end(self) -> int:
-        return (self.start + self.size - 1) % self.n
-
-    def __contains__(self, v: int) -> bool:
-        return (v - self.start) % self.n < self.size
-
-    def vertex_set(self) -> VertexSet:
-        n = self.n
-        mask = ((1 << self.size) - 1) << self.start
-        # the bits past n - 1 wrap round to 0
-        return VertexSet(n, (mask & ((1 << n) - 1)) | (mask >> n))
-
-
 class CubicOutcome(NamedTuple):
     """Either a maximum PDS or the name of an exceptional chord pattern."""
 
@@ -151,21 +130,26 @@ def _chord_codes(g: CubicCycleGraph) -> bytes:
     )
 
 
-def _assert_sealed(g: CubicCycleGraph, arc: Arc) -> None:
+def _arc(n: int, start: int, size: int) -> int:
+    """Mask of the size consecutive cycle vertices from start (0 <= start < n)."""
+    mask = ((1 << size) - 1) << start
+    return (mask & ((1 << n) - 1)) | (mask >> n)  # the bits past n - 1 wrap round to 0
+
+
+def _assert_sealed(g: CubicCycleGraph, start: int, size: int) -> None:
     # both endpoints must keep their chord inside the arc
-    if g.chord[arc.start] not in arc or g.chord[arc.end] not in arc:
+    n, chord = g.n, g.chord
+    if (chord[start] - start) % n >= size or (chord[(start + size - 1) % n] - start) % n >= size:
         raise VerificationFailed("arc endpoints leak a neighbor")
 
 
-def find_full_arc(g: CubicCycleGraph) -> Arc | None:
-    """First arc of the optimum size floor((2n+1)/3), if any exists.
+def find_full_arc(g: CubicCycleGraph) -> int | None:
+    """Start of the first arc of the optimum size n - k = floor((2n+1)/3),
+    if any exists.
 
-    An arc starting at u (of size n-k) is sealed iff u is not tagged BACK
-    and the vertex u-k-1 is not tagged AHEAD.
+    An arc starting at u is sealed iff u is not tagged BACK and the vertex
+    u-k-1 is not tagged AHEAD.
     """
-    n = g.n
-    if n < 6:
-        raise InvalidArgument("arcs need n >= 6")
     k = g.window
     codes = g.codes
     behind = codes[-k - 1 :] + codes[: -k - 1]  # byte u is the code of u-k-1
@@ -174,9 +158,9 @@ def find_full_arc(g: CubicCycleGraph) -> Arc | None:
     starts &= int.from_bytes(behind.translate(_NOT_AHEAD), "little")
     if not starts:
         return None
-    arc = Arc(n, (starts & -starts).bit_length() // 8, n - k)
-    _assert_sealed(g, arc)
-    return arc
+    start = (starts & -starts).bit_length() // 8
+    _assert_sealed(g, start, g.n - k)
+    return start
 
 
 def _pattern(codes: bytes) -> tuple[str, int]:
@@ -196,15 +180,9 @@ def _pattern(codes: bytes) -> tuple[str, int]:
     raise UnclassifiedChords("tags fit neither recognized pattern")
 
 
-# forced chord tables (in rotated labels, AHEAD on evens) for the sizes
-# whose no-full-arc instances admit only finitely many chord maps
-_TABLE_N10 = {0: 3, 2: 5, 4: 7, 6: 9, 8: 1}
-_TABLE_N16_NEAR = {v: (v + 3) % 16 for v in range(0, 16, 2)}
-_TABLE_N16_FAR = {v: (v + 5) % 16 for v in range(0, 16, 2)}
-
-
-def _match_table(cr, table) -> bool:
-    return all(cr(v) == c for v, c in table.items())
+def _jumps(cr, n: int, j: int) -> bool:
+    """Whether every even vertex's chord jumps j ahead, in rotated labels."""
+    return all(cr(v) == (v + j) % n for v in range(0, n, 2))
 
 
 def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOutcome:
@@ -217,12 +195,10 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     passes over n and chord alone; no Graph or neighbour table is built.
     """
     n = g.n
-    if n == 4:
-        return _finish(g, VertexSet.from_ids(4, (0, 1, 2)), verify)
-    arc = find_full_arc(g)
-    if arc is not None:
-        return _finish(g, arc.vertex_set(), verify)
     k = g.window
+    start = find_full_arc(g)
+    if start is not None:
+        return _finish(g, VertexSet(n, _arc(n, start, n - k)), verify)
     pattern, r = _pattern(g.codes)
     if n == 8:
         return CubicOutcome(None, pattern)
@@ -236,7 +212,7 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     # its vertex out
     start, size = 0, n - k + 1
     if n == 10:
-        if not _match_table(cr, _TABLE_N10):
+        if not _jumps(cr, n, 3):
             raise UnclassifiedChords("impossible chord map at n=10")
         start, out = 1, 6
     elif n == 14:
@@ -248,12 +224,12 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
         else:
             out = 4
     elif n == 16:
-        if _match_table(cr, _TABLE_N16_NEAR):
+        if _jumps(cr, n, 3):
             out = 4
-        else:
-            if not _match_table(cr, _TABLE_N16_FAR):
-                raise UnclassifiedChords("impossible chord map at n=16")
+        elif _jumps(cr, n, 5):
             out = 3
+        else:
+            raise UnclassifiedChords("impossible chord map at n=16")
     else:
         if n < 20:
             raise UnclassifiedChords("unreachable: n in {6, 12, 18} always has a full arc")
@@ -266,10 +242,9 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
                 out = k - 2
         else:  # paired
             start = 1
-            out = k - 2 if cr(k - 1) in Arc(n, 1, size) else k - 1
-    arc = Arc(n, (start + r) % n, size).vertex_set()
-    answer = VertexSet(n, arc.mask & ~(1 << (out + r) % n))
-    return _finish(g, answer, verify)
+            out = k - 2 if (cr(k - 1) - 1) % n < size else k - 1
+    answer = _arc(n, (start + r) % n, size) & ~(1 << (out + r) % n)
+    return _finish(g, VertexSet(n, answer), verify)
 
 
 def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:

@@ -6,8 +6,8 @@ code bytes 1, 2 and 0 of ``CubicCycleGraph.codes``, and ``classify_chords``
 reads those codes as tags.  The code string of ``pdskit.cubic._chord_codes``
 (one table lookup per vertex, a block at a time), ``find_full_arc`` (an
 AND of two translated flag strings), ``_pattern`` (bytes comparisons), the
-answer masks of ``solve_hamiltonian_cubic`` and ``Arc.vertex_set`` (a
-rotated bit run) must match what these return, and the bulk re-check
+answer masks of ``solve_hamiltonian_cubic`` and ``_arc`` (a rotated bit
+run) must match what these return, and the bulk re-check
 ``cubic._recheck`` must agree with ``pds.recheck`` on ``to_graph(g)``.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from pdskit import CubicCycleGraph, Graph, UnclassifiedChords, VertexSet
-from pdskit.cubic import ALTERNATING, PAIRED, Arc
+from pdskit.cubic import ALTERNATING, PAIRED
 
 AHEAD = "ahead"
 BACK = "back"
@@ -95,17 +95,13 @@ def no_arc_answer_ids(g: CubicCycleGraph) -> VertexSet:
             out = k - 2
         kept = [v for v in range(n - k + 1) if v != out]
     else:
-        out = k - 2 if cr(k - 1) in Arc(n, 1, n - k + 1) else k - 1
+        out = k - 2 if cr(k - 1) in range(1, n - k + 2) else k - 1
         kept = [v % n for v in range(1, n - k + 2) if v != out]
     return VertexSet.from_ids(n, ((v + r) % n for v in kept))
 
 
-def arc_members(arc: Arc) -> list[int]:
-    return [(arc.start + i) % arc.n for i in range(arc.size)]
-
-
-def arc_vertex_set_ids(arc: Arc) -> VertexSet:
-    return VertexSet.from_ids(arc.n, arc_members(arc))
+def arc_vertex_set_ids(n: int, start: int, size: int) -> VertexSet:
+    return VertexSet.from_ids(n, ((start + i) % n for i in range(size)))
 
 
 def to_graph(g: CubicCycleGraph) -> Graph:

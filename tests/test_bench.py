@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pdskit import UnknownName, generators
+from pdskit import InvalidArgument, UnknownName, bench, generators
 from pdskit.bench import (
     approx_scaling,
     cubic_scaling,
@@ -74,6 +74,16 @@ class TestSuites:
             run_suite("")
         with pytest.raises(UnknownName, match="no suite named 'nope'"):
             run_suite("nope")
+
+    @pytest.mark.parametrize("name", sorted(bench.SUITES))
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_repeats_below_one_refused_before_any_work(self, monkeypatch, name, repeats):
+        def refuse(**kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(bench.SUITES, name, (refuse, bench.SUITES[name][1]))
+        with pytest.raises(InvalidArgument, match=f"^repeats must be at least 1, got {repeats}$"):
+            run_suite(name, sizes=(32,), repeats=repeats)
 
 
 class TestApproxScaling:

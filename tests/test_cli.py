@@ -116,6 +116,12 @@ class TestExact:
         code, _, err = run(capsys, "exact", "no_such_thing")
         assert code == 2 and "fixture" in err
 
+    @pytest.mark.parametrize("command", ["exact", "cubic"])
+    def test_mistyped_path(self, capsys, tmp_path, command):
+        typo = str(tmp_path / "typo.txt")
+        want = f"error: {typo}: not a file, and no such fixture\n"
+        assert run(capsys, command, typo) == (2, "", want)
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PDSKIT_CAP", "5")
         code, _, err = run(capsys, "exact", "cycle7")
@@ -443,6 +449,7 @@ GRAPH7 = "7 7\n0 1\n0 2\n0 4\n0 5\n0 6\n1 3\n2 6\n"
 EXTEND_ALONE = "exact --extend takes neither --connected nor --all-optima"
 CUBIC_MODES = "cubic takes only one of an input, --random N and --sweep8"
 GEN_MODES = "gen takes only one of --list, --fixture, --random and --cubic"
+FIND_CYCLE_INPUT = "cubic --find-cycle needs an input, not --random N or --sweep8"
 
 
 class TestRejectedCombinations:
@@ -466,6 +473,10 @@ class TestRejectedCombinations:
         ("gen", "--list", "--cubic", "6"): GEN_MODES,
         ("gen", "--list", "--cubic", "6", "--json"): GEN_MODES,
         ("reduce", "demo5", "--kind", "split", "--k", "3"): "split reduction takes no --k",
+        ("cubic", "--random", "10", "--find-cycle"): FIND_CYCLE_INPUT,
+        ("cubic", "--sweep8", "--find-cycle"): FIND_CYCLE_INPUT,
+        ("cubic", "--sweep8", "--no-verify"): "cubic --sweep8 takes no --no-verify",
+        ("approx", "k4", "--init", "0,1", "--seed", "3"): "approx --init takes no --seed",
     }
 
     @pytest.mark.parametrize("argv, what", REJECTED.items(), ids=map(" ".join, REJECTED))
@@ -478,6 +489,11 @@ class TestRejectedCombinations:
         monkeypatch.setattr(cli.cubic_mod, "random_cubic_cycle", refuse)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {what}\n")
+
+    @pytest.mark.parametrize("flag", ["--find-cycle", "--no-verify"])
+    def test_cubic_without_a_mode_keeps_its_message(self, capsys, flag):
+        want = "error: cubic needs an input, --random N, or --sweep8\n"
+        assert run(capsys, "cubic", flag) == (2, "", want)
 
 
 class TestBench:

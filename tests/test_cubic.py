@@ -36,7 +36,7 @@ from pdskit import cubic
 from pdskit.cubic import (
     ALTERNATING,
     PAIRED,
-    Arc,
+    _arc,
     _assert_sealed,
     _chord_codes,
     _finish,
@@ -175,13 +175,11 @@ class TestCubicCycleGraph:
 
 class TestArc:
     def test_wraparound_membership(self):
-        arc = Arc(8, 6, 4)
-        assert arc.vertex_set().members() == [0, 1, 6, 7]
-        assert 7 in arc and 0 in arc and 2 not in arc and 5 not in arc
-        assert arc.end == 1
+        assert VertexSet(8, _arc(8, 6, 4)).members() == [0, 1, 6, 7]
+        assert _arc(8, 6, 4) == arc_vertex_set_ids(8, 6, 4).mask
 
     def test_vertex_set(self):
-        assert Arc(6, 4, 3).vertex_set() == VertexSet.from_ids(6, [4, 5, 0])
+        assert VertexSet(6, _arc(6, 4, 3)) == VertexSet.from_ids(6, [4, 5, 0])
 
 
 class TestClassification:
@@ -218,16 +216,17 @@ class TestClassification:
 
 class TestArcs:
     def test_prism_has_full_arc(self):
-        arc = find_full_arc(CubicCycleGraph(6, PRISM6_CHORDS))
-        assert arc is not None and arc.size == 4
+        assert find_full_arc(CubicCycleGraph(6, PRISM6_CHORDS)) is not None
 
     def test_exceptional8_has_none(self):
         assert find_full_arc(paired8()) is None
         assert find_full_arc(alternating8()) is None
 
-    def test_full_arc_too_small(self):
-        with pytest.raises(InvalidArgument, match="arcs need n >= 6"):
-            find_full_arc(CubicCycleGraph(4, K4_CHORDS))
+    def test_k4_is_a_full_arc_from_0(self):
+        # k = 1: the arc of n - k = 3 vertices from 0 is K4's answer
+        g = CubicCycleGraph(4, K4_CHORDS)
+        assert find_full_arc(g) == 0
+        assert solve_hamiltonian_cubic(g).pds.members() == [0, 1, 2]
 
 
 class TestSolve:
@@ -478,11 +477,9 @@ def _bulk_against_loops(g):
     tags = classify_chords_loop(g)
     codes = g.codes
     assert codes == _chord_codes(g) == bytes(map(_TAGS.index, tags)), g
-    if n < 6:
-        return None
-    arc = find_full_arc(g)
-    assert (None if arc is None else arc.start) == full_arc_start_loop(g), g
-    if arc is not None:
+    start = find_full_arc(g)
+    assert start == full_arc_start_loop(g), g
+    if start is not None:
         return "arc"
     got = _outcome(_pattern, codes)
     assert got == _outcome(pattern_loop, tags, n), g
@@ -554,10 +551,9 @@ class TestSolveOracles:
         for n in (6, 8, 10, 14):
             for start in range(n):
                 for size in range(n + 1):  # start + size > n wraps past n - 1
-                    arc = Arc(n, start, size)
-                    got = arc.vertex_set()
-                    assert got == arc_vertex_set_ids(arc), arc
-                    assert got.size == got.mask.bit_count() == size, arc
+                    got = VertexSet(n, _arc(n, start, size))
+                    assert got == arc_vertex_set_ids(n, start, size), (n, start, size)
+                    assert got.size == got.mask.bit_count() == size, (n, start, size)
 
 
 class TestLeanNeighbourTable:
@@ -674,24 +670,29 @@ class TestCodeString:
 class TestSelfChecks:
     """Solver self-checks raise package errors, which python -O keeps."""
 
-    def test_wrong_n10_table(self, monkeypatch):
-        g = CubicCycleGraph(10, N10_FORCED)
+    def _refuse_every_chord_map(self, monkeypatch, g):
         assert solve_hamiltonian_cubic(g).pds is not None
-        monkeypatch.setattr(cubic, "_TABLE_N10", {0: 5})
-        with pytest.raises(UnclassifiedChords, match="n=10"):
+        monkeypatch.setattr(cubic, "_jumps", lambda cr, n, j: False)
+        with pytest.raises(UnclassifiedChords, match=f"^impossible chord map at n={g.n}$"):
             solve_hamiltonian_cubic(g)
+
+    def test_wrong_n10_table(self, monkeypatch):
+        self._refuse_every_chord_map(monkeypatch, CubicCycleGraph(10, N10_FORCED))
+
+    def test_wrong_n16_table(self, monkeypatch):
+        self._refuse_every_chord_map(monkeypatch, jump(16, 3))
 
     def test_leaky_arc(self):
         # the prism's chord 0-3 leaves the arc {0, 1}
         with pytest.raises(VerificationFailed, match="leak"):
-            _assert_sealed(CubicCycleGraph(6, PRISM6_CHORDS), Arc(6, 0, 2))
+            _assert_sealed(CubicCycleGraph(6, PRISM6_CHORDS), 0, 2)
 
     def test_survives_optimize_flag(self):
         script = (
             "from pdskit import CubicCycleGraph, cubic, solve_hamiltonian_cubic\n"
             "from pdskit.errors import UnclassifiedChords\n"
             "assert False  # stripped under -O\n"
-            "cubic._TABLE_N10 = {0: 5}\n"
+            "cubic._jumps = lambda cr, n, j: False\n"
             f"g = CubicCycleGraph(10, {N10_FORCED!r})\n"
             "try:\n"
             "    solve_hamiltonian_cubic(g)\n"

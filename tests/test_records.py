@@ -24,7 +24,7 @@ from pdskit import (
     solve_hamiltonian_cubic,
     split_reduction,
 )
-from pdskit.cubic import Arc, _finish
+from pdskit.cubic import _finish
 from pdskit.generators import FixtureRecord
 
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -55,7 +55,6 @@ CASES = [
         False,
         "FixtureRecord(name='p5', graph=Graph(n=5, m=4), expected={'max_pds': 3}, chords=None)",
     ),
-    (Arc, {"n": 10, "start": 8, "size": 4}, True, "Arc(n=10, start=8, size=4)"),
     (
         CubicOutcome,
         {"pds": None, "exceptional": "paired"},
@@ -132,7 +131,6 @@ class TestRecord:
 
 
 def test_a_changed_field_breaks_equality():
-    assert Arc(10, 8, 4) != Arc(10, 8, 5)
     assert CubicCycleGraph(6, (3, 4, 5, 0, 1, 2)) != CubicCycleGraph(6, (2, 4, 0, 5, 1, 3))
     assert CubicCycleGraph(6, (3, 4, 5, 0, 1, 2)) != (6, (3, 4, 5, 0, 1, 2))
 
