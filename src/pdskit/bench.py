@@ -1,4 +1,4 @@
-"""Timing suites; each returns CSV-ready rows (generation is not timed)."""
+"""Timing suites; each returns CSV-ready rows with n and seconds (generation is not timed)."""
 
 from __future__ import annotations
 
@@ -39,18 +39,15 @@ def approx_scaling(
 def cubic_scaling(
     sizes: tuple[int, ...] = CUBIC_SIZES, seed: int = 0, repeats: int = 3
 ) -> list[dict]:
-    """Cycle-plus-chords solver from a chord table, instance checks and tags
-    included: seconds with verification off, verified_seconds with it on."""
+    """Cycle-plus-chords solver from a chord table: a fresh instance, whose
+    checks build the chord tags, and one solve with its re-check."""
     rows = []
     for i, n in enumerate(sizes):
         chord = cubic.random_cubic_cycle(n, seed=seed + i).chord
-
-        def solve(verify):
-            cubic.solve_hamiltonian_cubic(cubic.CubicCycleGraph(n, chord), verify=verify)
-
-        seconds, _ = _best_of(lambda: solve(False), repeats)
-        verified, _ = _best_of(lambda: solve(True), repeats)
-        rows.append({"n": n, "seconds": seconds, "verified_seconds": verified})
+        seconds, _ = _best_of(
+            lambda: cubic.solve_hamiltonian_cubic(cubic.CubicCycleGraph(n, chord)), repeats
+        )
+        rows.append({"n": n, "seconds": seconds})
     return rows
 
 

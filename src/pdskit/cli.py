@@ -238,8 +238,8 @@ def cmd_cubic(args) -> int:
         raise ParseError("cubic takes only one of an input, --random N and --sweep8")
     if args.find_cycle and (args.random is not None or args.sweep8):
         raise ParseError("cubic --find-cycle needs an input, not --random N or --sweep8")
-    if args.sweep8 and args.no_verify:
-        raise ParseError("cubic --sweep8 takes no --no-verify")
+    if args.seed is not None and (args.input is not None or args.sweep8):
+        raise ParseError("cubic --seed needs --random N")
     if args.sweep8:
         solve = cubic_mod.solve_hamiltonian_cubic
         kinds = [solve(inst).exceptional for inst in cubic_mod.all_cubic_cycles(8)]
@@ -261,8 +261,8 @@ def cmd_cubic(args) -> int:
 
     fields = {"input_digest": digest, "n": inst.n}
     t0 = time.perf_counter()
-    outcome = cubic_mod.solve_hamiltonian_cubic(inst, verify=not args.no_verify)
-    fields.update(seconds=time.perf_counter() - t0, verified=not args.no_verify)
+    outcome = cubic_mod.solve_hamiltonian_cubic(inst)
+    fields.update(seconds=time.perf_counter() - t0, verified=True)
     del inst  # the instance goes before the answer's set is emitted
     if outcome.exceptional:
         human = [f"exceptional {outcome.exceptional}", "no PDS of target size"]
@@ -339,6 +339,8 @@ def cmd_gen(args) -> int:
         raise ParseError("gen takes only one of --list, --fixture, --random and --cubic")
     if args.json and (args.list or args.cubic is not None):
         raise ParseError("gen --json needs --fixture or --random")
+    if args.seed is not None and (args.list or args.fixture is not None):
+        raise ParseError("gen --seed needs --random or --cubic")
     if args.list:
         for name in fixture_names():
             print(name)
@@ -381,17 +383,14 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(text)
     if len(rows) > 1:
-        exponential = bench_mod.SUITES[args.suite][1]
-        for col in ("seconds", "verified_seconds"):
-            if col in cols:
-                xs, ys = [r["n"] for r in rows], [r[col] for r in rows]
-                if exponential:
-                    slope, r2 = bench_mod.fit_semilog(xs, ys)
-                    line = f"per-vertex growth {col} x{math.exp(slope):.2f} r2 {r2:.3f}"
-                else:
-                    slope, r2 = bench_mod.fit_loglog(xs, ys)
-                    line = f"log-log slope {col} {slope:.3f} r2 {r2:.3f}"
-                print(line, file=sys.stderr)
+        xs, ys = [r["n"] for r in rows], [r["seconds"] for r in rows]
+        if bench_mod.SUITES[args.suite][1]:  # exponential
+            slope, r2 = bench_mod.fit_semilog(xs, ys)
+            line = f"per-vertex growth seconds x{math.exp(slope):.2f} r2 {r2:.3f}"
+        else:
+            slope, r2 = bench_mod.fit_loglog(xs, ys)
+            line = f"log-log slope seconds {slope:.3f} r2 {r2:.3f}"
+        print(line, file=sys.stderr)
     return 0
 
 
@@ -439,7 +438,6 @@ def _cubic_args(sp) -> None:
         help="input is an edge list; search a Hamiltonian cycle first (n <= 24)",
     )
     sp.add_argument("--sweep8", action="store_true", help="solve all n=8 instances")
-    sp.add_argument("--no-verify", action="store_true")
 
 
 def _reduce_args(sp) -> None:

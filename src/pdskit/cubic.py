@@ -74,8 +74,10 @@ class CubicCycleGraph:
             # Ints made in another order (by value, or by input line) sit at
             # scattered addresses, so reading chord[0], chord[1], ... would
             # miss the cache at every vertex at n = 10^6.  Read back from a
-            # compact array, the ints are made anew in vertex order.
-            chord = tuple(array("q", raw))
+            # compact array, the ints are made anew in vertex order.  A copy
+            # of parse_cubic's array('q') would add 8 bytes per vertex.
+            q = isinstance(raw, array) and raw.typecode == "q"
+            chord = tuple(raw if q else array("q", raw))
             matched = all(map(eq, itemgetter(*chord)(chord), count()))
         except (IndexError, OverflowError):
             matched = False
@@ -185,12 +187,12 @@ def _jumps(cr, n: int, j: int) -> bool:
     return all(cr(v) == (v + j) % n for v in range(0, n, 2))
 
 
-def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOutcome:
+def solve_hamiltonian_cubic(g: CubicCycleGraph) -> CubicOutcome:
     """Maximum PDS of a Hamiltonian cubic graph in O(n).
 
     Returns the exceptional pattern name instead of a set exactly for the
     two n=8 chord structures whose optimum falls below floor((2n+1)/3).
-    With verify=True (default) the answer must have the target size, be
+    Every answer is re-checked: it must have the target size, be
     proportionally dense and induce a connected subgraph, checked in bulk
     passes over n and chord alone; no Graph or neighbour table is built.
     """
@@ -198,7 +200,7 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
     k = g.window
     start = find_full_arc(g)
     if start is not None:
-        return _finish(g, VertexSet(n, _arc(n, start, n - k)), verify)
+        return _finish(g, VertexSet(n, _arc(n, start, n - k)))
     pattern, r = _pattern(g.codes)
     if n == 8:
         return CubicOutcome(None, pattern)
@@ -244,15 +246,14 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph, verify: bool = True) -> CubicOut
             start = 1
             out = k - 2 if (cr(k - 1) - 1) % n < size else k - 1
     answer = _arc(n, (start + r) % n, size) & ~(1 << (out + r) % n)
-    return _finish(g, VertexSet(n, answer), verify)
+    return _finish(g, VertexSet(n, answer))
 
 
-def _finish(g: CubicCycleGraph, s: VertexSet, verify: bool) -> CubicOutcome:
-    if verify:
-        target = max_pds_size_cubic(g.n)
-        if len(s) != target:
-            raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
-        _recheck(g, s)
+def _finish(g: CubicCycleGraph, s: VertexSet) -> CubicOutcome:
+    target = max_pds_size_cubic(g.n)
+    if len(s) != target:
+        raise VerificationFailed(f"answer has size {len(s)}, wanted {target}")
+    _recheck(g, s)
     return CubicOutcome(s, None)
 
 

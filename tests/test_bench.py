@@ -28,8 +28,8 @@ class TestSuites:
         rows = cubic_scaling(sizes=(100, 200), seed=1, repeats=1)
         assert [r["n"] for r in rows] == [100, 200]
         for r in rows:
-            assert set(r) == {"n", "seconds", "verified_seconds"}
-            assert r["seconds"] > 0 and r["verified_seconds"] > 0
+            assert set(r) == {"n", "seconds"}
+            assert r["seconds"] > 0
 
     def test_exact_rows(self):
         rows = exact_scaling(sizes=(8, 10), seed=1, repeats=1)

@@ -450,6 +450,8 @@ EXTEND_ALONE = "exact --extend takes neither --connected nor --all-optima"
 CUBIC_MODES = "cubic takes only one of an input, --random N and --sweep8"
 GEN_MODES = "gen takes only one of --list, --fixture, --random and --cubic"
 FIND_CYCLE_INPUT = "cubic --find-cycle needs an input, not --random N or --sweep8"
+CUBIC_SEED = "cubic --seed needs --random N"
+GEN_SEED = "gen --seed needs --random or --cubic"
 
 
 class TestRejectedCombinations:
@@ -475,7 +477,10 @@ class TestRejectedCombinations:
         ("reduce", "demo5", "--kind", "split", "--k", "3"): "split reduction takes no --k",
         ("cubic", "--random", "10", "--find-cycle"): FIND_CYCLE_INPUT,
         ("cubic", "--sweep8", "--find-cycle"): FIND_CYCLE_INPUT,
-        ("cubic", "--sweep8", "--no-verify"): "cubic --sweep8 takes no --no-verify",
+        ("cubic", "prism6", "--seed", "3"): CUBIC_SEED,
+        ("cubic", "--sweep8", "--seed", "3"): CUBIC_SEED,
+        ("gen", "--fixture", "k4", "--seed", "3"): GEN_SEED,
+        ("gen", "--list", "--seed", "3"): GEN_SEED,
         ("approx", "k4", "--init", "0,1", "--seed", "3"): "approx --init takes no --seed",
     }
 
@@ -490,7 +495,7 @@ class TestRejectedCombinations:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {what}\n")
 
-    @pytest.mark.parametrize("flag", ["--find-cycle", "--no-verify"])
+    @pytest.mark.parametrize("flag", ["--find-cycle", "--seed=3"])
     def test_cubic_without_a_mode_keeps_its_message(self, capsys, flag):
         want = "error: cubic needs an input, --random N, or --sweep8\n"
         assert run(capsys, "cubic", flag) == (2, "", want)
@@ -505,8 +510,8 @@ class TestBench:
         )
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "n,seconds,verified_seconds" and len(lines) == 3
-        assert "slope seconds" in err and "slope verified_seconds" in err
+        assert lines[0] == "n,seconds" and len(lines) == 3
+        assert re.fullmatch(self.SLOPE.format("seconds"), err)
 
     def test_stdout_csv(self, capsys):
         code, out, _ = run(
@@ -520,10 +525,7 @@ class TestBench:
     # suite -> (sizes, CSV header, fit lines); a new suite must be named here
     FITS = {
         "approx-scaling": ("32,64", "n,m,seconds,moves", SLOPE.format("seconds")),
-        "cubic-scaling": (
-            "100,200", "n,seconds,verified_seconds",
-            SLOPE.format("seconds") + SLOPE.format("verified_seconds"),
-        ),
+        "cubic-scaling": ("100,200", "n,seconds", SLOPE.format("seconds")),
         # time follows each instance's optimum, not a power of n
         "exact-scaling": ("12,14,16", "n,m,size,subsets_checked,seconds", GROWTH.format("seconds")),
         # time grows exponentially in n, so no power-law slope is printed

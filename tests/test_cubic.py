@@ -66,12 +66,12 @@ PRISM6_CHORDS = (3, 4, 5, 0, 1, 2)
 N10_FORCED = (3, 8, 5, 0, 7, 2, 9, 4, 1, 6)
 
 
-def _verified_peak(n, verify=True):
+def _verified_peak(n):
     """tracemalloc peak of one solve of a fresh random instance."""
     g = random_cubic_cycle(n, seed=0)
     tracemalloc.start()
     try:
-        out = solve_hamiltonian_cubic(g, verify=verify)
+        out = solve_hamiltonian_cubic(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -128,6 +128,21 @@ class TestCubicCycleGraph:
             assert type(g.chord) is tuple and g.chord == K4_CHORDS
             assert g == CubicCycleGraph(4, K4_CHORDS)
         assert type(parse_cubic("4\n0 2\n1 3\n").chord) is tuple
+
+    def test_list_and_q_array_tables_build_equal_instances(self):
+        # an array('q') is read without a copy, any other table through one
+        for n, seed in ((4, 0), (30, 1), (1000, 2)):
+            table = list(random_cubic_cycle(n, seed=seed).chord)
+            a, b = CubicCycleGraph(n, table), CubicCycleGraph(n, array("q", table))
+            assert a == b and a.codes == b.codes and type(b.chord) is tuple
+            assert CubicCycleGraph(n, array("l", table)) == a
+        for bad in ((2, 3, 0, 4), (-1, 3, 0, 1), (1, 0, 3, 2)):
+            messages = set()
+            for table in (list(bad), array("q", bad)):
+                with pytest.raises(InvalidInstance) as exc:
+                    CubicCycleGraph(4, table)
+                messages.add(str(exc.value))
+            assert len(messages) == 1, bad
 
     def test_rejects_entries_past_64_bits(self):
         with pytest.raises(InvalidInstance, match=r"^chord \(0, 2361"):
@@ -278,12 +293,6 @@ class TestSolve:
             assert out.exceptional is None
             self._assert_optimal(g, out)
 
-    def test_no_verify_matches_verified(self):
-        g = random_cubic_cycle(30, seed=5)
-        a = solve_hamiltonian_cubic(g, verify=True)
-        b = solve_hamiltonian_cubic(g, verify=False)
-        assert a.pds == b.pds
-
 
 class TestVerification:
     def test_finish_rejects_wrong_size(self, monkeypatch):
@@ -294,17 +303,12 @@ class TestVerification:
 
         monkeypatch.setattr(cubic, "_recheck", no_recheck)
         with pytest.raises(VerificationFailed, match="size 3"):
-            _finish(g, VertexSet.from_ids(6, [0, 1, 2]), True)
+            _finish(g, VertexSet.from_ids(6, [0, 1, 2]))
 
     def test_finish_rejects_non_pds(self):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
         with pytest.raises(VerificationFailed):
-            _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]), True)
-
-    def test_finish_skips_checks_when_off(self):
-        g = CubicCycleGraph(6, PRISM6_CHORDS)
-        out = _finish(g, VertexSet.from_ids(6, [0, 1, 2]), False)
-        assert out.pds is not None  # caller asked for no re-check
+            _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]))
 
     def test_finish_agrees_with_graph_recheck(self):
         """_finish on the instance itself raises exactly when the
@@ -322,7 +326,7 @@ class TestVerification:
                     except VerificationFailed:
                         expected = False
                     try:
-                        _finish(inst, s, True)
+                        _finish(inst, s)
                         got = True
                     except VerificationFailed:
                         got = False
@@ -338,7 +342,7 @@ class TestVerification:
         s = VertexSet.from_ids(10, [0, 1, 2, 5, 6, 7, 8])
         assert check_pds(to_graph(g), s).holds
         with pytest.raises(VerificationFailed, match="not connected"):
-            _finish(g, s, True)
+            _finish(g, s)
 
     def test_verified_solve_never_builds_a_graph(self, monkeypatch):
         def no_build(self, *args):
@@ -350,7 +354,7 @@ class TestVerification:
         insts += [jump(16, 3), jump(16, 5), random_cubic_cycle(10**4, seed=3)]
         assert [find_full_arc(g) for g in insts[1:5]] == [None] * 4
         for inst in insts:
-            out = solve_hamiltonian_cubic(inst, verify=True)
+            out = solve_hamiltonian_cubic(inst)
             assert len(out.pds) == max_pds_size_cubic(inst.n)
 
     def test_verified_solve_memory_is_linear(self):
@@ -406,7 +410,7 @@ class TestBulkRecheck:
         rng = random.Random(n)
         for seed in range(3):
             g = random_cubic_cycle(n, seed=seed)
-            sets = [solve_hamiltonian_cubic(g, verify=False).pds]
+            sets = [solve_hamiltonian_cubic(g).pds]
             sets += [VertexSet(n, rng.getrandbits(n)) for _ in range(3)]
             cases = [(g, s) for s in sets if 2 <= len(s) < n]
             cases.append(arc_union_case(n, [(rng.randrange(n), n // 5) for _ in range(3)], seed, "runs"))
@@ -484,7 +488,7 @@ def _bulk_against_loops(g):
     got = _outcome(_pattern, codes)
     assert got == _outcome(pattern_loop, tags, n), g
     if n >= 10:
-        assert solve_hamiltonian_cubic(g, verify=True).pds == no_arc_answer_ids(g), g
+        assert solve_hamiltonian_cubic(g).pds == no_arc_answer_ids(g), g
     return got
 
 
@@ -545,7 +549,7 @@ class TestSolveOracles:
 
         monkeypatch.setattr(VertexSet, "from_ids", no_ids)
         for g in (jump(10**4, 3), rotated(jump(10**4, 5), 1), paired(9992, 7, 9), rotated(paired(1004, 3, 5), 2)):
-            assert len(solve_hamiltonian_cubic(g, verify=True).pds) == max_pds_size_cubic(g.n)
+            assert len(solve_hamiltonian_cubic(g).pds) == max_pds_size_cubic(g.n)
 
     def test_every_arc_set(self):
         for n in (6, 8, 10, 14):
@@ -563,13 +567,13 @@ class TestLeanNeighbourTable:
     def test_recheck_reads_only_n_and_chord(self):
         g = random_cubic_cycle(10**4, seed=11)
         bare = SimpleNamespace(n=g.n, chord=g.chord)
-        _recheck(bare, solve_hamiltonian_cubic(g, verify=False).pds)
+        _recheck(bare, solve_hamiltonian_cubic(g).pds)
         with pytest.raises(VerificationFailed, match="^answer failed the re-check$"):
             _recheck(bare, VertexSet.from_ids(g.n, range(0, g.n, 2)))
 
     def test_verified_solve_frees_the_table_it_built(self):
         g = random_cubic_cycle(10**4, seed=12)
-        out = solve_hamiltonian_cubic(g, verify=True)
+        out = solve_hamiltonian_cubic(g)
         assert len(out.pds) == max_pds_size_cubic(g.n)
         assert vars(g).keys() == {"n", "chord", "codes"}
         assert len(g.codes) == g.n
@@ -577,7 +581,7 @@ class TestLeanNeighbourTable:
     def test_failed_recheck_frees_the_table(self):
         g = CubicCycleGraph(6, PRISM6_CHORDS)
         with pytest.raises(VerificationFailed):
-            _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]), True)
+            _finish(g, VertexSet.from_ids(6, [0, 1, 2, 4]))
         assert vars(g).keys() == {"n", "chord", "codes"}
         assert len(g.codes) == g.n
 
@@ -585,10 +589,6 @@ class TestLeanNeighbourTable:
         # a cached neighbour table peaked at 7.8 MiB and the tag tuples
         # 4.7 MiB; now the re-check's byte lanes set the peak, about 1.0
         assert _verified_peak(10**5) < 2 * 2**20
-
-    def test_unverified_peak_is_the_code_string(self):
-        # n code bytes, their translates and flag ints: about 0.6 MiB
-        assert _verified_peak(10**5, verify=False) < 2 * 2**20
 
 
 def _involutions(n):
@@ -626,8 +626,8 @@ class TestCodeString:
         monkeypatch.setattr(cubic, "_chord_codes", counted)
         g = CubicCycleGraph(1000, chord)
         assert calls == [1000]
-        for verify in (False, True):
-            assert len(solve_hamiltonian_cubic(g, verify=verify).pds) == max_pds_size_cubic(1000)
+        for _ in range(2):
+            assert len(solve_hamiltonian_cubic(g).pds) == max_pds_size_cubic(1000)
         assert classify_chords(g) == classify_chords_loop(g)
         assert calls == [1000]
         assert type(g.codes) is bytes
@@ -757,7 +757,7 @@ class TestSerialisation:
 @settings(max_examples=60, deadline=None)
 def test_solver_property(half_n, seed):
     g = random_cubic_cycle(2 * half_n, seed=seed)
-    out = solve_hamiltonian_cubic(g)  # verify=True re-checks internally
+    out = solve_hamiltonian_cubic(g)  # the solve re-checks its answer
     if out.exceptional is not None:
         assert g.n == 8
     else:

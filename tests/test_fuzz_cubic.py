@@ -59,7 +59,7 @@ _TEXTS = st.one_of(near_canonical_texts(), st.text(max_size=60), st.text(_CHARS,
 
 
 def _solves(g: CubicCycleGraph) -> None:
-    out = solve_hamiltonian_cubic(g)  # verify=True re-checks the answer
+    out = solve_hamiltonian_cubic(g)  # the solve re-checks its answer
     if out.exceptional is None:
         assert len(out.pds) == max_pds_size_cubic(g.n)
     else:

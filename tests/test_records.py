@@ -160,11 +160,11 @@ def test_cubic_instance_rejects_cached_attribute_assignment():
     assert len(g.codes) == g.n
 
 
-def test_finish_still_drops_the_neighbour_table():
+def test_finish_keeps_only_n_chord_and_codes():
     g = random_cubic_cycle(20, seed=1)
-    out = _finish(g, solve_hamiltonian_cubic(g, verify=False).pds, True)
+    out = _finish(g, solve_hamiltonian_cubic(g).pds)
     assert out.pds is not None
-    assert vars(g).keys() == {"n", "chord", "codes"}  # no table was kept
+    assert vars(g).keys() == {"n", "chord", "codes"}  # the re-check cached nothing
     assert len(g.codes) == g.n
 
 
