@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -281,6 +282,8 @@ def cmd_cubic(args) -> int:
 def cmd_reduce(args) -> int:
     if args.kind == "split" and args.k is not None:
         raise ParseError("split reduction takes no --k")
+    if args.cap is not None and not args.certificate:
+        raise ParseError("reduce --cap needs --certificate")
     g, digest = _load_graph(args.graph)
     if args.kind == "split":
         inst = split_reduction(g)
@@ -367,29 +370,44 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ParseError(f"--repeats must be at least 1, got {args.repeats}")
-    kwargs = {"seed": args.seed, "repeats": args.repeats}
+    if args.seed is not None and args.suite == "enum-scaling":
+        raise ParseError("enum-scaling takes no --seed")
+    kwargs = {"repeats": args.repeats}
+    if args.seed is not None:  # else each suite keeps its own default
+        kwargs["seed"] = args.seed
     if args.sizes is not None:
         sizes = _parse_ids(args.sizes)
         if not sizes or len(set(sizes)) < len(sizes):
             raise ParseError(f"--sizes must list distinct sizes, got {args.sizes!r}")
         kwargs["sizes"] = tuple(sizes)
     rows = bench_mod.run_suite(args.suite, **kwargs)
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    lines += [",".join(str(r[c]) for c in cols) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    fit = None
     if len(rows) > 1:
         xs, ys = [r["n"] for r in rows], [r["seconds"] for r in rows]
         if bench_mod.SUITES[args.suite][1]:  # exponential
             slope, r2 = bench_mod.fit_semilog(xs, ys)
+            fit = {"kind": "semilog", "slope": slope, "r2": r2}
             line = f"per-vertex growth seconds x{math.exp(slope):.2f} r2 {r2:.3f}"
         else:
             slope, r2 = bench_mod.fit_loglog(xs, ys)
+            fit = {"kind": "loglog", "slope": slope, "r2": r2}
             line = f"log-log slope seconds {slope:.3f} r2 {r2:.3f}"
+    if args.output and args.output.endswith(".json"):
+        text = json.dumps(
+            {"suite": args.suite, "python": sys.version, "cpu_count": os.cpu_count(),
+             "rows": rows, "fit": fit},
+            indent=1,
+        ) + "\n"
+    else:
+        cols = list(rows[0].keys())
+        lines = [",".join(cols)]
+        lines += [",".join(str(r[c]) for c in cols) for r in rows]
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    if fit:
         print(line, file=sys.stderr)
     return 0
 
@@ -466,9 +484,9 @@ def _gen_args(sp) -> None:
 
 def _bench_args(sp) -> None:
     sp.add_argument("--suite", required=True)
-    sp.add_argument("--output")
+    sp.add_argument("--output", help="CSV file, or JSON with the fit when the name ends in .json")
     sp.add_argument("--sizes", help="comma separated instance sizes")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--repeats", type=int, default=3)
 
 

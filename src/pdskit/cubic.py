@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from array import array
 from itertools import chain, compress, count, islice, repeat
-from operator import eq, itemgetter, sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -76,9 +76,15 @@ class CubicCycleGraph:
             # miss the cache at every vertex at n = 10^6.  Read back from a
             # compact array, the ints are made anew in vertex order.  A copy
             # of parse_cubic's array('q') would add 8 bytes per vertex.
-            q = isinstance(raw, array) and raw.typecode == "q"
-            chord = tuple(raw if q else array("q", raw))
-            matched = all(map(eq, itemgetter(*chord)(chord), count()))
+            arr = raw if isinstance(raw, array) and raw.typecode == "q" else array("q", raw)
+            chord = tuple(arr)
+            # one gather per block from the 8-byte array, whose reads stay
+            # nearer in cache than the tuple's ints; as in _chord_codes, no
+            # block has the lone entry itemgetter returns bare
+            matched = all(
+                itemgetter(*arr[lo : lo + CODE_BLOCK])(arr) == tuple(range(lo, n)[:CODE_BLOCK])
+                for lo in range(0, n, CODE_BLOCK)
+            )
         except (IndexError, OverflowError):
             matched = False
         if not matched:

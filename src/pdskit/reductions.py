@@ -159,8 +159,8 @@ def _layout(g: Graph, core_size: int):
     first = core_size - g.m
     edge_ids = {e: first + i for i, e in enumerate(g.edges)}
     links = [
-        (first + i, core_size + w)
-        for i, (u, v) in enumerate(g.edges)
+        (i, core_size + w)
+        for (u, v), i in edge_ids.items()
         for w in range(g.n)
         if w != u and w != v
     ]

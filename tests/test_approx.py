@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-import types
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -189,7 +188,8 @@ class TestSelfChecks:
             _, trace = half_pds(g, init=init)
             assert [mv.vertex for mv in trace.moves] == picks
             # a graph that under-reports its edges allows at most 2*0+1 moves
-            liar = types.SimpleNamespace(n=g.n, m=0, adj=g.adj, deg=g.deg)
+            liar = Graph(g.n, g.edges)
+            object.__setattr__(liar, "m", 0)
             with pytest.raises(VerificationFailed, match="move bound"):
                 half_pds(liar, init=init)
 

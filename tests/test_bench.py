@@ -1,4 +1,7 @@
+import inspect
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +115,25 @@ class TestFit:
         slope, r2 = fit_semilog(xs, [2e-4 * 7.5**x for x in xs])
         assert math.isclose(math.exp(slope), 7.5, rel_tol=1e-9)
         assert math.isclose(r2, 1.0, abs_tol=1e-12)
+
+
+class TestCommittedBaselines:
+    """The BENCH_<suite>.json files at the repository root, written by
+    `pdskit bench --suite <suite> --output BENCH_<suite>.json` at the
+    defaults; only their layout is checked, never their numbers."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize("suite", ["approx-scaling", "cubic-scaling", "enum-scaling"])
+    def test_file_loads_with_its_keys(self, suite):
+        report = json.loads((self.ROOT / f"BENCH_{suite}.json").read_text())
+        assert sorted(report) == ["cpu_count", "fit", "python", "rows", "suite"]
+        assert report["suite"] == suite
+        assert isinstance(report["python"], str) and isinstance(report["cpu_count"], int)
+        kind = "semilog" if bench.SUITES[suite][1] else "loglog"
+        assert sorted(report["fit"]) == ["kind", "r2", "slope"] and report["fit"]["kind"] == kind
+        sizes = inspect.signature(bench.SUITES[suite][0]).parameters["sizes"].default
+        assert [row["n"] for row in report["rows"]] == list(sizes)
+        # each row has the columns a fresh run of the suite gives
+        cols = list(run_suite(suite, sizes=sizes[:1], repeats=1)[0])
+        assert all(list(row) == cols for row in report["rows"])

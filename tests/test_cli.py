@@ -482,6 +482,8 @@ class TestRejectedCombinations:
         ("gen", "--fixture", "k4", "--seed", "3"): GEN_SEED,
         ("gen", "--list", "--seed", "3"): GEN_SEED,
         ("approx", "k4", "--init", "0,1", "--seed", "3"): "approx --init takes no --seed",
+        ("reduce", "demo5", "--kind", "split", "--cap", "3"): "reduce --cap needs --certificate",
+        ("bench", "--suite", "enum-scaling", "--seed", "3"): "enum-scaling takes no --seed",
     }
 
     @pytest.mark.parametrize("argv, what", REJECTED.items(), ids=map(" ".join, REJECTED))
@@ -492,6 +494,7 @@ class TestRejectedCombinations:
         for name in ("_load", "fixture", "fixture_names", "random_connected"):
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(cli.cubic_mod, "random_cubic_cycle", refuse)
+        monkeypatch.setattr(cli.bench_mod, "run_suite", refuse)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {what}\n")
 
@@ -512,6 +515,27 @@ class TestBench:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "n,seconds" and len(lines) == 3
         assert re.fullmatch(self.SLOPE.format("seconds"), err)
+
+    @pytest.mark.parametrize(
+        "suite, sizes, kind", [("cubic-scaling", "100,200", "loglog"), ("enum-scaling", "3,4", "semilog")]
+    )
+    def test_json_to_file(self, capsys, tmp_path, suite, sizes, kind):
+        out_file = tmp_path / "rows.json"
+        code, out, err = run(
+            capsys, "bench", "--suite", suite, "--sizes", sizes, "--repeats", "1",
+            "--output", str(out_file),
+        )
+        report = json.loads(out_file.read_text())
+        assert code == 0 and out == ""
+        assert sorted(report) == ["cpu_count", "fit", "python", "rows", "suite"]
+        assert (report["suite"], report["python"], report["cpu_count"]) == (
+            suite, sys.version, os.cpu_count()
+        )
+        assert ",".join(str(r["n"]) for r in report["rows"]) == sizes
+        fit = report["fit"]
+        assert sorted(fit) == ["kind", "r2", "slope"] and fit["kind"] == kind
+        # the fit line on stderr prints the same numbers, rounded
+        assert f"r2 {fit['r2']:.3f}\n" in err
 
     def test_stdout_csv(self, capsys):
         code, out, _ = run(

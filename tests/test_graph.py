@@ -1,6 +1,5 @@
 import json
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -153,7 +152,7 @@ class TestConstructorRoutes:
 
     @staticmethod
     def scanned(n, edges) -> bool:
-        return graph_mod._canonical_edges(edges, n) is not None
+        return graph_mod._canonical_edges(edges, n)
 
     @given(canonical_lists())
     def test_canonical_lists_take_the_scans(self, case):
@@ -171,6 +170,14 @@ class TestConstructorRoutes:
             assert fields(Graph(n, form)) == build_graph_loop(n, form)
         # an iterator is never materialised for the scans
         assert fields(Graph(n, iter(swapped))) == build_graph_loop(n, swapped)
+
+    @given(reordered_lists())
+    def test_edges_are_derived_and_both_routes_hash_equal(self, case):
+        n, edges, _, swapped = case
+        assert "edges" not in Graph.__slots__
+        scanned, looped = Graph(n, edges), Graph(n, swapped)
+        assert scanned == looped and hash(scanned) == hash(looped)
+        assert scanned.edges == looped.edges == tuple(edges)
 
     @pytest.mark.parametrize("family", ["star_graph", "path_graph", "cycle_graph"])
     def test_parametric_families_take_the_scans(self, family, monkeypatch):
@@ -374,9 +381,6 @@ class TestConnectivitySlot:
         for ids in combinations(range(7), 4):
             half_pds(g, init=VertexSet.from_ids(7, ids))
         assert g._masks is masks
-        # anything with n and adj gets the same masks, built anew each time
-        ns = SimpleNamespace(n=7, adj=g.adj)
-        assert adjacency_masks(ns) == masks and adjacency_masks(ns) is not masks
 
     def test_still_immutable(self):
         g = Graph(4, P4.edges)
