@@ -1,8 +1,10 @@
-"""Timing suites; each returns CSV-ready rows with n and seconds (generation is not timed)."""
+"""Timing suites; run_suite reports rows with n and seconds (generation untimed) and their fit."""
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 
 from . import approx, cubic, exact, generators
@@ -54,23 +56,21 @@ def cubic_scaling(
 def exact_scaling(
     sizes: tuple[int, ...] = EXACT_SIZES, seed: int = 0, repeats: int = 3
 ) -> list[dict]:
-    """Every maximum connected PDS on random connected graphs with m = 3n/2."""
+    """Every maximum connected PDS on random connected graphs with m = 3n/2; n is its own cap."""
     rows = []
     for i, n in enumerate(sizes):
         g = generators.random_connected(n, 3 * n // 2, seed=seed + i)
         seconds, res = _best_of(
-            lambda: exact.max_pds_exact(g, connected_only=True, all_optima=True), repeats
+            lambda: exact.max_pds_exact(g, connected_only=True, all_optima=True, cap=n), repeats
         )
         rows.append({"n": n, "m": g.m, "size": res.size,
                      "subsets_checked": res.subsets_checked, "seconds": seconds})
     return rows
 
 
-def enum_scaling(
-    sizes: tuple[int, ...] = ENUM_SIZES, seed: int = 0, repeats: int = 3
-) -> list[dict]:
+def enum_scaling(sizes: tuple[int, ...] = ENUM_SIZES, repeats: int = 3) -> list[dict]:
     """Cold enumeration of the connected graphs on n vertices, every
-    smaller n included; the enumeration is exhaustive, so seed is unused.
+    smaller n included; the enumeration is exhaustive, so it takes no seed.
     Each repeat fills an empty cache of its own, not the module's."""
     rows = []
     for n in sizes:
@@ -90,12 +90,21 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list[dict]:
+def run_suite(name: str, **kwargs) -> dict:
+    """Suite name's rows, the fit of seconds against n (None for one row), Python and CPU count."""
     if name not in SUITES:
         raise UnknownName(f"no suite named {name!r}; have {sorted(SUITES)}")
     if kwargs.get("repeats", 1) < 1:
         raise InvalidArgument(f"repeats must be at least 1, got {kwargs['repeats']}")
-    return SUITES[name][0](**kwargs)
+    suite, exponential = SUITES[name]
+    rows = suite(**kwargs)
+    fit = None
+    if len(rows) > 1:
+        kind, fit_xy = ("semilog", fit_semilog) if exponential else ("loglog", fit_loglog)
+        slope, r2 = fit_xy([r["n"] for r in rows], [r["seconds"] for r in rows])
+        fit = {"kind": kind, "slope": slope, "r2": r2}
+    return {"suite": name, "python": sys.version, "cpu_count": os.cpu_count(),
+            "rows": rows, "fit": fit}
 
 
 def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float, float]:

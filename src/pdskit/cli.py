@@ -15,7 +15,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -120,11 +119,15 @@ def _cubic_fixture(arg: str) -> tuple[cubic_mod.CubicCycleGraph, str]:
     return inst, cubic_mod.emit_cubic(inst)
 
 
-def _parse_ids(text: str) -> list[int]:
+def _parse_ids(flag: str, text: str) -> list[int]:
+    """The comma or space separated ids of option flag, all distinct."""
     try:
-        return [int(t) for t in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ParseError(f"bad vertex list {text!r}") from exc
+        ids = [int(t) for t in text.replace(",", " ").split()]
+        if len(set(ids)) == len(ids):
+            return ids
+    except ValueError:
+        pass
+    raise ParseError(f"{flag} must list distinct integers, got {text!r}")
 
 
 def _report(args, code: int, human: list[str], **fields) -> int:
@@ -137,8 +140,8 @@ def _report(args, code: int, human: list[str], **fields) -> int:
     return code
 
 
-def _set_lines(s: VertexSet, limit: int = 200) -> list[str]:
-    if s.n <= limit:
+def _set_lines(s: VertexSet) -> list[str]:
+    if s.n <= 200:
         return ["set " + " ".join(map(str, s.members()))]
     return [f"set omitted ({len(s)} vertices; use --json)"]
 
@@ -149,7 +152,7 @@ def _set_lines(s: VertexSet, limit: int = 200) -> list[str]:
 def cmd_verify(args) -> int:
     g, digest = _load_graph(args.graph)
     if args.set is not None:
-        s = VertexSet.from_ids(g.n, _parse_ids(args.set))
+        s = VertexSet.from_ids(g.n, _parse_ids("--set", args.set))
     else:
         s = set_from_json(_read_source(args.set_file), g.n)
     verdict = check_pds(g, s)
@@ -169,7 +172,7 @@ def cmd_exact(args) -> int:
         raise ParseError("exact --extend takes neither --connected nor --all-optima")
     g, digest = _load_graph(args.graph)
     if args.extend is not None:
-        base = VertexSet.from_ids(g.n, _parse_ids(args.extend))
+        base = VertexSet.from_ids(g.n, _parse_ids("--extend", args.extend))
         ext = pds_extension(g, base, cap=args.cap)
         if ext is None:
             return _report(args, 1, ["no extension"], input_digest=digest, extension=None)
@@ -203,7 +206,7 @@ def cmd_approx(args) -> int:
         raise ParseError("approx --init takes no --seed")
     g, digest = _load_graph(args.graph)
     init = (
-        VertexSet.from_ids(g.n, _parse_ids(args.init)) if args.init is not None else None
+        VertexSet.from_ids(g.n, _parse_ids("--init", args.init)) if args.init is not None else None
     )
     # every search from the one given start makes the same moves
     runs = 1 if init is not None else args.restarts
@@ -376,39 +379,22 @@ def cmd_bench(args) -> int:
     if args.seed is not None:  # else each suite keeps its own default
         kwargs["seed"] = args.seed
     if args.sizes is not None:
-        sizes = _parse_ids(args.sizes)
-        if not sizes or len(set(sizes)) < len(sizes):
-            raise ParseError(f"--sizes must list distinct sizes, got {args.sizes!r}")
+        sizes = _parse_ids("--sizes", args.sizes)
+        if not sizes:
+            raise ParseError(f"--sizes must list distinct integers, got {args.sizes!r}")
         kwargs["sizes"] = tuple(sizes)
-    rows = bench_mod.run_suite(args.suite, **kwargs)
-    fit = None
-    if len(rows) > 1:
-        xs, ys = [r["n"] for r in rows], [r["seconds"] for r in rows]
-        if bench_mod.SUITES[args.suite][1]:  # exponential
-            slope, r2 = bench_mod.fit_semilog(xs, ys)
-            fit = {"kind": "semilog", "slope": slope, "r2": r2}
-            line = f"per-vertex growth seconds x{math.exp(slope):.2f} r2 {r2:.3f}"
-        else:
-            slope, r2 = bench_mod.fit_loglog(xs, ys)
-            fit = {"kind": "loglog", "slope": slope, "r2": r2}
-            line = f"log-log slope seconds {slope:.3f} r2 {r2:.3f}"
-    if args.output and args.output.endswith(".json"):
-        text = json.dumps(
-            {"suite": args.suite, "python": sys.version, "cpu_count": os.cpu_count(),
-             "rows": rows, "fit": fit},
-            indent=1,
-        ) + "\n"
-    else:
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        lines += [",".join(str(r[c]) for c in cols) for r in rows]
-        text = "\n".join(lines) + "\n"
+    report = bench_mod.run_suite(args.suite, **kwargs)
+    text = json.dumps(report, indent=1) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+    fit = report["fit"]
     if fit:
-        print(line, file=sys.stderr)
+        slope = fit["slope"]
+        line = (f"per-vertex growth seconds x{math.exp(slope):.2f}" if fit["kind"] == "semilog"
+                else f"log-log slope seconds {slope:.3f}")
+        print(f"{line} r2 {fit['r2']:.3f}", file=sys.stderr)
     return 0
 
 
@@ -484,7 +470,7 @@ def _gen_args(sp) -> None:
 
 def _bench_args(sp) -> None:
     sp.add_argument("--suite", required=True)
-    sp.add_argument("--output", help="CSV file, or JSON with the fit when the name ends in .json")
+    sp.add_argument("--output", help="file for the JSON report (default stdout)")
     sp.add_argument("--sizes", help="comma separated instance sizes")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--repeats", type=int, default=3)
@@ -499,7 +485,7 @@ COMMANDS = {
     "reduce": ("independent-set reductions", cmd_reduce, _reduce_args),
     "certify": ("verify a reduction certificate", cmd_certify, _certify_args),
     "gen": ("emit graphs", cmd_gen, _gen_args),
-    "bench": ("timing suites (CSV)", cmd_bench, _bench_args),
+    "bench": ("timing suites (JSON report)", cmd_bench, _bench_args),
 }
 
 

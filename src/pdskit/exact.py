@@ -2,8 +2,8 @@
 
 Everything here enumerates bitmask subsets, so instances are capped: the
 default cap of 24 vertices keeps worst cases in the seconds range, the
-hard cap of 63 keeps every mask within one machine word.  The env var
-PDSKIT_CAP overrides the default.
+hard cap of 63 keeps every mask within one machine word.  Each entry
+point takes a cap= that overrides the default.
 
 The maximum-PDS search picks the members of each size depth first, from
 the highest vertex down, and cuts every prefix of picks that already
@@ -14,7 +14,6 @@ every subset in turn would decide, not the number of nodes visited.
 
 from __future__ import annotations
 
-import os
 from math import comb
 from operator import sub
 from typing import NamedTuple
@@ -29,14 +28,7 @@ HARD_CAP = 63
 
 def resolve_cap(cap: int | None = None) -> int:
     if cap is None:
-        env = os.environ.get("PDSKIT_CAP")
-        if env is not None and env.strip():
-            try:
-                cap = int(env)
-            except ValueError as exc:
-                raise InstanceTooLarge(f"PDSKIT_CAP must be an integer, got {env!r}") from exc
-        else:
-            cap = DEFAULT_CAP
+        cap = DEFAULT_CAP
     if not 2 <= cap <= HARD_CAP:
         raise InstanceTooLarge(f"enumeration cap must be in [2, {HARD_CAP}], got {cap}")
     return cap

@@ -363,6 +363,7 @@ def parse_graph(text: str) -> Graph:
     # tuple and keeps none per line alive
     if all(map(le, islice(ints, 2, None, 2), islice(ints, 4, None, 2))):
         pairs = list(pairs)
+        del ints, it  # the pairs hold every int; the list's pointers go
     return Graph(n, pairs)
 
 

@@ -90,10 +90,11 @@ def pds_size_upper_bound(g: Graph) -> int:
     return (n * (delta - 1) + 1) // delta
 
 
-def is_inclusionwise_maximal(g: Graph, s: VertexSet) -> bool:
-    """True when no strict superset of s is a PDS (s itself must be one)."""
+def is_inclusionwise_maximal(g: Graph, s: VertexSet, cap: int | None = None) -> bool:
+    """True when no strict superset of s is a PDS (s itself must be one);
+    cap is pds_extension's enumeration cap."""
     from . import exact  # local import: exact builds on this module
 
     if not check_pds(g, s).holds:
         raise NotAPds("maximality is only defined for sets that are a PDS")
-    return exact.pds_extension(g, s) is None
+    return exact.pds_extension(g, s, cap=cap) is None

@@ -291,7 +291,7 @@ def test_criterion_09_cubic_optimality():
 def test_criterion_10_linear_scaling():
     rows = run_suite(
         "cubic-scaling", sizes=(10**3, 10**4, 10**5, 10**6), seed=0, repeats=3
-    )
+    )["rows"]
     slope, r2 = fit_loglog([r["n"] for r in rows], [r["seconds"] for r in rows])
     ok = 0.85 <= slope <= 1.15 and r2 >= 0.98
     report(

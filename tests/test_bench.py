@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pdskit import InvalidArgument, UnknownName, bench, generators
+from pdskit import InstanceTooLarge, InvalidArgument, UnknownName, bench, generators
 from pdskit.bench import (
     approx_scaling,
     cubic_scaling,
@@ -15,6 +15,7 @@ from pdskit.bench import (
     fit_semilog,
     run_suite,
 )
+from pdskit.exact import DEFAULT_CAP, HARD_CAP
 from pdskit.generators import _connected_cache
 
 
@@ -42,8 +43,15 @@ class TestSuites:
             assert r["m"] == 3 * r["n"] // 2
             assert 2 <= r["size"] < r["n"] and r["subsets_checked"] >= 1
             assert r["seconds"] > 0
-        (again,) = run_suite("exact-scaling", sizes=(8,), seed=1, repeats=1)
+        (again,) = run_suite("exact-scaling", sizes=(8,), seed=1, repeats=1)["rows"]
         assert {**again, "seconds": 0} == {**rows[0], "seconds": 0}
+
+    def test_exact_sizes_run_to_the_hard_cap(self):
+        # each size is its own cap, so sizes above the default run
+        (row,) = exact_scaling(sizes=(DEFAULT_CAP + 1,), repeats=1)
+        assert row["n"] == DEFAULT_CAP + 1
+        with pytest.raises(InstanceTooLarge, match=f"cap must be in \\[2, {HARD_CAP}\\]"):
+            exact_scaling(sizes=(HARD_CAP + 1,), repeats=1)
 
     def test_enum_rows(self, monkeypatch):
         before = dict(_connected_cache)
@@ -62,15 +70,17 @@ class TestSuites:
             return real(n, cache)
 
         monkeypatch.setattr(generators, "_connected_masks", spy)
-        (again,) = run_suite("enum-scaling", sizes=(4,), seed=1, repeats=2)
+        (again,) = run_suite("enum-scaling", sizes=(4,), repeats=2)["rows"]
         assert again["graphs"] == 6
         assert [size for n, size in entries if n == 4] == [0, 0]
         # and the module cache is left as it was
         assert _connected_cache == before
 
     def test_run_suite_dispatch(self):
-        rows = run_suite("cubic-scaling", sizes=(100,), seed=0, repeats=1)
-        assert len(rows) == 1
+        report = run_suite("cubic-scaling", sizes=(100,), seed=0, repeats=1)
+        assert sorted(report) == ["cpu_count", "fit", "python", "rows", "suite"]
+        assert report["suite"] == "cubic-scaling" and len(report["rows"]) == 1
+        assert report["fit"] is None  # one row has no fit
 
     def test_unknown_suite(self):
         with pytest.raises(UnknownName, match="no suite named ''"):
@@ -135,5 +145,5 @@ class TestCommittedBaselines:
         sizes = inspect.signature(bench.SUITES[suite][0]).parameters["sizes"].default
         assert [row["n"] for row in report["rows"]] == list(sizes)
         # each row has the columns a fresh run of the suite gives
-        cols = list(run_suite(suite, sizes=sizes[:1], repeats=1)[0])
+        cols = list(run_suite(suite, sizes=sizes[:1], repeats=1)["rows"][0])
         assert all(list(row) == cols for row in report["rows"])

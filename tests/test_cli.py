@@ -77,6 +77,22 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "k4", "--set", "0,1,2,3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "k4", "--set", "0,0,1"),
+            ("verify", "k4", "--set", "a"),
+            ("approx", "k4", "--init", "1,0,1"),
+            ("exact", "k4", "--extend", "0 0"),
+        ],
+        ids=" ".join,
+    )
+    def test_id_list_with_a_repeat_or_a_word_is_usage_error(self, capsys, argv):
+        # a repeat dropped in silence would answer for a set other than the one typed
+        flag, text = argv[-2:]
+        want = f"error: {flag} must list distinct integers, got {text!r}\n"
+        assert run(capsys, *argv) == (2, "", want)
+
 
 class TestExact:
     def test_fixture_by_name(self, capsys):
@@ -122,10 +138,11 @@ class TestExact:
         want = f"error: {typo}: not a file, and no such fixture\n"
         assert run(capsys, command, typo) == (2, "", want)
 
-    def test_env_cap(self, capsys, monkeypatch):
+    def test_environment_sets_no_cap(self, capsys, monkeypatch):
+        # only --cap sets the cap; no environment variable is read
         monkeypatch.setenv("PDSKIT_CAP", "5")
-        code, _, err = run(capsys, "exact", "cycle7")
-        assert code == 2 and "5" in err
+        code, payload, _ = run_json(capsys, "exact", "cycle7")
+        assert code == 0 and payload["size"] == 4
 
     def test_all_optima(self, capsys):
         code, payload, _ = run_json(capsys, "exact", "cycle5", "--all-optima")
@@ -505,16 +522,20 @@ class TestRejectedCombinations:
 
 
 class TestBench:
-    def test_csv_to_file(self, capsys, tmp_path):
-        out_file = tmp_path / "rows.csv"
-        code, _, err = run(
-            capsys, "bench", "--suite", "cubic-scaling", "--sizes", "200,400",
-            "--repeats", "1", "--output", str(out_file),
-        )
-        assert code == 0
-        lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "n,seconds" and len(lines) == 3
-        assert re.fullmatch(self.SLOPE.format("seconds"), err)
+    def test_one_report_whatever_the_output_name(self, capsys, tmp_path):
+        # the report's form does not depend on the --output name
+        argv = ["bench", "--suite", "cubic-scaling", "--sizes", "200,400", "--repeats", "1"]
+        code, out, err = run(capsys, *argv)
+        reports = [json.loads(out)]
+        assert code == 0 and re.fullmatch(self.SLOPE.format("seconds"), err)
+        for name in ("x.csv", "x.JSON"):
+            code, out, err = run(capsys, *argv, "--output", str(tmp_path / name))
+            assert (code, out) == (0, "") and re.fullmatch(self.SLOPE.format("seconds"), err)
+            reports.append(json.loads((tmp_path / name).read_text()))
+        for report in reports:
+            assert sorted(report) == ["cpu_count", "fit", "python", "rows", "suite"]
+            assert [list(r) for r in report["rows"]] == [["n", "seconds"]] * 2
+            assert report["fit"]["kind"] == "loglog"
 
     @pytest.mark.parametrize(
         "suite, sizes, kind", [("cubic-scaling", "100,200", "loglog"), ("enum-scaling", "3,4", "semilog")]
@@ -537,33 +558,26 @@ class TestBench:
         # the fit line on stderr prints the same numbers, rounded
         assert f"r2 {fit['r2']:.3f}\n" in err
 
-    def test_stdout_csv(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--suite", "approx-scaling", "--sizes", "32",
-            "--repeats", "1",
-        )
-        assert code == 0 and out.startswith("n,m,seconds,moves")
-
     SLOPE = r"log-log slope {} -?\d+\.\d{{3}} r2 \d\.\d{{3}}\n"
     GROWTH = r"per-vertex growth {} x\d+\.\d\d r2 \d\.\d{{3}}\n"
-    # suite -> (sizes, CSV header, fit lines); a new suite must be named here
+    # suite -> (sizes, row keys, fit lines); a new suite must be named here
     FITS = {
-        "approx-scaling": ("32,64", "n,m,seconds,moves", SLOPE.format("seconds")),
-        "cubic-scaling": ("100,200", "n,seconds", SLOPE.format("seconds")),
+        "approx-scaling": ("32,64", "n m seconds moves", SLOPE.format("seconds")),
+        "cubic-scaling": ("100,200", "n seconds", SLOPE.format("seconds")),
         # time follows each instance's optimum, not a power of n
-        "exact-scaling": ("12,14,16", "n,m,size,subsets_checked,seconds", GROWTH.format("seconds")),
+        "exact-scaling": ("12,14,16", "n m size subsets_checked seconds", GROWTH.format("seconds")),
         # time grows exponentially in n, so no power-law slope is printed
-        "enum-scaling": ("3,4,5", "n,graphs,seconds", GROWTH.format("seconds")),
+        "enum-scaling": ("3,4,5", "n graphs seconds", GROWTH.format("seconds")),
     }
 
     @pytest.mark.parametrize("suite", sorted(bench.SUITES))
     def test_each_suite_prints_its_fit(self, capsys, suite):
         assert set(self.FITS) == set(bench.SUITES)
-        sizes, header, fits = self.FITS[suite]
+        sizes, keys, fits = self.FITS[suite]
         before = dict(_connected_cache)
         code, out, err = run(capsys, "bench", "--suite", suite, "--sizes", sizes, "--repeats", "1")
         assert _connected_cache == before  # enum-scaling keeps its own cache
-        assert code == 0 and out.startswith(header + "\n")
+        assert code == 0 and list(json.loads(out)["rows"][0]) == keys.split()
         assert re.fullmatch(fits, err), err
 
     def test_unknown_suite(self, capsys):
@@ -575,10 +589,11 @@ class TestBench:
         [
             (["--repeats", "0"], "--repeats must be at least 1, got 0"),
             (["--repeats", "-3"], "--repeats must be at least 1, got -3"),
-            (["--sizes", ","], "--sizes must list distinct sizes, got ','"),
-            (["--sizes", ""], "--sizes must list distinct sizes, got ''"),
-            (["--sizes", "3,3"], "--sizes must list distinct sizes, got '3,3'"),
-            (["--sizes", "4,3,4"], "--sizes must list distinct sizes, got '4,3,4'"),
+            (["--sizes", ","], "--sizes must list distinct integers, got ','"),
+            (["--sizes", ""], "--sizes must list distinct integers, got ''"),
+            (["--sizes", "3,3"], "--sizes must list distinct integers, got '3,3'"),
+            (["--sizes", "4,3,4"], "--sizes must list distinct integers, got '4,3,4'"),
+            (["--sizes", "a"], "--sizes must list distinct integers, got 'a'"),
         ],
         ids=repr,
     )

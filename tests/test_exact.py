@@ -16,6 +16,7 @@ from pdskit import (
     all_connected_graphs,
     check_pds,
     decide_pds_at_least_k,
+    is_inclusionwise_maximal,
     is_star,
     max_independent_set_exact,
     max_pds_exact,
@@ -220,13 +221,6 @@ class TestCaps:
             max_pds_exact(g, cap=6)
         assert max_pds_exact(g, cap=7).size == 4
 
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("PDSKIT_CAP", "5")
-        assert resolve_cap(None) == 5
-        g = Graph(7, [(v, (v + 1) % 7) for v in range(7)])
-        with pytest.raises(InstanceTooLarge):
-            max_pds_exact(g)
-
     def test_cap_validation(self):
         assert resolve_cap(None) == DEFAULT_CAP
         assert resolve_cap(63) == HARD_CAP
@@ -235,11 +229,6 @@ class TestCaps:
         with pytest.raises(InstanceTooLarge):
             resolve_cap(1)
 
-    def test_env_cap_must_be_numeric(self, monkeypatch):
-        monkeypatch.setenv("PDSKIT_CAP", "lots")
-        with pytest.raises(InstanceTooLarge):
-            resolve_cap(None)
-
     def test_every_entry_point_names_n_and_the_cap(self):
         g = Graph(7, [(v, (v + 1) % 7) for v in range(7)])
         for call in (
@@ -247,6 +236,7 @@ class TestCaps:
             lambda: pds_extension(g, VertexSet.from_ids(7, [0]), cap=6),
             lambda: max_independent_set_exact(g, cap=6),
             lambda: decide_pds_at_least_k(g, 5, cap=6),
+            lambda: is_inclusionwise_maximal(g, VertexSet.from_ids(7, [0, 1, 2, 3]), cap=6),
         ):
             with pytest.raises(InstanceTooLarge, match="^n=7 exceeds the enumeration cap 6$"):
                 call()
