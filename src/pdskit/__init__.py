@@ -32,7 +32,6 @@ from .errors import (
     NotIndependent,
     ParseError,
     PdsKitError,
-    UnclassifiedChords,
     UnknownName,
     VerificationFailed,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "PdsVerdict",
     "ReductionCertificate",
     "SplitReduction",
-    "UnclassifiedChords",
     "UnknownName",
     "VerificationFailed",
     "VertexSet",

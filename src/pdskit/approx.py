@@ -203,9 +203,8 @@ def _heap_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveR
             bad[old] -= 1
         o = d - o
         own[u] = o
+        # u passes on its new side: its gain was >= 1, or 0 with k_new = n/2 - 1
         side[u] = cur
-        if o * n1 < d * k_new:
-            bad[cur] += 1
         heappush(h_new, (2 * o - d) * n + u)
         # own moves by one, so the test flips iff own*(n-1) - deg*k lands
         # in [0, n-1) after a gain or in [-(n-1), 0) after a loss

@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 negative answer (set is not a PDS, no extension,
 exceptional cubic instance, invalid certificate); 2 usage or input error;
 3 internal verification failure (a solver emitted a set that did not
-survive the independent re-check).
+survive the independent re-check, or a cubic chord pattern that the
+theorem rules out).
 
 Graph arguments accept a file path (edge-list text or JSON), "-" for
 stdin, or a fixture name such as cubic10 or path7.
@@ -78,7 +79,7 @@ def _read_source(arg: str) -> str:
     except UnicodeError as exc:
         name = "stdin" if arg == "-" else arg
         raise ParseError(f"{name}: not UTF-8 text (first bad byte at offset {exc.start})") from None
-    raise FileNotFoundError(arg)
+    raise FileNotFoundError(f"{arg}: no such file")
 
 
 def _load(arg: str, parse, from_fixture) -> tuple[object, str]:
@@ -150,9 +151,10 @@ def _set_lines(s: VertexSet) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    ids = _parse_ids("--set", args.set) if args.set is not None else None
     g, digest = _load_graph(args.graph)
-    if args.set is not None:
-        s = VertexSet.from_ids(g.n, _parse_ids("--set", args.set))
+    if ids is not None:
+        s = VertexSet.from_ids(g.n, ids)
     else:
         s = set_from_json(_read_source(args.set_file), g.n)
     verdict = check_pds(g, s)
@@ -170,9 +172,10 @@ def cmd_verify(args) -> int:
 def cmd_exact(args) -> int:
     if args.extend is not None and (args.connected or args.all_optima):
         raise ParseError("exact --extend takes neither --connected nor --all-optima")
+    ids = _parse_ids("--extend", args.extend) if args.extend is not None else None
     g, digest = _load_graph(args.graph)
-    if args.extend is not None:
-        base = VertexSet.from_ids(g.n, _parse_ids("--extend", args.extend))
+    if ids is not None:
+        base = VertexSet.from_ids(g.n, ids)
         ext = pds_extension(g, base, cap=args.cap)
         if ext is None:
             return _report(args, 1, ["no extension"], input_digest=digest, extension=None)
@@ -204,10 +207,9 @@ def cmd_approx(args) -> int:
         raise ParseError(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
     if args.init is not None and args.seed is not None:
         raise ParseError("approx --init takes no --seed")
+    ids = _parse_ids("--init", args.init) if args.init is not None else None
     g, digest = _load_graph(args.graph)
-    init = (
-        VertexSet.from_ids(g.n, _parse_ids("--init", args.init)) if args.init is not None else None
-    )
+    init = VertexSet.from_ids(g.n, ids) if ids is not None else None
     # every search from the one given start makes the same moves
     runs = 1 if init is not None else args.restarts
     best = None
@@ -285,6 +287,8 @@ def cmd_cubic(args) -> int:
 def cmd_reduce(args) -> int:
     if args.kind == "split" and args.k is not None:
         raise ParseError("split reduction takes no --k")
+    if args.kind == "bipartite" and args.k is None:
+        raise ParseError("bipartite reduction needs --k")
     if args.cap is not None and not args.certificate:
         raise ParseError("reduce --cap needs --certificate")
     g, digest = _load_graph(args.graph)
@@ -294,8 +298,6 @@ def cmd_reduce(args) -> int:
         tail = {"core_size": inst.core_size}
         human = [f"core size {inst.core_size}"]
     else:
-        if args.k is None:
-            raise ParseError("bipartite reduction needs --k")
         inst = bipartite_reduction(g, args.k)
         head = {
             "k": args.k, "target": graph_to_json(inst.target), "filler_count": inst.filler_count
@@ -533,10 +535,7 @@ def main(argv=None) -> int:
     except NoPds as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return 1
-    except PdsKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PdsKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,6 @@ from .errors import (
     InvalidGraph,
     InvalidInstance,
     ParseError,
-    UnclassifiedChords,
     VerificationFailed,
 )
 from .graph import MAX_VERTICES, Graph, VertexSet, _data_ints, _reach, is_cubic
@@ -177,7 +176,7 @@ def _pattern(codes: bytes) -> tuple[str, int]:
     Rotation r aligns labels so that AHEAD sits on the even residues
     (alternating) or on residues 0,1 mod 4 (paired)."""
     if 0 in codes:
-        raise UnclassifiedChords("untagged vertex despite no full arc")
+        raise VerificationFailed("untagged vertex despite no full arc")
     n = len(codes)
     for pattern, unit in ((ALTERNATING, b"\1\2"), (PAIRED, b"\1\1\2\2")):
         if n % len(unit) == 0:
@@ -185,7 +184,7 @@ def _pattern(codes: bytes) -> tuple[str, int]:
                 # codes[r + i] is unit[i mod len(unit)]
                 if codes == (unit[-r:] + unit[:-r]) * (n // len(unit)):
                     return pattern, r
-    raise UnclassifiedChords("tags fit neither recognized pattern")
+    raise VerificationFailed("tags fit neither recognized pattern")
 
 
 def _jumps(cr, n: int, j: int) -> bool:
@@ -221,26 +220,21 @@ def solve_hamiltonian_cubic(g: CubicCycleGraph) -> CubicOutcome:
     start, size = 0, n - k + 1
     if n == 10:
         if not _jumps(cr, n, 3):
-            raise UnclassifiedChords("impossible chord map at n=10")
+            raise VerificationFailed("impossible chord map at n=10")
         start, out = 1, 6
     elif n == 14:
-        # alternating
-        if cr(6) != 9:
-            out = 6
-        elif cr(3) != 0:
-            out = 3
-        else:
-            out = 4
+        # alternating; the two no-arc matchings with cr(6) == 9 have cr(3) == 0
+        out = 6 if cr(6) != 9 else 4
     elif n == 16:
         if _jumps(cr, n, 3):
             out = 4
         elif _jumps(cr, n, 5):
             out = 3
         else:
-            raise UnclassifiedChords("impossible chord map at n=16")
+            raise VerificationFailed("impossible chord map at n=16")
     else:
         if n < 20:
-            raise UnclassifiedChords("unreachable: n in {6, 12, 18} always has a full arc")
+            raise VerificationFailed("unreachable: n in {6, 12, 18} always has a full arc")
         if pattern == ALTERNATING:
             if cr(3) != 0:
                 out = 3

@@ -49,9 +49,6 @@ class InvalidInstance(PdsKitError):
     """A cubic cycle description violates its invariants."""
 
 
-class UnclassifiedChords(PdsKitError):
-    """Chord tags match no recognized pattern (internal invariant breach)."""
-
-
 class VerificationFailed(PdsKitError):
-    """A solver produced a set that failed independent re-verification."""
+    """A solver's answer failed independent re-verification, or one of its
+    invariants broke (a cubic chord pattern that the theorem rules out)."""

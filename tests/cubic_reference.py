@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from pdskit import CubicCycleGraph, Graph, UnclassifiedChords, VertexSet
+from pdskit import CubicCycleGraph, Graph, VerificationFailed, VertexSet
 from pdskit.cubic import ALTERNATING, PAIRED
 
 AHEAD = "ahead"
@@ -56,7 +56,7 @@ def full_arc_start_loop(g: CubicCycleGraph) -> int | None:
 def pattern_loop(tags: tuple[str | None, ...], n: int) -> tuple[str, int]:
     """(pattern, rotation) of a no-full-arc tag vector, vertex by vertex."""
     if any(t is None for t in tags):
-        raise UnclassifiedChords("untagged vertex despite no full arc")
+        raise VerificationFailed("untagged vertex despite no full arc")
     if all(tags[i] != tags[(i + 1) % n] for i in range(n)):
         return ALTERNATING, 0 if tags[0] == AHEAD else 1
     for r in range(n):
@@ -65,7 +65,7 @@ def pattern_loop(tags: tuple[str | None, ...], n: int) -> tuple[str, int]:
             if n % 4 == 0 and all(tags[(r + i) % n] == expected[i % 4] for i in range(n)):
                 return PAIRED, r
             break
-    raise UnclassifiedChords("tags fit neither recognized pattern")
+    raise VerificationFailed("tags fit neither recognized pattern")
 
 
 def no_arc_answer_ids(g: CubicCycleGraph) -> VertexSet:

@@ -98,6 +98,28 @@ class TestHalfPds:
             _, trace = half_pds(g, seed=seed)
             assert trace.iterations <= 2 * g.m + 1
 
+    def test_moved_vertex_passes_on_its_new_side(self):
+        # the heap search counts no new violator for the vertex it moves: u's
+        # own-side count after the move, outside_degree, meets the density test
+        # for k_new = |new S| - 1, which is n - half after an even number of
+        # moves and half - 1 after an odd one
+        moves = ties = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(approx.SCAN_CUTOFF + 1, 120)
+            m = rng.randint(n - 1, min(n * (n - 1) // 2, 4 * n))
+            g = random_connected(n, m, seed=seed)
+            _, trace = half_pds(g, seed=seed)
+            half = (n + 1) // 2
+            for i, mv in enumerate(trace.moves):
+                k_new = n - half if i % 2 == 0 else half - 1
+                d = mv.inside_degree + mv.outside_degree
+                assert mv.outside_degree * (n - 1) >= d * k_new, (seed, i, mv)
+                moves += 1
+                ties += mv.inside_degree == mv.outside_degree
+        # the gain-0 moves are the case the argument treats apart
+        assert moves > 4000 and ties > 400
+
     @given(graphs(min_n=3, max_n=9, connected=True))
     @settings(max_examples=120, deadline=None)
     def test_output_contract(self, g):

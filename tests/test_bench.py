@@ -47,10 +47,12 @@ class TestSuites:
         assert {**again, "seconds": 0} == {**rows[0], "seconds": 0}
 
     def test_exact_sizes_run_to_the_hard_cap(self):
-        # each size is its own cap, so sizes above the default run
+        # the hard cap, not the default, bounds the sizes
         (row,) = exact_scaling(sizes=(DEFAULT_CAP + 1,), repeats=1)
         assert row["n"] == DEFAULT_CAP + 1
-        with pytest.raises(InstanceTooLarge, match=f"cap must be in \\[2, {HARD_CAP}\\]"):
+        with pytest.raises(
+            InstanceTooLarge, match=f"^n={HARD_CAP + 1} exceeds the enumeration cap {HARD_CAP}$"
+        ):
             exact_scaling(sizes=(HARD_CAP + 1,), repeats=1)
 
     def test_enum_rows(self, monkeypatch):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from pdskit import (
+    CubicCycleGraph,
     VerificationFailed,
     bench,
     cli,
@@ -515,6 +516,20 @@ class TestRejectedCombinations:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {what}\n")
 
+    # each once read the input first, so an empty stdin or a missing file hid the option error
+    BEFORE_INPUT = {
+        ("reduce", "-", "--kind", "bipartite"): "bipartite reduction needs --k",
+        ("reduce", "nosuch", "--kind", "bipartite"): "bipartite reduction needs --k",
+        ("approx", "-", "--init", "0,0"): "--init must list distinct integers, got '0,0'",
+        ("verify", "-", "--set", "a"): "--set must list distinct integers, got 'a'",
+        ("exact", "-", "--extend", "1,1"): "--extend must list distinct integers, got '1,1'",
+    }
+
+    @pytest.mark.parametrize("argv, what", BEFORE_INPUT.items(), ids=map(" ".join, BEFORE_INPUT))
+    def test_option_error_before_an_empty_stdin(self, capsys, monkeypatch, argv, what):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert run(capsys, *argv) == (2, "", f"error: {what}\n")
+
     @pytest.mark.parametrize("flag", ["--find-cycle", "--seed=3"])
     def test_cubic_without_a_mode_keeps_its_message(self, capsys, flag):
         want = "error: cubic needs an input, --random N, or --sweep8\n"
@@ -583,6 +598,16 @@ class TestBench:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "bench", "--suite", "nothing")[0] == 2
 
+    def test_seed_reaches_the_suite(self, capsys):
+        argv = ("bench", "--suite", "approx-scaling", "--sizes", "16", "--repeats", "1", "--seed", "4")
+        code, out, _ = run(capsys, *argv)
+        got = [(r["m"], r["moves"]) for r in json.loads(out)["rows"]]
+        report = bench.run_suite("approx-scaling", sizes=(16,), repeats=1, seed=4)
+        assert code == 0 and got == [(r["m"], r["moves"]) for r in report["rows"]]
+        # the suite's own seed 0 makes other moves, so a dropped seed would show
+        (default,) = bench.run_suite("approx-scaling", sizes=(16,), repeats=1)["rows"]
+        assert got != [(default["m"], default["moves"])]
+
     # each once ended in a traceback: KeyError, IndexError or ValueError
     @pytest.mark.parametrize(
         "argv, what",
@@ -612,6 +637,29 @@ class TestBench:
     def test_enum_scaling_sizes_out_of_range(self, capsys, sizes, what):
         code, out, err = run(capsys, "bench", "--suite", "enum-scaling", "--sizes", sizes, "--repeats", "1")
         assert (code, out, err) == (2, "", f"error: enumeration {what}\n")
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with one error line."""
+
+    @pytest.mark.parametrize("argv", [("verify", "k4", "--set-file"), ("certify",)], ids=" ".join)
+    def test_missing_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "none.json"
+        assert run(capsys, *argv, str(path)) == (2, "", f"error: {path}: no such file\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reduce", "demo5", "--kind", "split", "--certificate"),
+            ("bench", "--suite", "cubic-scaling", "--sizes", "100", "--repeats", "1", "--output"),
+        ],
+        ids=" ".join,
+    )
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        path = tmp_path / "no_dir" / "out.json"
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 class TestDispatch:
@@ -715,3 +763,12 @@ class TestDispatch:
         monkeypatch.setattr(cli.cubic_mod, "solve_hamiltonian_cubic", boom)
         code, _, err = run(capsys, "cubic", "prism6")
         assert code == 3 and "verification failed" in err
+
+    def test_broken_chord_theorem_maps_to_three(self, capsys, monkeypatch, tmp_path):
+        # the forced n = 10 instance, with the chord-map test refusing it
+        f = tmp_path / "n10.txt"
+        f.write_text(emit_cubic(CubicCycleGraph(10, (3, 8, 5, 0, 7, 2, 9, 4, 1, 6))))
+        assert run(capsys, "cubic", str(f))[0] == 0
+        monkeypatch.setattr(cli.cubic_mod, "_jumps", lambda cr, n, j: False)
+        want = "error: verification failed: impossible chord map at n=10\n"
+        assert run(capsys, "cubic", str(f)) == (3, "", want)

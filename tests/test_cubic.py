@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +20,6 @@ from pdskit import (
     InvalidGraph,
     InvalidInstance,
     ParseError,
-    UnclassifiedChords,
     VerificationFailed,
     VertexSet,
     all_cubic_cycles,
@@ -221,11 +221,11 @@ class TestClassification:
         assert _pattern(b"\1\2\2\1" * 2) == (PAIRED, 3)
 
     def test_pattern_rejects_untagged_or_garbage(self):
-        with pytest.raises(UnclassifiedChords, match="untagged"):
+        with pytest.raises(VerificationFailed, match="untagged"):
             _pattern(b"\1\0\2\2")
-        with pytest.raises(UnclassifiedChords, match="neither"):
+        with pytest.raises(VerificationFailed, match="neither"):
             _pattern(b"\1\1\1\2\2\2")
-        with pytest.raises(UnclassifiedChords, match="neither"):
+        with pytest.raises(VerificationFailed, match="neither"):
             _pattern(b"\1\1\2\2\1\2")  # paired start, n not a multiple of 4
 
 
@@ -469,7 +469,7 @@ def test_bulk_recheck_property(case):
 def _outcome(f, *args):
     try:
         return f(*args)
-    except UnclassifiedChords as exc:
+    except VerificationFailed as exc:
         return str(exc)
 
 
@@ -558,6 +558,68 @@ class TestSolveOracles:
                     got = VertexSet(n, _arc(n, start, size))
                     assert got == arc_vertex_set_ids(n, start, size), (n, start, size)
                     assert got.size == got.mask.bit_count() == size, (n, start, size)
+
+
+def _matchings(n, sources, targets):
+    """Every chord matching on the n-cycle that joins each source vertex to
+    one of targets(v), where the sources' targets are the other vertices."""
+    chord = [-1] * n
+
+    def rec(i):
+        if i == len(sources):
+            yield CubicCycleGraph(n, chord)
+            return
+        v = sources[i]
+        for c in targets(v):
+            if chord[c] < 0:
+                chord[v], chord[c] = c, v
+                yield from rec(i + 1)
+                chord[c] = -1
+
+    yield from rec(0)
+
+
+class TestNoFullArcBranches:
+    """Each no-full-arc rule on whole families of instances, every answer
+    checked on the general Graph.  The answer is the arc of n - k + 1
+    vertices from start in rotated labels, less the one vertex out."""
+
+    def _outs(self, instances, start):
+        outs = Counter()
+        for g in instances:
+            n, k = g.n, g.window
+            assert find_full_arc(g) is None, g
+            s = solve_hamiltonian_cubic(g).pds
+            h = to_graph(g)
+            assert len(s) == max_pds_size_cubic(n), g
+            assert check_pds(h, s).holds and induced_connected(h, s), g
+            r = _pattern(g.codes)[1]
+            arc = {(start + r + i) % n for i in range(n - k + 1)}
+            (out,) = arc - set(s.members())
+            assert set(s.members()) < arc, g
+            outs[(out - r) % n] += 1
+        return outs
+
+    @pytest.mark.parametrize("n, count", [(20, 125), (22, 201)])
+    def test_alternating_rule(self, n, count):
+        # each even vertex's chord jumps an odd d, 3 <= d <= k, ahead
+        k = (n + 1) // 3
+        instances = list(_matchings(n, range(0, n, 2), lambda v: [(v + d) % n for d in range(3, k + 1, 2)]))
+        outs = self._outs(instances, 0)
+        assert len(instances) == count and set(outs) == {3, n - k - 3, k - 2}
+
+    def test_paired_rule(self):
+        # vertices 4i and 4i + 1 chord 2 to k steps ahead, to a vertex = 2 or 3 (mod 4)
+        n, k = 20, 7
+        sources = [v for v in range(n) if v % 4 < 2]
+        instances = list(_matchings(n, sources, lambda v: [(v + d) % n for d in range(2, k + 1) if (v + d) % 4 > 1]))
+        outs = self._outs(instances, 1)
+        assert len(instances) == 276 and set(outs) == {k - 2, k - 1}
+
+    def test_n14(self):
+        # the four matchings at n = 14 that have no full arc
+        instances = [rotated(jump(14, d), t) for d in (3, 5) for t in (0, 1)]
+        assert self._outs(instances, 0) == {6: 2, 4: 2}
 
 
 class TestLeanNeighbourTable:
@@ -673,7 +735,7 @@ class TestSelfChecks:
     def _refuse_every_chord_map(self, monkeypatch, g):
         assert solve_hamiltonian_cubic(g).pds is not None
         monkeypatch.setattr(cubic, "_jumps", lambda cr, n, j: False)
-        with pytest.raises(UnclassifiedChords, match=f"^impossible chord map at n={g.n}$"):
+        with pytest.raises(VerificationFailed, match=f"^impossible chord map at n={g.n}$"):
             solve_hamiltonian_cubic(g)
 
     def test_wrong_n10_table(self, monkeypatch):
@@ -690,13 +752,13 @@ class TestSelfChecks:
     def test_survives_optimize_flag(self):
         script = (
             "from pdskit import CubicCycleGraph, cubic, solve_hamiltonian_cubic\n"
-            "from pdskit.errors import UnclassifiedChords\n"
+            "from pdskit.errors import VerificationFailed\n"
             "assert False  # stripped under -O\n"
             "cubic._jumps = lambda cr, n, j: False\n"
             f"g = CubicCycleGraph(10, {N10_FORCED!r})\n"
             "try:\n"
             "    solve_hamiltonian_cubic(g)\n"
-            "except UnclassifiedChords:\n"
+            "except VerificationFailed:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"
         )

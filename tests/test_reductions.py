@@ -22,6 +22,7 @@ from pdskit import (
     certificate_from_json,
     certificate_to_json,
     check_pds,
+    half_pds,
     is_bipartite,
     is_split,
     is_star,
@@ -242,6 +243,33 @@ class TestCertificates:
             pds=VertexSet.from_ids(inst.target.n, range(2, 8)),
         )
         assert verify_certificate(inst, bad) != []
+
+    def test_kind_mismatch_is_the_only_problem(self):
+        inst, cert = self._forward("split")
+        wrong = cert._replace(kind="bipartite")
+        assert verify_certificate(inst, wrong) == [
+            "certificate kind 'bipartite' does not match the instance"
+        ]
+
+    def test_backward_extraction_bound(self):
+        # a PDS that embeds the 3-set {0, 2, 4} cannot come back as a 1-set
+        inst, cert = self._forward("split")
+        back = cert._replace(direction="backward", independent_set=VertexSet.from_ids(5, [0]))
+        assert len(cert.independent_set) == 3
+        assert verify_certificate(inst, back) == ["extraction bound broken: |IS|=1 < |PDS|-core=3"]
+
+    def test_independent_set_below_k(self):
+        # a backward certificate whose PDS is small enough for a 2-set, under k = 3
+        inst, _ = self._forward("bipartite", k=3)
+        small, _ = half_pds(inst.target)
+        cert = ReductionCertificate(
+            kind="bipartite",
+            direction="backward",
+            k=3,
+            independent_set=VertexSet.from_ids(5, [0, 2]),
+            pds=small,
+        )
+        assert verify_certificate(inst, cert) == ["independent set smaller than k=3"]
 
     def test_json_roundtrip(self):
         inst, cert = self._forward("bipartite", k=2)
