@@ -7,7 +7,8 @@ survive the independent re-check, or a cubic chord pattern that the
 theorem rules out).
 
 Graph arguments accept a file path (edge-list text or JSON), "-" for
-stdin, or a fixture name such as cubic10 or path7.
+stdin, or a fixture name such as cubic10 or path7; cubic also reads
+cycle-plus-chords text, and the text itself tells the three apart.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -24,7 +26,7 @@ from . import bench as bench_mod
 from . import cubic as cubic_mod
 from .approx import half_pds
 from .errors import (
-    InvalidInstance,
+    InvalidArgument,
     NoPds,
     ParseError,
     PdsKitError,
@@ -103,8 +105,24 @@ def _graph_fixture(arg: str) -> tuple[Graph, str]:
     return g, emit_graph(g)
 
 
+# a line's leading space, blank lines included, and the rest of that line
+_LINE = re.compile(r"\s*([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)")
+
+
+def _input_kind(raw: str) -> str:
+    """"json" when raw's first non-space character is "{", else "cycle" when
+    the first line that is neither blank nor a '#' comment holds one token
+    (n), else "edges".  Reads raw up to that line and copies only that line."""
+    m = _LINE.match(raw)
+    if raw.startswith("{", m.start(1)):
+        return "json"
+    while raw.startswith("#", m.start(1)):
+        m = _LINE.match(raw, m.end())
+    return "cycle" if len(m[1].split()) == 1 else "edges"
+
+
 def _parse_any_graph(raw: str) -> Graph:
-    return graph_from_json(raw) if raw.lstrip().startswith("{") else parse_graph(raw)
+    return graph_from_json(raw) if _input_kind(raw) == "json" else parse_graph(raw)
 
 
 def _load_graph(arg: str) -> tuple[Graph, str]:
@@ -112,12 +130,27 @@ def _load_graph(arg: str) -> tuple[Graph, str]:
     return _load(arg, _parse_any_graph, _graph_fixture)
 
 
-def _cubic_fixture(arg: str) -> tuple[cubic_mod.CubicCycleGraph, str]:
+def _parse_cubic_input(raw: str) -> tuple[cubic_mod.CubicCycleGraph, list[int] | None]:
+    """(instance, None) of cycle-plus-chords text, else the searched
+    (instance, order) of _cubic_from_graph, for edge-list or JSON text."""
+    if _input_kind(raw) == "cycle":
+        return cubic_mod.parse_cubic(raw), None
+    return cubic_mod._cubic_from_graph(_parse_any_graph(raw))
+
+
+def _cubic_fixture(arg: str) -> tuple[tuple, str]:
     rec = fixture(arg)
     if rec.chords is None:
-        raise InvalidInstance(f"fixture {arg!r} carries no cycle-plus-chords form")
+        return cubic_mod._cubic_from_graph(rec.graph), emit_graph(rec.graph)
     inst = cubic_mod.CubicCycleGraph(rec.graph.n, rec.chords)
-    return inst, cubic_mod.emit_cubic(inst)
+    return (inst, None), cubic_mod.emit_cubic(inst)
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse, before any work, an output path whose directory is missing
+    or that is a directory itself, so that a failed run writes no file."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise InvalidArgument(f"{path}: not a file in an existing directory")
 
 
 def _parse_ids(flag: str, text: str) -> list[int]:
@@ -207,19 +240,17 @@ def cmd_approx(args) -> int:
         raise ParseError(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
     if args.init is not None and args.seed is not None:
         raise ParseError("approx --init takes no --seed")
+    if args.init is not None and args.restarts != 1:
+        raise ParseError("approx --init takes no --restarts")
     ids = _parse_ids("--init", args.init) if args.init is not None else None
     g, digest = _load_graph(args.graph)
     init = VertexSet.from_ids(g.n, ids) if ids is not None else None
-    # every search from the one given start makes the same moves
-    runs = 1 if init is not None else args.restarts
+    # search i runs from seed base + i; a lone search with no --seed draws its own
+    base = 0 if args.seed is None and args.restarts > 1 else args.seed
     best = None
     t0 = time.perf_counter()
-    for i in range(runs):
-        if args.seed is not None:
-            seed = args.seed + i
-        else:
-            seed = i if runs > 1 else None
-        s, trace = half_pds(g, init=init, seed=seed)
+    for i in range(args.restarts):
+        s, trace = half_pds(g, init=init, seed=None if base is None else base + i)
         if best is None or len(s) > len(best[0]):
             best = (s, trace)
     elapsed = time.perf_counter() - t0
@@ -227,7 +258,7 @@ def cmd_approx(args) -> int:
     connected = recheck(g, s, "local search output")
     fields = {
         "input_digest": digest, "size": len(s), "set": s.members(), "connected": connected,
-        "moves": trace.iterations, "restarts": runs, "seconds": elapsed, "verified": True,
+        "moves": trace.iterations, "restarts": args.restarts, "seconds": elapsed, "verified": True,
     }
     if args.trace:
         fields["trace"] = [
@@ -240,12 +271,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_cubic(args) -> int:
-    if (args.input is not None) + (args.random is not None) + args.sweep8 > 1:
-        raise ParseError("cubic takes only one of an input, --random N and --sweep8")
-    if args.find_cycle and (args.random is not None or args.sweep8):
-        raise ParseError("cubic --find-cycle needs an input, not --random N or --sweep8")
-    if args.seed is not None and (args.input is not None or args.sweep8):
-        raise ParseError("cubic --seed needs --random N")
+    if (args.input is not None) == args.sweep8:
+        raise ParseError("cubic takes exactly one of an input and --sweep8")
     if args.sweep8:
         solve = cubic_mod.solve_hamiltonian_cubic
         kinds = [solve(inst).exceptional for inst in cubic_mod.all_cubic_cycles(8)]
@@ -253,18 +280,7 @@ def cmd_cubic(args) -> int:
         human = [f"instances {len(kinds)}", *(f"exceptional {k} {c}" for k, c in counts.items())]
         return _report(args, 0, human, instances=len(kinds), exceptional=counts)
 
-    order: list[int] | None = None
-    if args.random is not None:
-        inst = cubic_mod.random_cubic_cycle(args.random, seed=args.seed)
-        digest = _digest(cubic_mod.emit_cubic(inst))
-    elif args.input is None:
-        raise ParseError("cubic needs an input, --random N, or --sweep8")
-    elif args.find_cycle:
-        g, digest = _load_graph(args.input)
-        inst, order = cubic_mod._cubic_from_graph(g)
-    else:
-        inst, digest = _load(args.input, cubic_mod.parse_cubic, _cubic_fixture)
-
+    (inst, order), digest = _load(args.input, _parse_cubic_input, _cubic_fixture)
     fields = {"input_digest": digest, "n": inst.n}
     t0 = time.perf_counter()
     outcome = cubic_mod.solve_hamiltonian_cubic(inst)
@@ -291,6 +307,7 @@ def cmd_reduce(args) -> int:
         raise ParseError("bipartite reduction needs --k")
     if args.cap is not None and not args.certificate:
         raise ParseError("reduce --cap needs --certificate")
+    _check_output(args.certificate)
     g, digest = _load_graph(args.graph)
     if args.kind == "split":
         inst = split_reduction(g)
@@ -350,9 +367,7 @@ def cmd_gen(args) -> int:
     if args.seed is not None and (args.list or args.fixture is not None):
         raise ParseError("gen --seed needs --random or --cubic")
     if args.list:
-        for name in fixture_names():
-            print(name)
-        print("star<N> path<N> cycle<N>")
+        print(*fixture_names(), "star<N> path<N> cycle<N>", sep="\n")
         return 0
     if args.cubic is not None:
         inst = cubic_mod.random_cubic_cycle(args.cubic, seed=args.seed)
@@ -377,6 +392,7 @@ def cmd_bench(args) -> int:
         raise ParseError(f"--repeats must be at least 1, got {args.repeats}")
     if args.seed is not None and args.suite == "enum-scaling":
         raise ParseError("enum-scaling takes no --seed")
+    _check_output(args.output)
     kwargs = {"repeats": args.repeats}
     if args.seed is not None:  # else each suite keeps its own default
         kwargs["seed"] = args.seed
@@ -408,9 +424,7 @@ def _verify_args(sp) -> None:
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--set", help="comma separated vertex ids")
     grp.add_argument("--set-file", help='JSON file {"set": [...]}')
-    sp.add_argument(
-        "--connected", action="store_true", help="also require a connected subgraph"
-    )
+    sp.add_argument("--connected", action="store_true", help="also require a connected subgraph")
 
 
 def _exact_args(sp) -> None:
@@ -425,24 +439,12 @@ def _approx_args(sp) -> None:
     sp.add_argument("graph")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--init", help="explicit initial set (comma separated ids)")
-    sp.add_argument(
-        "--restarts",
-        type=int,
-        default=1,
-        help=f"seeded searches, 1 to {MAX_RESTARTS}; with --init the one search runs once",
-    )
+    sp.add_argument("--restarts", type=int, default=1, help=f"seeded searches, 1 to {MAX_RESTARTS}")
     sp.add_argument("--trace", action="store_true", help="include the move trace")
 
 
 def _cubic_args(sp) -> None:
-    sp.add_argument("input", nargs="?", help="cycle-format file or fixture name")
-    sp.add_argument("--random", type=int, metavar="N", help="random instance size")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument(
-        "--find-cycle",
-        action="store_true",
-        help="input is an edge list; search a Hamiltonian cycle first (n <= 24)",
-    )
+    sp.add_argument("input", nargs="?", help="cycle-plus-chords text, or a graph (n <= 24)")
     sp.add_argument("--sweep8", action="store_true", help="solve all n=8 instances")
 
 
@@ -500,10 +502,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     full parser, built with command None."""
     import argparse  # loaded on first use: import pdskit.cli stays cheap
 
-    p = argparse.ArgumentParser(
-        prog="pdskit",
-        description="Proportionally dense subgraph toolkit",
-    )
+    p = argparse.ArgumentParser(prog="pdskit", description="Proportionally dense subgraph toolkit")
     names = COMMANDS if command is None else (command,)
     # the full parser's usage lists the choices; a partial one would list
     # only its own, so it is given the full list to print
@@ -520,8 +519,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)

@@ -373,7 +373,7 @@ def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
     """g relabelled along a Hamiltonian cycle, and that cycle: cycle
     position i is the input vertex order[i]."""
     if not is_cubic(g):
-        raise InvalidInstance("--find-cycle needs a cubic graph")
+        raise InvalidInstance("the graph is not cubic")
     order = _hamiltonian_cycle(g)
     if order is None:
         raise InvalidInstance("the graph has no Hamiltonian cycle")

@@ -21,6 +21,7 @@ from pdskit import (
     emit_graph,
     fixture,
     graph_from_json,
+    graph_to_json,
     parse_cubic,
     random_cubic_cycle,
 )
@@ -178,15 +179,6 @@ class TestApprox:
         code, _, err = run(capsys, "approx", "k4", "--restarts", restarts)
         assert code == 2 and f"--restarts must be in [1, 1000], got {restarts}" in err
 
-    def test_restarts_with_init_search_once(self, capsys, monkeypatch):
-        calls = []
-        real = cli.half_pds
-        monkeypatch.setattr(cli, "half_pds", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        code, payload, _ = run_json(
-            capsys, "approx", "path7", "--init", "0,1,2,3", "--restarts", "1000"
-        )
-        assert code == 0 and len(calls) == 1 and payload["restarts"] == 1
-
     def test_wrong_init_size(self, capsys):
         code, _, err = run(capsys, "approx", "k4", "--init", "0,1,2")
         assert code == 2 and "init" in err
@@ -199,12 +191,17 @@ class TestCubic:
 
     def test_fixture_without_chords(self, capsys):
         code, _, err = run(capsys, "cubic", "caterpillar15")
-        assert code == 2 and "cycle-plus-chords" in err
+        assert code == 2 and "not cubic" in err
 
-    def test_random_example(self, capsys):
-        code, payload, _ = run_json(capsys, "cubic", "--random", "1002", "--seed", "7")
-        assert code == 0
-        assert payload["size"] == 668 and payload["verified"] is True
+    def test_generated_instance_through_stdin(self, capsys, monkeypatch):
+        code, text, _ = run(capsys, "gen", "--cubic", "30", "--seed", "7")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, payload, _ = run_json(capsys, "cubic", "-")
+        del payload["seconds"]
+        assert code == 0 and payload == {
+            "command": "cubic", "input_digest": "6b0133b3d9171ca4", "n": 30, "verified": True,
+            "size": 20, "set": list(range(5, 25)),
+        }
 
     def test_exceptional_exit_one(self, capsys):
         code, payload, _ = run_json(capsys, "cubic", "exc8_paired")
@@ -236,20 +233,20 @@ class TestCubic:
     def test_find_cycle(self, capsys, tmp_path):
         f = tmp_path / "prism.txt"
         f.write_text(emit_graph(fixture("prism6").graph))
-        code, payload, _ = run_json(capsys, "cubic", str(f), "--find-cycle")
+        code, payload, _ = run_json(capsys, "cubic", str(f))
         assert code == 0 and payload["size"] == 4
         assert sorted(payload["cycle"]) == list(range(6))
 
     def test_find_cycle_on_bridge_graph(self, capsys, tmp_path):
         f = tmp_path / "cubic10.txt"
         f.write_text(emit_graph(fixture("cubic10").graph))
-        code, _, err = run(capsys, "cubic", str(f), "--find-cycle")
+        code, _, err = run(capsys, "cubic", str(f))
         assert code == 2 and "Hamiltonian" in err
 
     def test_find_cycle_is_capped(self, capsys, tmp_path):
         f = tmp_path / "cubic26.txt"
         f.write_text(emit_graph(to_graph(random_cubic_cycle(26, seed=0))))
-        code, _, err = run(capsys, "cubic", str(f), "--find-cycle")
+        code, _, err = run(capsys, "cubic", str(f))
         assert code == 2 and "capped at n=24" in err
 
     def test_cubic_format_file(self, capsys, tmp_path):
@@ -257,6 +254,44 @@ class TestCubic:
         f.write_text("6\n0 3\n1 4\n2 5\n")
         code, payload, _ = run_json(capsys, "cubic", str(f))
         assert code == 0 and payload["n"] == 6
+
+    PRISM = fixture("prism6").graph
+    # the text alone picks the path: a graph goes through the cycle search
+    # (test_find_cycle reads the plain edge list)
+    GRAPH_TEXTS = {
+        "one-line JSON": json.dumps(graph_to_json(PRISM)),
+        "indented JSON": json.dumps(graph_to_json(PRISM), indent=2),
+        "edge list after comments": "# prism\n\n  # six vertices\n" + emit_graph(PRISM),
+    }
+
+    @pytest.mark.parametrize("text", GRAPH_TEXTS.values(), ids=GRAPH_TEXTS)
+    def test_graph_text_is_searched(self, capsys, tmp_path, text):
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        code, payload, _ = run_json(capsys, "cubic", str(f))
+        assert (code, payload["cycle"], payload["set"]) == (0, list(range(6)), [0, 1, 2, 3])
+
+    def test_cycle_text_after_comments(self, capsys, tmp_path):
+        f = tmp_path / "inst.txt"
+        f.write_text("# prism\n\n  # cycle and chords\n\n6\n0 3\n1 4\n2 5\n")
+        code, payload, _ = run_json(capsys, "cubic", str(f))
+        assert (code, payload["n"], payload["set"]) == (0, 6, [0, 1, 2, 3])
+        assert "cycle" not in payload
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("", "edges"), ("# only a comment\n", "edges"), ("3 2\n0 1\n", "edges"),
+            ("1 2 3\n", "edges"), ("6\n0 3\n", "cycle"), ("\n  # c\n\t6  \n", "cycle"),
+            ('{"n": 1, "edges": []}', "json"), ("\n {\n", "json"), ("# c\n{}", "cycle"),
+            # every line break that str.splitlines, and so the parsers, knows
+            ("6\r0 3\r", "cycle"), ("6\f0 3", "cycle"), ("# c\x1e6\u20290 3", "cycle"),
+            ("\u2028 6\x850 3", "cycle"),
+        ],
+        ids=repr,
+    )
+    def test_input_kind(self, text, kind):
+        assert cli._input_kind(text) == kind
 
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "cubic")
@@ -382,11 +417,10 @@ class TestHostileInput:
             # the random generators check n before they allocate anything
             (["gen", "--random", str(MAX_VERTICES + 2), str(MAX_VERTICES + 2)], None),
             (["gen", "--cubic", str(MAX_VERTICES + 2)], None),
-            (["cubic", "--random", str(MAX_VERTICES + 2)], None),
         ],
         ids=[
             "header", "json", "path fixture", "gen star fixture", "gen 5000-digit fixture",
-            "gen random", "gen cubic", "cubic random",
+            "gen random", "gen cubic",
         ],
     )
     def test_huge_vertex_count(self, tmp_path, argv, text):
@@ -465,10 +499,8 @@ class TestGen:
 GRAPH7 = "7 7\n0 1\n0 2\n0 4\n0 5\n0 6\n1 3\n2 6\n"
 
 EXTEND_ALONE = "exact --extend takes neither --connected nor --all-optima"
-CUBIC_MODES = "cubic takes only one of an input, --random N and --sweep8"
+CUBIC_MODES = "cubic takes exactly one of an input and --sweep8"
 GEN_MODES = "gen takes only one of --list, --fixture, --random and --cubic"
-FIND_CYCLE_INPUT = "cubic --find-cycle needs an input, not --random N or --sweep8"
-CUBIC_SEED = "cubic --seed needs --random N"
 GEN_SEED = "gen --seed needs --random or --cubic"
 
 
@@ -486,20 +518,15 @@ class TestRejectedCombinations:
     REJECTED = {
         ("exact", "k4", "--extend", "0,1", "--connected", "--json"): EXTEND_ALONE,
         ("exact", "k4", "--extend", "0,1", "--all-optima"): EXTEND_ALONE,
-        ("cubic", "prism6", "--random", "10"): CUBIC_MODES,
         ("cubic", "--sweep8", "prism6"): CUBIC_MODES,
-        ("cubic", "--sweep8", "--random", "10"): CUBIC_MODES,
         ("gen", "--fixture", "k4", "--random", "5", "6"): GEN_MODES,
         ("gen", "--list", "--cubic", "6"): GEN_MODES,
         ("gen", "--list", "--cubic", "6", "--json"): GEN_MODES,
         ("reduce", "demo5", "--kind", "split", "--k", "3"): "split reduction takes no --k",
-        ("cubic", "--random", "10", "--find-cycle"): FIND_CYCLE_INPUT,
-        ("cubic", "--sweep8", "--find-cycle"): FIND_CYCLE_INPUT,
-        ("cubic", "prism6", "--seed", "3"): CUBIC_SEED,
-        ("cubic", "--sweep8", "--seed", "3"): CUBIC_SEED,
         ("gen", "--fixture", "k4", "--seed", "3"): GEN_SEED,
         ("gen", "--list", "--seed", "3"): GEN_SEED,
         ("approx", "k4", "--init", "0,1", "--seed", "3"): "approx --init takes no --seed",
+        ("approx", "path7", "--init", "0,1,2,3", "--restarts", "9"): "approx --init takes no --restarts",
         ("reduce", "demo5", "--kind", "split", "--cap", "3"): "reduce --cap needs --certificate",
         ("bench", "--suite", "enum-scaling", "--seed", "3"): "enum-scaling takes no --seed",
     }
@@ -530,10 +557,13 @@ class TestRejectedCombinations:
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert run(capsys, *argv) == (2, "", f"error: {what}\n")
 
-    @pytest.mark.parametrize("flag", ["--find-cycle", "--seed=3"])
-    def test_cubic_without_a_mode_keeps_its_message(self, capsys, flag):
-        want = "error: cubic needs an input, --random N, or --sweep8\n"
-        assert run(capsys, "cubic", flag) == (2, "", want)
+    def test_cubic_without_a_mode_keeps_its_message(self, capsys):
+        assert run(capsys, "cubic") == (2, "", f"error: {CUBIC_MODES}\n")
+
+    @pytest.mark.parametrize("flag", ["--random=10", "--seed=3", "--find-cycle"])
+    def test_cubic_options_that_the_input_replaced_are_gone(self, capsys, flag):
+        code, out, err = run(capsys, "cubic", "prism6", flag)
+        assert (code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
 
 
 class TestBench:
@@ -655,11 +685,17 @@ class TestFileErrors:
         ],
         ids=" ".join,
     )
-    def test_unwritable_output(self, capsys, tmp_path, argv):
-        path = tmp_path / "no_dir" / "out.json"
+    @pytest.mark.parametrize("where", ["no_dir/out.json", "."])
+    def test_unwritable_output(self, capsys, monkeypatch, tmp_path, argv, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work ran before the output path was checked")
+
+        monkeypatch.setattr(cli.bench_mod, "run_suite", refuse)
+        monkeypatch.setattr(cli, "max_independent_set_exact", refuse)
+        path = tmp_path / where
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
-        assert str(path) in err
+        assert str(path) in err and list(tmp_path.iterdir()) == []
 
 
 class TestDispatch:

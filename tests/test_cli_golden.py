@@ -41,6 +41,7 @@ ARGV = [
     ["cubic", "--random", "30", "--seed", "7"],
     ["cubic", "--sweep8"],
     ["cubic", "{tmp}/prism.txt", "--find-cycle"],
+    ["cubic", "{tmp}/prism.txt"],
     ["cubic", "{tmp}/cycle.txt"],
     ["cubic", "caterpillar15"],
     ["cubic"],
