@@ -33,7 +33,7 @@ from .errors import (
     UnknownName,
     VerificationFailed,
 )
-from .exact import max_independent_set_exact, max_pds_exact, pds_extension
+from .exact import max_independent_set_exact, max_pds_exact, pds_extension, resolve_cap
 from .generators import fixture, fixture_names, random_connected
 from .graph import (
     Graph,
@@ -55,10 +55,6 @@ from .reductions import (
     split_reduction,
     verify_certificate,
 )
-
-
-# the most searches approx --restarts runs; each costs up to O(n*m)
-MAX_RESTARTS = 1000
 
 
 def _digest(text: str) -> str:
@@ -109,20 +105,21 @@ def _graph_fixture(arg: str) -> tuple[Graph, str]:
 _LINE = re.compile(r"\s*([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)")
 
 
-def _input_kind(raw: str) -> str:
-    """"json" when raw's first non-space character is "{", else "cycle" when
-    the first line that is neither blank nor a '#' comment holds one token
-    (n), else "edges".  Reads raw up to that line and copies only that line."""
+def _head(raw: str) -> list[str] | None:
+    """None (JSON) when raw's first non-space character is "{", else the
+    tokens of its first line that is neither blank nor a '#' comment: one
+    (n) for cycle-plus-chords text, any other count for an edge list.
+    Reads raw up to that line and copies only that line."""
     m = _LINE.match(raw)
     if raw.startswith("{", m.start(1)):
-        return "json"
+        return None
     while raw.startswith("#", m.start(1)):
         m = _LINE.match(raw, m.end())
-    return "cycle" if len(m[1].split()) == 1 else "edges"
+    return m[1].split()
 
 
 def _parse_any_graph(raw: str) -> Graph:
-    return graph_from_json(raw) if _input_kind(raw) == "json" else parse_graph(raw)
+    return graph_from_json(raw) if _head(raw) is None else parse_graph(raw)
 
 
 def _load_graph(arg: str) -> tuple[Graph, str]:
@@ -132,9 +129,14 @@ def _load_graph(arg: str) -> tuple[Graph, str]:
 
 def _parse_cubic_input(raw: str) -> tuple[cubic_mod.CubicCycleGraph, list[int] | None]:
     """(instance, None) of cycle-plus-chords text, else the searched
-    (instance, order) of _cubic_from_graph, for edge-list or JSON text."""
-    if _input_kind(raw) == "cycle":
+    (instance, order) of _cubic_from_graph, for edge-list or JSON text; an
+    edge list too large to search is refused from its header alone."""
+    head = _head(raw)
+    if head is not None and len(head) == 1:
         return cubic_mod.parse_cubic(raw), None
+    n = head[0].lstrip("0") if head else ""
+    if n.isdecimal() and len(n) < 10:  # a longer n is past Graph's vertex limit
+        cubic_mod._check_cycle_search(int(n))
     return cubic_mod._cubic_from_graph(_parse_any_graph(raw))
 
 
@@ -206,6 +208,7 @@ def cmd_exact(args) -> int:
     if args.extend is not None and (args.connected or args.all_optima):
         raise ParseError("exact --extend takes neither --connected nor --all-optima")
     ids = _parse_ids("--extend", args.extend) if args.extend is not None else None
+    resolve_cap(args.cap)
     g, digest = _load_graph(args.graph)
     if ids is not None:
         base = VertexSet.from_ids(g.n, ids)
@@ -236,29 +239,18 @@ def cmd_exact(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    if not 1 <= args.restarts <= MAX_RESTARTS:
-        raise ParseError(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
     if args.init is not None and args.seed is not None:
         raise ParseError("approx --init takes no --seed")
-    if args.init is not None and args.restarts != 1:
-        raise ParseError("approx --init takes no --restarts")
     ids = _parse_ids("--init", args.init) if args.init is not None else None
     g, digest = _load_graph(args.graph)
     init = VertexSet.from_ids(g.n, ids) if ids is not None else None
-    # search i runs from seed base + i; a lone search with no --seed draws its own
-    base = 0 if args.seed is None and args.restarts > 1 else args.seed
-    best = None
     t0 = time.perf_counter()
-    for i in range(args.restarts):
-        s, trace = half_pds(g, init=init, seed=None if base is None else base + i)
-        if best is None or len(s) > len(best[0]):
-            best = (s, trace)
+    s, trace = half_pds(g, init=init, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    s, trace = best
     connected = recheck(g, s, "local search output")
     fields = {
         "input_digest": digest, "size": len(s), "set": s.members(), "connected": connected,
-        "moves": trace.iterations, "restarts": args.restarts, "seconds": elapsed, "verified": True,
+        "moves": trace.iterations, "seconds": elapsed, "verified": True,
     }
     if args.trace:
         fields["trace"] = [
@@ -301,15 +293,13 @@ def cmd_cubic(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.kind == "split" and args.k is not None:
-        raise ParseError("split reduction takes no --k")
-    if args.kind == "bipartite" and args.k is None:
-        raise ParseError("bipartite reduction needs --k")
     if args.cap is not None and not args.certificate:
         raise ParseError("reduce --cap needs --certificate")
+    resolve_cap(args.cap)
     _check_output(args.certificate)
+    kind = "split" if args.k is None else "bipartite"  # --k names the reduction
     g, digest = _load_graph(args.graph)
-    if args.kind == "split":
+    if kind == "split":
         inst = split_reduction(g)
         head = {"target": graph_to_json(inst.target), "anchors": list(inst.anchors)}
         tail = {"core_size": inst.core_size}
@@ -322,7 +312,7 @@ def cmd_reduce(args) -> int:
         tail = {"threshold": inst.threshold}
         human = [f"filler {inst.filler_count}", f"threshold {inst.threshold}"]
     fields = {
-        "kind": args.kind,
+        "kind": kind,
         "input_digest": digest,
         **head,
         "edge_block": [[list(e), i] for e, i in inst.edge_ids.items()],
@@ -332,10 +322,10 @@ def cmd_reduce(args) -> int:
     human.insert(0, f"target n {inst.target.n} m {inst.target.m}")
     if args.certificate:
         alpha, is_set = max_independent_set_exact(g, cap=args.cap)
-        if args.kind == "bipartite" and alpha < args.k:
+        if kind == "bipartite" and alpha < args.k:
             raise NoPds(f"alpha(G) = {alpha} < k = {args.k}: no certificate exists")
         cert = ReductionCertificate(
-            kind=args.kind, direction="forward", k=getattr(inst, "k", None),
+            kind=kind, direction="forward", k=getattr(inst, "k", None),
             independent_set=is_set, pds=inst.embed_independent_set(is_set),
         )
         problems = verify_certificate(inst, cert)
@@ -388,8 +378,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ParseError(f"--repeats must be at least 1, got {args.repeats}")
     if args.seed is not None and args.suite == "enum-scaling":
         raise ParseError("enum-scaling takes no --seed")
     _check_output(args.output)
@@ -439,7 +427,6 @@ def _approx_args(sp) -> None:
     sp.add_argument("graph")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--init", help="explicit initial set (comma separated ids)")
-    sp.add_argument("--restarts", type=int, default=1, help=f"seeded searches, 1 to {MAX_RESTARTS}")
     sp.add_argument("--trace", action="store_true", help="include the move trace")
 
 
@@ -450,8 +437,7 @@ def _cubic_args(sp) -> None:
 
 def _reduce_args(sp) -> None:
     sp.add_argument("graph")
-    sp.add_argument("--kind", choices=("split", "bipartite"), required=True)
-    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None, help="bipartite reduction for k (default split)")
     sp.add_argument(
         "--certificate",
         metavar="FILE",
@@ -493,23 +479,13 @@ COMMANDS = {
 }
 
 
-@functools.cache  # built once per process and command: parse_args leaves it unchanged
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The pdskit parser.  Given one of COMMANDS, it holds only that
-    command's subparser, two parsers built instead of nine, and parses an
-    argv that starts with that command as the full parser does, with the
-    same usage, help and error text.  -h, a typo or no command needs the
-    full parser, built with command None."""
+@functools.cache  # built once per process: parse_args leaves it unchanged
+def build_parser() -> argparse.ArgumentParser:
     import argparse  # loaded on first use: import pdskit.cli stays cheap
 
     p = argparse.ArgumentParser(prog="pdskit", description="Proportionally dense subgraph toolkit")
-    names = COMMANDS if command is None else (command,)
-    # the full parser's usage lists the choices; a partial one would list
-    # only its own, so it is given the full list to print
-    extra = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
-    sub = p.add_subparsers(dest="command", required=True, **extra)
-    for name in names:
-        help_text, handler, add_options = COMMANDS[name]
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_options) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name != "bench":
             sp.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -519,10 +495,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -343,11 +343,15 @@ def all_cubic_cycles(n: int):
     yield from rec()
 
 
+def _check_cycle_search(n: int) -> None:
+    if n > 24:
+        raise InstanceTooLarge("cycle search is exponential; capped at n=24")
+
+
 def _hamiltonian_cycle(g: Graph) -> list[int] | None:
     """A Hamiltonian cycle of g as a vertex order from 0, or None;
     backtracking, so refused above 24 vertices."""
-    if g.n > 24:
-        raise InstanceTooLarge("cycle search is exponential; capped at n=24")
+    _check_cycle_search(g.n)
     used = bytearray(g.n)
     used[0] = 1
     order = [0]

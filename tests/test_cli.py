@@ -157,27 +157,13 @@ class TestApprox:
         assert code == 0
         assert payload["size"] in (5, 6) and payload["verified"] is True
 
-    def test_trace_and_restarts(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "approx", "caterpillar15", "--restarts", "4", "--seed", "2", "--trace"
-        )
-        assert code == 0
-        assert payload["restarts"] == 4
-        assert isinstance(payload["trace"], list)
+    def test_trace(self, capsys):
+        code, payload, _ = run_json(capsys, "approx", "caterpillar15", "--seed", "2", "--trace")
+        assert code == 0 and len(payload["trace"]) == payload["moves"] == 2
 
     def test_explicit_init(self, capsys):
         code, payload, _ = run_json(capsys, "approx", "k4", "--init", "0,1")
         assert code == 0 and payload["set"] == [0, 1] and payload["moves"] == 0
-
-    @pytest.mark.parametrize("restarts", ["1000000000", "1001", "0", "-3"])
-    def test_restarts_out_of_range_rejected_before_any_work(self, capsys, monkeypatch, restarts):
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran before --restarts was checked")
-
-        monkeypatch.setattr(cli, "_load_graph", refuse)
-        monkeypatch.setattr(cli, "half_pds", refuse)
-        code, _, err = run(capsys, "approx", "k4", "--restarts", restarts)
-        assert code == 2 and f"--restarts must be in [1, 1000], got {restarts}" in err
 
     def test_wrong_init_size(self, capsys):
         code, _, err = run(capsys, "approx", "k4", "--init", "0,1,2")
@@ -291,7 +277,19 @@ class TestCubic:
         ids=repr,
     )
     def test_input_kind(self, text, kind):
-        assert cli._input_kind(text) == kind
+        head = cli._head(text)
+        assert ("json" if head is None else "cycle" if len(head) == 1 else "edges") == kind
+
+    @pytest.mark.parametrize("header", ["26 39", "# big\n300000 450000", "0000000030 45"])
+    def test_large_edge_list_refused_from_its_header(self, capsys, monkeypatch, tmp_path, header):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was built before its size was checked")
+
+        monkeypatch.setattr(cli, "parse_graph", refuse)
+        f = tmp_path / "g.txt"
+        f.write_text(header + "\n0 1\n")
+        want = "error: cycle search is exponential; capped at n=24\n"
+        assert run(capsys, "cubic", str(f)) == (2, "", want)
 
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "cubic")
@@ -300,36 +298,41 @@ class TestCubic:
 
 class TestReduce:
     def test_split(self, capsys):
-        code, payload, _ = run_json(capsys, "reduce", "demo5", "--kind", "split")
-        assert code == 0
+        # without --k the split reduction runs
+        code, payload, _ = run_json(capsys, "reduce", "demo5")
+        assert (code, payload["kind"], "k" in payload) == (0, "split", False)
         assert payload["target"]["n"] == 13 and payload["core_size"] == 8
         assert graph_from_json(payload["target"]).n == 13
 
     def test_bipartite_example(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "reduce", "demo5", "--kind", "bipartite", "--k", "3"
-        )
-        assert code == 0
+        code, payload, _ = run_json(capsys, "reduce", "demo5", "--k", "3")
+        assert code == 0 and payload["kind"] == "bipartite"
         assert payload["filler_count"] == 4 and payload["target"]["n"] == 15
-
-    def test_bipartite_needs_k(self, capsys):
-        code, _, _ = run(capsys, "reduce", "demo5", "--kind", "bipartite")
-        assert code == 2
 
     def test_certificate_flow(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         code, payload, _ = run_json(
-            capsys, "reduce", "demo5", "--kind", "split", "--certificate", str(cert)
+            capsys, "reduce", "demo5", "--certificate", str(cert)
         )
         assert code == 0 and payload["alpha"] == 3
         assert cert.read_text().startswith('{\n  "')  # the file stays indented
         code2, payload2, _ = run_json(capsys, "certify", str(cert))
         assert code2 == 0 and payload2["valid"] is True
 
+    # --k alone picks the reduction, and each certificate checks out
+    @pytest.mark.parametrize("name", ["k4", "cycle7", "path7", "cubic10", "caterpillar15"])
+    def test_k_names_the_reduction(self, capsys, tmp_path, name):
+        cert = tmp_path / "cert.json"
+        for k, kind in (((), "split"), (("--k", "1"), "bipartite")):
+            code, payload, _ = run_json(capsys, "reduce", name, *k, "--certificate", str(cert))
+            assert (code, payload["kind"]) == (0, kind)
+            code, payload, _ = run_json(capsys, "certify", str(cert))
+            assert (code, payload["kind"], payload["valid"]) == (0, kind, True)
+
     def test_certificate_infeasible_k(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         code, _, err = run(
-            capsys, "reduce", "demo5", "--kind", "bipartite", "--k", "4",
+            capsys, "reduce", "demo5", "--k", "4",
             "--certificate", str(cert),
         )
         assert code == 2  # k=4 out of range for n=5
@@ -338,7 +341,7 @@ class TestReduce:
         # k4 has alpha=1; ask for k=2: the reduction exists, the witness does not
         cert = tmp_path / "cert.json"
         code, _, err = run(
-            capsys, "reduce", "k4", "--kind", "bipartite", "--k", "2",
+            capsys, "reduce", "k4", "--k", "2",
             "--certificate", str(cert),
         )
         assert code == 1 and "alpha" in err
@@ -347,7 +350,7 @@ class TestReduce:
 class TestCertify:
     def test_tampered_certificate(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
-        run(capsys, "reduce", "demo5", "--kind", "bipartite", "--k", "2",
+        run(capsys, "reduce", "demo5", "--k", "2",
             "--certificate", str(cert))
         obj = json.loads(cert.read_text())
         obj["independent_set"] = [0, 1]
@@ -456,7 +459,7 @@ class TestHostileInput:
         monkeypatch.setattr(reductions, "MAX_EDGES", 100)
         code, _, err = run(capsys, "gen", "--random", "20", "101")
         assert code == 2 and err == "error: m=101 is above the limit of 100 edges\n"
-        code, _, err = run(capsys, "reduce", "demo5", "--kind", "bipartite", "--k", "1")
+        code, _, err = run(capsys, "reduce", "demo5", "--k", "1")
         assert code == 2 and err == "error: target m=126 is above the limit of 100 edges\n"
 
 
@@ -522,12 +525,10 @@ class TestRejectedCombinations:
         ("gen", "--fixture", "k4", "--random", "5", "6"): GEN_MODES,
         ("gen", "--list", "--cubic", "6"): GEN_MODES,
         ("gen", "--list", "--cubic", "6", "--json"): GEN_MODES,
-        ("reduce", "demo5", "--kind", "split", "--k", "3"): "split reduction takes no --k",
         ("gen", "--fixture", "k4", "--seed", "3"): GEN_SEED,
         ("gen", "--list", "--seed", "3"): GEN_SEED,
         ("approx", "k4", "--init", "0,1", "--seed", "3"): "approx --init takes no --seed",
-        ("approx", "path7", "--init", "0,1,2,3", "--restarts", "9"): "approx --init takes no --restarts",
-        ("reduce", "demo5", "--kind", "split", "--cap", "3"): "reduce --cap needs --certificate",
+        ("reduce", "demo5", "--cap", "3"): "reduce --cap needs --certificate",
         ("bench", "--suite", "enum-scaling", "--seed", "3"): "enum-scaling takes no --seed",
     }
 
@@ -545,8 +546,10 @@ class TestRejectedCombinations:
 
     # each once read the input first, so an empty stdin or a missing file hid the option error
     BEFORE_INPUT = {
-        ("reduce", "-", "--kind", "bipartite"): "bipartite reduction needs --k",
-        ("reduce", "nosuch", "--kind", "bipartite"): "bipartite reduction needs --k",
+        ("exact", "-", "--cap", "99"): "enumeration cap must be in [2, 63], got 99",
+        ("exact", "nosuch", "--extend", "1", "--cap", "1"): "enumeration cap must be in [2, 63], got 1",
+        ("reduce", "-", "--certificate", "c.json", "--cap", "64"):
+            "enumeration cap must be in [2, 63], got 64",
         ("approx", "-", "--init", "0,0"): "--init must list distinct integers, got '0,0'",
         ("verify", "-", "--set", "a"): "--set must list distinct integers, got 'a'",
         ("exact", "-", "--extend", "1,1"): "--extend must list distinct integers, got '1,1'",
@@ -564,6 +567,14 @@ class TestRejectedCombinations:
     def test_cubic_options_that_the_input_replaced_are_gone(self, capsys, flag):
         code, out, err = run(capsys, "cubic", "prism6", flag)
         assert (code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
+
+    # one search per run, and --k alone names the reduction
+    @pytest.mark.parametrize(
+        "argv", [("approx", "k4", "--restarts", "2"), ("reduce", "demo5", "--kind", "split")]
+    )
+    def test_options_that_another_option_says_are_gone(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
 
 class TestBench:
@@ -642,8 +653,6 @@ class TestBench:
     @pytest.mark.parametrize(
         "argv, what",
         [
-            (["--repeats", "0"], "--repeats must be at least 1, got 0"),
-            (["--repeats", "-3"], "--repeats must be at least 1, got -3"),
             (["--sizes", ","], "--sizes must list distinct integers, got ','"),
             (["--sizes", ""], "--sizes must list distinct integers, got ''"),
             (["--sizes", "3,3"], "--sizes must list distinct integers, got '3,3'"),
@@ -653,13 +662,23 @@ class TestBench:
         ids=repr,
     )
     @pytest.mark.parametrize("suite", ["exact-scaling", "enum-scaling"])
-    def test_bad_sizes_or_repeats_rejected_before_any_suite(self, capsys, monkeypatch, suite, argv, what):
+    def test_bad_sizes_rejected_before_any_suite(self, capsys, monkeypatch, suite, argv, what):
         def refuse(*args, **kwargs):
             raise AssertionError("a suite ran before its options were checked")
 
         monkeypatch.setattr(cli.bench_mod, "run_suite", refuse)
         code, out, err = run(capsys, "bench", "--suite", suite, *argv)
         assert (code, out, err) == (2, "", f"error: {what}\n")
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    @pytest.mark.parametrize("suite", ["exact-scaling", "enum-scaling"])
+    def test_repeats_below_one_rejected_before_the_suite(self, capsys, monkeypatch, suite, repeats):
+        def refuse(**kwargs):
+            raise AssertionError("the suite ran before --repeats was checked")
+
+        monkeypatch.setitem(bench.SUITES, suite, (refuse, bench.SUITES[suite][1]))
+        code, out, err = run(capsys, "bench", "--suite", suite, "--repeats", repeats)
+        assert (code, out, err) == (2, "", f"error: repeats must be at least 1, got {repeats}\n")
 
     @pytest.mark.parametrize(
         "sizes, what", [("0", "starts at n=2"), ("1,2", "starts at n=2"), ("10", "is capped at n=9")]
@@ -680,7 +699,7 @@ class TestFileErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("reduce", "demo5", "--kind", "split", "--certificate"),
+            ("reduce", "demo5", "--certificate"),
             ("bench", "--suite", "cubic-scaling", "--sizes", "100", "--repeats", "1", "--output"),
         ],
         ids=" ".join,
@@ -704,7 +723,7 @@ class TestDispatch:
         ("verify", "k4", "--set", "0,1,2"): "command input_digest holds connected unsatisfied",
         ("exact", "k4"): "command input_digest size witness connected optima subsets_checked "
         "seconds verified",
-        ("approx", "cubic10"): "command input_digest size set connected moves restarts seconds "
+        ("approx", "cubic10"): "command input_digest size set connected moves seconds "
         "verified",
         ("cubic", "prism6"): "command input_digest n seconds verified size set",
     }
@@ -718,67 +737,44 @@ class TestDispatch:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-        assert cli.build_parser("exact") is cli.build_parser("exact")
-        assert cli.build_parser("exact") is not cli.build_parser()
+    def test_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (["exact", "k4"], ["gen", "--list"], ["frobnicate"], [], ["approx", "k4"]):
+            main(argv)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    # each command's options, -h aside: the knobs a user can turn
+    OPTIONS = {
+        "verify": "--json --set --set-file --connected",
+        "exact": "--json --connected --all-optima --cap --extend",
+        "approx": "--json --seed --init --trace",
+        "cubic": "--json --sweep8",
+        "reduce": "--json --k --certificate --cap",
+        "certify": "--json",
+        "gen": "--json --list --fixture --random --cubic --seed",
+        "bench": "--suite --output --sizes --seed --repeats",
+    }
 
     @staticmethod
-    def commands(parser) -> list[str]:
-        (sub,) = [a for a in parser._actions if a.dest == "command"]
-        return list(sub.choices)
+    def subparser(command):
+        (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        return sub.choices[command]
 
-    @pytest.mark.parametrize(
-        "argv, built",
-        [
-            (["exact", "k4"], ["exact"]),
-            (["gen", "--list"], ["gen"]),
-            (["frobnicate"], list(cli.COMMANDS)),
-            ([], list(cli.COMMANDS)),
-            (["-h"], list(cli.COMMANDS)),
-            (["--", "exact", "k4"], list(cli.COMMANDS)),
-        ],
-        ids=repr,
-    )
-    def test_a_known_command_builds_only_its_parser(self, capsys, monkeypatch, argv, built):
-        seen, build = [], cli.build_parser
-
-        def recording(command=None):
-            seen.append(build(command))
-            return seen[-1]
-
-        monkeypatch.setattr(cli, "build_parser", recording)
-        main(argv)
-        assert [self.commands(p) for p in seen] == [built]
-
-    # help, usage and every error read the same from a one-command parser
-    ONE_COMMAND_ARGV = [
-        ["-h"], [], ["k4", "--no-such-flag"], ["k4", "two", "extra"], ["--seed", "x"],
-        ["k4", "--cap"], ["k4", "--kind", "nope"], ["k4", "--set", "1", "--set-file", "f"],
-        ["--random", "5"], ["--suite"], ["k4", "--set", "1", "--kind", "split", "--no-such-flag"],
-        ["--suite", "s", "--no-such-flag"],
-    ]
+    def test_options_cover_every_command(self):
+        assert list(self.OPTIONS) == list(cli.COMMANDS)
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
-    def test_one_command_parser_reads_as_the_full_one(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("COLUMNS", "70")  # both wrap their help to the same width
-        cli.build_parser.cache_clear()
-        texts = {}
-        for which in (None, command):
-            parser = cli.build_parser(which)
-            texts[which] = []
-            for rest in self.ONE_COMMAND_ARGV:
-                try:
-                    result = vars(parser.parse_args([command, *rest]))
-                except SystemExit as exc:
-                    result = exc.code
-                out = capsys.readouterr()
-                texts[which].append((result, out.out, out.err))
-        cli.build_parser.cache_clear()
-        assert texts[command] == texts[None]
-        # the main parser's own usage, wrapped to the width, is among them
-        every = "{" + ",".join(cli.COMMANDS) + "}"
-        assert any(err.startswith("usage: pdskit [-h]") and every in err for _, _, err in texts[None])
+    def test_each_command_has_its_options(self, command):
+        actions = self.subparser(command)._actions
+        got = [a.option_strings[-1] for a in actions if a.option_strings and a.dest != "help"]
+        assert got == self.OPTIONS[command].split()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_names_the_command_and_its_options(self, capsys, command):
+        code, out, err = run(capsys, command, "-h")
+        assert (code, err) == (0, "") and out.startswith(f"usage: pdskit {command} [-h]")
+        assert all(flag in out for flag in self.OPTIONS[command].split())
 
     def test_calls_share_no_options(self, capsys):
         code, payload, _ = run_json(capsys, "exact", "cycle5", "--all-optima")

@@ -34,7 +34,7 @@ ARGV = [
     ["exact", "cubic10", "--connected", "--all-optima"],
     ["exact", "k4", "--extend", "0,1"],
     ["exact", "path4", "--extend", "0,1"],
-    ["approx", "caterpillar15", "--trace", "--restarts", "4", "--seed", "2"],
+    ["approx", "caterpillar15", "--trace", "--seed", "2"],
     ["approx", "path7", "--init", "0,1,2,3"],
     ["cubic", "prism6"],
     ["cubic", "exc8_paired"],
@@ -48,9 +48,9 @@ ARGV = [
     ["cubic", "prism6", "--no-verify"],
     ["cubic", "{tmp}/bad.txt"],
     ["cubic", "no_such_thing"],
-    ["reduce", "demo5", "--kind", "split", "--certificate", "{tmp}/split.json"],
-    ["reduce", "demo5", "--kind", "bipartite", "--k", "2", "--certificate", "{tmp}/bip.json"],
-    ["reduce", "k4", "--kind", "bipartite", "--k", "2", "--certificate", "{tmp}/none.json"],
+    ["reduce", "demo5", "--certificate", "{tmp}/split.json"],
+    ["reduce", "demo5", "--k", "2", "--certificate", "{tmp}/bip.json"],
+    ["reduce", "k4", "--k", "2", "--certificate", "{tmp}/none.json"],
     ["certify", "{tmp}/cert.json"],
     ["certify", "{tmp}/tampered.json"],
     ["exact", "{tmp}/bad.txt"],
@@ -66,7 +66,7 @@ def _inputs(tmp: Path) -> None:
     (tmp / "cycle.txt").write_text("6\n0 3\n1 4\n2 5\n")
     (tmp / "bad.txt").write_text("3 2\n0 1\n1 zebra\n")
     with contextlib.redirect_stdout(io.StringIO()):
-        main(["reduce", "demo5", "--kind", "bipartite", "--k", "2",
+        main(["reduce", "demo5", "--k", "2",
               "--certificate", str(tmp / "cert.json")])
     obj = json.loads((tmp / "cert.json").read_text())
     obj["independent_set"] = [0, 1]

@@ -174,7 +174,7 @@ def _run(command: str, data, *options: str) -> int:
 _COMMANDS = st.one_of(
     st.tuples(st.just("verify"), st.text("0123456789,- x", max_size=8).map(lambda s: ("--set", s))),
     st.tuples(st.just("exact"), st.sampled_from(((), ("--connected",)))),
-    st.tuples(st.just("approx"), st.sampled_from(((), ("--restarts", "2")))),
+    st.tuples(st.just("approx"), st.sampled_from(((), ("--seed", "2")))),
     st.tuples(st.just("cubic"), st.just(())),
 )
 
