@@ -38,6 +38,7 @@ from .generators import fixture, fixture_names, random_connected
 from .graph import (
     Graph,
     VertexSet,
+    _json_ints,
     _json_object,
     emit_graph,
     graph_from_json,
@@ -129,15 +130,19 @@ def _load_graph(arg: str) -> tuple[Graph, str]:
 
 def _parse_cubic_input(raw: str) -> tuple[cubic_mod.CubicCycleGraph, list[int] | None]:
     """(instance, None) of cycle-plus-chords text, else the searched
-    (instance, order) of _cubic_from_graph, for edge-list or JSON text; an
-    edge list too large to search is refused from its header alone."""
+    (instance, order) of _cubic_from_graph, for edge-list or JSON text; a
+    graph too large to search is refused from its n before it is built."""
     head = _head(raw)
-    if head is not None and len(head) == 1:
+    if head is None:
+        obj = _json_object(raw, "n", "edges")
+        cubic_mod._check_cycle_search(*_json_ints([obj["n"]], "n"))
+        return cubic_mod._cubic_from_graph(graph_from_json(obj))
+    if len(head) == 1:
         return cubic_mod.parse_cubic(raw), None
     n = head[0].lstrip("0") if head else ""
     if n.isdecimal() and len(n) < 10:  # a longer n is past Graph's vertex limit
         cubic_mod._check_cycle_search(int(n))
-    return cubic_mod._cubic_from_graph(_parse_any_graph(raw))
+    return cubic_mod._cubic_from_graph(parse_graph(raw))
 
 
 def _cubic_fixture(arg: str) -> tuple[tuple, str]:

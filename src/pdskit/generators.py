@@ -32,21 +32,34 @@ other vertex that is not a cut vertex may have a strictly larger
 graph G, take a non-cut vertex v whose invariant is the largest among
 the non-cut vertices.  G - v is connected, so it is isomorphic to some
 (n-1)-vertex representative, and the child that re-adds v puts the new
-vertex in v's place; that child passes the test.  For n <= 7 the test
-leaves 1,700 of 7,814 children to the canonical key.  Each class keeps
-the first child that reaches it, so the representatives and their order
-depend on the key's classes, not on its values.
+vertex in v's place; that child passes the test.  The test runs on
+tables built once per parent and shared by its 2^(n-1) - 1 children:
+the parent's degrees, each vertex's neighbour-degree sum, the degree sum
+over every hood (the new vertex's neighbours), and for each vertex w the
+components of parent - w, which the child less w joins iff its hood
+meets them all.  A passing child whose hood holds a vertex v but not a
+twin u < v of v in the parent is dropped too: swapping u and v maps the
+parent onto itself, so the child copies that of a smaller hood, which
+came first.  The rest are bucketed by their sorted multiset of (degree,
+neighbour-degree sum), an isomorphism invariant: a child that opens a
+bucket is a new class and gets no key, and keys are computed only when
+two children share a bucket.  For n <= 7, 1,700 of 7,814 children pass,
+345 of them have a smaller twin hood, and 713 keys are computed; at
+n = 8, the counts are 17,772 of 108,331, 3,320 and 8,717.  Each class
+keeps the first child that reaches it, so the representatives and their
+order depend on the key's classes, not on its values.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from itertools import combinations
 from operator import or_
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, InvalidGraph, UnknownName
-from .graph import MAX_EDGES, MAX_VERTICES, Graph, _mask_connected, parse_graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph
 
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
 
@@ -214,27 +227,57 @@ def _canonical_key(n: int, adj: tuple[int, ...]) -> int:
     return best
 
 
-def _new_vertex_may_be_removed(n: int, adj: tuple[int, ...]) -> bool:
-    """Cheap first test of canonical augmentation: no non-cut vertex has a
-    strictly larger (degree, sum of neighbour degrees) than vertex n-1."""
-    deg = [row.bit_count() for row in adj]
+def _components(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced by mask."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask ^= comp
+    return out
 
-    def nbr_degrees(v: int) -> int:
-        return sum(deg[u] for u in range(n) if adj[v] >> u & 1)
 
-    d = deg[n - 1]
-    new_sum = None
-    for w in range(n - 1):
-        if deg[w] < d:
-            continue
-        if deg[w] == d:
-            if new_sum is None:
-                new_sum = nbr_degrees(n - 1)
-            if nbr_degrees(w) <= new_sum:
+def _augmentations(parent: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(hood, invariant) of every child of parent that passes the first test
+    of canonical augmentation: no non-cut vertex has a strictly larger
+    (degree, sum of neighbour degrees) than the new vertex, which joins the
+    vertices of hood.  The invariant is the child's sorted multiset of those
+    pairs, each packed as degree << 8 | sum (a sum is at most 64 for n <= 9)."""
+    m = len(parent)
+    pdeg = [row.bit_count() for row in parent]
+    psum = [sum(pdeg[u] for u in range(m) if row >> u & 1) for row in parent]
+    hoodsum = [0] * (1 << m)
+    for hood in range(1, 1 << m):
+        low = hood & -hood
+        hoodsum[hood] = hoodsum[hood ^ low] + pdeg[low.bit_length() - 1]
+    # the child less w is connected iff hood meets every component of parent - w
+    comps = [_components(parent, ((1 << m) - 1) ^ (1 << w)) for w in range(m)]
+    # w can outrank a new vertex of degree d only if pdeg[w] >= d - 1
+    cands = [[w for w in range(m) if pdeg[w] >= d - 1] for d in range(m + 1)]
+    for hood in range(1, 1 << m):
+        d = hood.bit_count()
+        new = hoodsum[hood] + d
+        for w in cands[d]:
+            inw = hood >> w & 1
+            dw = pdeg[w] + inw
+            if dw < d or dw == d and psum[w] + (parent[w] & hood).bit_count() + inw * d <= new:
                 continue
-        if _mask_connected(adj, ((1 << n) - 1) ^ (1 << w)):  # w is no cut vertex
-            return False
-    return True
+            if all(comp & hood for comp in comps[w]):
+                break
+        else:
+            yield hood, tuple(sorted([d << 8 | new] + [
+                (pdeg[w] + (inw := hood >> w & 1)) << 8
+                | psum[w] + (parent[w] & hood).bit_count() + inw * d
+                for w in range(m)
+            ]))
 
 
 _connected_cache: dict[int, list[tuple[int, ...]]] = {}
@@ -254,16 +297,30 @@ def _connected_masks(n: int, cache=_connected_cache) -> list[tuple[int, ...]]:
         top = 1 << (n - 1)
         # column[hood]: the bit each old vertex gains when hood joins it to n-1
         column = [tuple([(hood >> v & 1) << (n - 1) for v in range(n - 1)]) for hood in range(top)]
-        seen: dict[int, tuple[int, ...]] = {}
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}  # invariant -> its first child
+        keys: dict[tuple[int, ...], set[int]] = {}  # invariant -> class keys, once shared
+        reps = []
         for parent in _connected_masks(n - 1, cache):
-            for hood in range(1, top):
-                adj = (*map(or_, parent, column[hood]), hood)
-                if not _new_vertex_may_be_removed(n, adj):
+            # swapping twins u < v maps parent onto itself, so a hood that holds
+            # v but not u gives a copy of a smaller hood's child, which came first
+            twins = [
+                (1 << u, 1 << v) for u, v in combinations(range(n - 1), 2)
+                if parent[u] & ~(1 << v) == parent[v] & ~(1 << u)
+            ]
+            for hood, invariant in _augmentations(parent):
+                if any(hood & v and not hood & u for u, v in twins):
                     continue
+                adj = (*map(or_, parent, column[hood]), hood)
+                if invariant not in first:  # no earlier child can be isomorphic
+                    first[invariant] = adj
+                    reps.append(adj)
+                    continue
+                if invariant not in keys:
+                    keys[invariant] = {_canonical_key(n, first[invariant])}
                 key = _canonical_key(n, adj)
-                if key not in seen:
-                    seen[key] = adj
-        reps = list(seen.values())
+                if key not in keys[invariant]:
+                    keys[invariant].add(key)
+                    reps.append(adj)
     cache[n] = reps
     return reps
 

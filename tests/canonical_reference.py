@@ -1,11 +1,38 @@
-"""The original colour-refinement canonical key of ``pdskit.generators``.
+"""The original colour-refinement canonical key of ``pdskit.generators``,
+and its original per-child canonical-augmentation test.
 
-Kept only as a test oracle: the ordered bitmask refinement that replaced
-it must split graphs into the same isomorphism classes, so that the
-enumerator keeps the same representative of every class.
+Kept only as test oracles: the ordered bitmask refinement that replaced
+the key must split graphs into the same isomorphism classes, and the
+per-parent tables that replaced the test must pass the same children, so
+that the enumerator keeps the same representative of every class.
 """
 
 from __future__ import annotations
+
+from pdskit.graph import _mask_connected
+
+
+def _new_vertex_may_be_removed(n: int, adj: tuple[int, ...]) -> bool:
+    """Cheap first test of canonical augmentation: no non-cut vertex has a
+    strictly larger (degree, sum of neighbour degrees) than vertex n-1."""
+    deg = [row.bit_count() for row in adj]
+
+    def nbr_degrees(v: int) -> int:
+        return sum(deg[u] for u in range(n) if adj[v] >> u & 1)
+
+    d = deg[n - 1]
+    new_sum = None
+    for w in range(n - 1):
+        if deg[w] < d:
+            continue
+        if deg[w] == d:
+            if new_sum is None:
+                new_sum = nbr_degrees(n - 1)
+            if nbr_degrees(w) <= new_sum:
+                continue
+        if _mask_connected(adj, ((1 << n) - 1) ^ (1 << w)):  # w is no cut vertex
+            return False
+    return True
 
 
 def _refine(n: int, nbrs: list[tuple[int, ...]], colors: list[int]) -> list[int]:

@@ -291,6 +291,17 @@ class TestCubic:
         want = "error: cycle search is exponential; capped at n=24\n"
         assert run(capsys, "cubic", str(f)) == (2, "", want)
 
+    def test_large_graph_json_refused_from_its_n(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was built before its size was checked")
+
+        monkeypatch.setattr(cli, "graph_from_json", refuse)
+        monkeypatch.setattr(cli, "parse_graph", refuse)
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps({"n": 25, "edges": [[v, v + 1] for v in range(24)]}))
+        want = "error: cycle search is exponential; capped at n=24\n"
+        assert run(capsys, "cubic", str(f)) == (2, "", want)
+
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "cubic")
         assert code == 2

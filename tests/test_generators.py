@@ -25,13 +25,10 @@ from pdskit import (
 )
 from pdskit import generators
 from pdskit.exact import adjacency_masks
-from pdskit.generators import (
-    _canonical_key,
-    _connected_masks,
-    _new_vertex_may_be_removed,
-)
+from pdskit.generators import _augmentations, _canonical_key, _connected_masks
 
 from .canonical_reference import _canonical_key as reference_key
+from .canonical_reference import _new_vertex_may_be_removed
 
 # connected simple graphs on n unlabeled vertices (OEIS A001349)
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -184,6 +181,19 @@ class TestEnumeration:
             "dedc8f20cc22224ea885d99dc76bde61cbd366980d0a34d142af7b9c87ecb127"
         )
 
+    def test_keys_only_on_collisions(self, monkeypatch):
+        # a child whose invariant no earlier child shares gets no key, nor
+        # does a copy of a smaller hood's child under a twin swap
+        calls = []
+
+        def counting(n, adj):
+            calls.append(n)
+            return _canonical_key(n, adj)
+
+        monkeypatch.setattr(generators, "_canonical_key", counting)
+        _connected_masks(7, {})
+        assert len(calls) == 713
+
     def test_cap(self):
         from pdskit import InstanceTooLarge
 
@@ -276,6 +286,25 @@ class TestCanonicalKey:
                     seen.setdefault(reference_key(n, adj), adj)
             reps = list(seen.values())
             assert _connected_masks(n) == reps
+
+    def test_per_parent_tables_pass_the_oracles_children(self):
+        # the same children pass as under the per-child test, each with
+        # the sorted (degree, neighbour-degree sum) pairs of the child
+        tried = 0
+        for n in range(3, 8):
+            for parent in _connected_masks(n - 1):
+                passed = dict(_augmentations(parent))
+                for hood, adj in enumerate(_children([parent], n), start=1):
+                    tried += 1
+                    assert (hood in passed) == _new_vertex_may_be_removed(n, adj), adj
+                    if hood in passed:
+                        deg = [row.bit_count() for row in adj]
+                        pairs = [
+                            deg[v] << 8 | sum(deg[u] for u in range(n) if adj[v] >> u & 1)
+                            for v in range(n)
+                        ]
+                        assert passed[hood] == tuple(sorted(pairs))
+        assert tried == 7814
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_brute_force_oracle(self, n):
