@@ -21,15 +21,10 @@ from .cubic import (
     solve_hamiltonian_cubic,
 )
 from .errors import (
-    Disconnected,
     InstanceTooLarge,
     InvalidArgument,
     InvalidGraph,
-    InvalidInstance,
-    IsStar,
     NoPds,
-    NotAPds,
-    NotIndependent,
     ParseError,
     PdsKitError,
     UnknownName,
@@ -43,12 +38,9 @@ from .exact import (
 )
 from .generators import (
     all_connected_graphs,
-    cycle_graph,
     fixture,
     fixture_names,
-    path_graph,
     random_connected,
-    star_graph,
 )
 from .graph import (
     Graph,
@@ -57,14 +49,9 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     induced_connected,
-    is_bipartite,
-    is_connected,
-    is_cubic,
-    is_split,
     is_star,
     parse_graph,
     set_from_json,
-    set_to_json,
 )
 from .pds import (
     PdsVerdict,
@@ -90,18 +77,13 @@ __all__ = [
     "BipartiteReduction",
     "CubicCycleGraph",
     "CubicOutcome",
-    "Disconnected",
     "ExactResult",
     "Graph",
     "InstanceTooLarge",
     "InvalidArgument",
     "InvalidGraph",
-    "InvalidInstance",
-    "IsStar",
     "MoveRecord",
     "NoPds",
-    "NotAPds",
-    "NotIndependent",
     "ParseError",
     "PdsKitError",
     "PdsVerdict",
@@ -117,7 +99,6 @@ __all__ = [
     "certificate_from_json",
     "certificate_to_json",
     "check_pds",
-    "cycle_graph",
     "decide_pds_at_least_k",
     "emit_cubic",
     "emit_graph",
@@ -127,26 +108,19 @@ __all__ = [
     "graph_to_json",
     "half_pds",
     "induced_connected",
-    "is_bipartite",
-    "is_connected",
-    "is_cubic",
     "is_inclusionwise_maximal",
-    "is_split",
     "is_star",
     "max_independent_set_exact",
     "max_pds_exact",
     "max_pds_size_cubic",
     "parse_cubic",
     "parse_graph",
-    "path_graph",
     "pds_extension",
     "pds_size_upper_bound",
     "random_connected",
     "random_cubic_cycle",
     "set_from_json",
-    "set_to_json",
     "solve_hamiltonian_cubic",
     "split_reduction",
-    "star_graph",
     "verify_certificate",
 ]

@@ -228,8 +228,9 @@ def _heap_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveR
     return int(side.translate(_DIGITS[cur])[::-1], 2), moves
 
 
-def approx_ratio_bound(g: Graph) -> Fraction:
-    """Guaranteed ratio of the half-size search: 2 - 2/(max_deg + 1)."""
+def approx_ratio_bound(g: Graph):
+    """Guaranteed ratio of the half-size search, 2 - 2/(max_deg + 1); returns
+    a fractions.Fraction."""
     from fractions import Fraction  # loaded on first use: import pdskit stays cheap
 
     delta = g.max_degree

@@ -36,7 +36,6 @@ from .errors import (
     InstanceTooLarge,
     InvalidArgument,
     InvalidGraph,
-    InvalidInstance,
     ParseError,
     VerificationFailed,
 )
@@ -63,9 +62,9 @@ class CubicCycleGraph:
     def __init__(self, n: int, chord):
         raw = chord
         if n < 4 or n % 2:
-            raise InvalidInstance(f"need even n >= 4, got {n}")
+            raise InvalidGraph(f"need even n >= 4, got {n}")
         if len(raw) != n:
-            raise InvalidInstance("chord table must list every vertex")
+            raise InvalidGraph("chord table must list every vertex")
         # Bulk passes; a slow one names a vertex once one fails.  The matching
         # pass raises IndexError at an entry >= n or < -n (OverflowError past
         # 64 bits) and fails at c < 0 (c != n + c).
@@ -88,12 +87,12 @@ class CubicCycleGraph:
             matched = False
         if not matched:
             v = next(v for v, c in enumerate(raw) if not 0 <= c < n or raw[c] != v)
-            raise InvalidInstance(f"chord ({v}, {raw[v]}) is out of range or not matched")
+            raise InvalidGraph(f"chord ({v}, {raw[v]}) is out of range or not matched")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "chord", chord)
         codes = _chord_codes(self)  # given a matching, 3 marks each loop and cycle edge
         if (v := codes.find(3)) >= 0:
-            raise InvalidInstance(f"chord ({v}, {chord[v]}) repeats a cycle edge")
+            raise InvalidGraph(f"chord ({v}, {chord[v]}) repeats a cycle edge")
         object.__setattr__(self, "codes", codes)
 
     def __setattr__(self, name, value):
@@ -377,10 +376,10 @@ def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
     """g relabelled along a Hamiltonian cycle, and that cycle: cycle
     position i is the input vertex order[i]."""
     if not is_cubic(g):
-        raise InvalidInstance("the graph is not cubic")
+        raise InvalidGraph("the graph is not cubic")
     order = _hamiltonian_cycle(g)
     if order is None:
-        raise InvalidInstance("the graph has no Hamiltonian cycle")
+        raise InvalidGraph("the graph has no Hamiltonian cycle")
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -417,7 +416,7 @@ def parse_cubic(text: str) -> CubicCycleGraph:
     del ints, it
     try:
         return CubicCycleGraph(n, chord)
-    except InvalidInstance as exc:
+    except InvalidGraph as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -10,19 +10,18 @@ class ParseError(PdsKitError):
 
 
 class InvalidGraph(PdsKitError):
-    """Self-loop, duplicate edge, or out-of-range vertex id."""
-
-
-class Disconnected(PdsKitError):
-    """A connected graph was required."""
-
-
-class IsStar(PdsKitError):
-    """The operation is undefined on stars."""
+    """A graph or cubic instance that breaks its own invariants: a self-loop,
+    duplicate edge, out-of-range vertex id or too many vertices or edges; a
+    chord table that is no perfect matching of an even cycle off its edges;
+    a graph given to the cubic solver that is not cubic or has no
+    Hamiltonian cycle."""
 
 
 class InvalidArgument(PdsKitError):
-    """A size, k, vertex set or parameter outside what the operation accepts."""
+    """A size, k, vertex set or parameter outside what the operation
+    accepts: also a disconnected graph where a connected one is required,
+    a star given to a reduction, a set claimed to be a PDS that is none, and
+    a set claimed independent that spans an edge."""
 
 
 class InstanceTooLarge(PdsKitError):
@@ -33,20 +32,8 @@ class NoPds(PdsKitError):
     """The graph admits no proportionally dense subgraph at all."""
 
 
-class NotIndependent(PdsKitError):
-    """A set claimed independent spans an edge."""
-
-
-class NotAPds(PdsKitError):
-    """A set claimed to be a PDS fails the proportional density check."""
-
-
 class UnknownName(PdsKitError):
     """No fixture or benchmark suite registered under the requested name."""
-
-
-class InvalidInstance(PdsKitError):
-    """A cubic cycle description violates its invariants."""
 
 
 class VerificationFailed(PdsKitError):

@@ -19,7 +19,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, NoPds
-from .graph import Graph, VertexSet, _mask_connected, adjacency_masks, require_connected
+from .graph import Graph, VertexSet, _mask_component, adjacency_masks, require_connected
 from .pds import pds_size_upper_bound
 
 DEFAULT_CAP = 24
@@ -94,7 +94,7 @@ def _pick(adjm, need, allow, out, s, tight, c, r, hits, connected_only, all_opti
             cand ^= low
             v = low.bit_length() - 1
             if (adjm[v] & s).bit_count() >= need[v] and (
-                not connected_only or _mask_connected(adjm, s | low)
+                not connected_only or _mask_component(adjm, s | low) == s | low
             ):
                 hits.append(s | low)
                 if not all_optima:

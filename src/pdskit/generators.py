@@ -59,7 +59,7 @@ from operator import or_
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, InvalidGraph, UnknownName
-from .graph import MAX_EDGES, MAX_VERTICES, Graph, parse_graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, _mask_component, parse_graph
 
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
 
@@ -231,17 +231,8 @@ def _components(adj: tuple[int, ...], mask: int) -> list[int]:
     """Vertex masks of the components of the subgraph induced by mask."""
     out = []
     while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        out.append(comp)
-        mask ^= comp
+        out.append(_mask_component(adj, mask))
+        mask ^= out[-1]
     return out
 
 

@@ -13,7 +13,7 @@ from itertools import compress, islice, starmap
 from operator import itemgetter, le, lt
 from typing import Iterable, Iterator
 
-from .errors import Disconnected, InvalidArgument, InvalidGraph, ParseError
+from .errors import InvalidArgument, InvalidGraph, ParseError
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -65,10 +65,6 @@ class VertexSet:
         # and puts the lowest bit first
         digits = bin(self.mask | 1 << self.n).encode()[:2:-1]
         return bytearray(digits.translate(_FROM_DIGITS))
-
-    def complement(self) -> "VertexSet":
-        full = (1 << self.n) - 1
-        return VertexSet(self.n, full & ~self.mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
@@ -159,9 +155,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def full_set(self) -> VertexSet:
-        return VertexSet(self.n, (1 << self.n) - 1)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj  # len(adj) is n
 
@@ -207,21 +200,20 @@ def _reach(adj, seen: bytearray, start: int) -> int:
     return marked
 
 
-def _mask_connected(adjm, smask: int) -> bool:
-    """True when the vertices of smask induce a connected subgraph of the
-    graph whose neighbour masks are adjm."""
-    seen = smask & -smask
-    frontier = seen
+def _mask_component(adjm, mask: int) -> int:
+    """The component of mask's lowest vertex in the subgraph that mask
+    induces, as a mask (0 for an empty mask); adjm[v] is the neighbour
+    mask of v.  Breadth-first, one frontier mask per round."""
+    comp = frontier = mask & -mask
     while frontier:
         reach = 0
-        m = frontier
-        while m:
-            low = m & -m
+        while frontier:
+            low = frontier & -frontier
             reach |= adjm[low.bit_length() - 1]
-            m ^= low
-        frontier = reach & smask & ~seen
-        seen |= frontier
-    return seen == smask
+            frontier ^= low
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
 
 
 def is_connected(g: Graph) -> bool:
@@ -243,7 +235,7 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
 
 def require_connected(g: Graph) -> None:
     if not is_connected(g):
-        raise Disconnected(f"graph with {g.n} vertices and {g.m} edges is disconnected")
+        raise InvalidArgument(f"graph with {g.n} vertices and {g.m} edges is disconnected")
 
 
 def is_star(g: Graph) -> bool:
@@ -252,35 +244,6 @@ def is_star(g: Graph) -> bool:
 
 def is_cubic(g: Graph) -> bool:
     return all(d == 3 for d in g.deg)
-
-
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        order = [start]
-        for u in order:
-            for w in g.adj[u]:
-                if color[w] == -1:
-                    color[w] = color[u] ^ 1
-                    order.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
-
-
-def is_split(g: Graph) -> bool:
-    """Degree-sequence split test: the top clique-candidate degrees must
-    absorb exactly the edge mass a clique-plus-independent-set allows."""
-    d = sorted(g.deg, reverse=True)
-    k = 0
-    for i, di in enumerate(d, start=1):
-        if di < i - 1:
-            break
-        k = i
-    return sum(d[:k]) == k * (k - 1) + sum(d[k:])
 
 
 def induced_connected(g: Graph, s: VertexSet) -> bool:
@@ -416,10 +379,6 @@ def graph_from_json(obj: str | dict) -> Graph:
     obj = _json_object(obj, "n", "edges")
     (n,) = _json_ints([obj["n"]], "n")
     return Graph(n, _json_ints(obj["edges"], "edges", pairs=True))
-
-
-def set_to_json(s: VertexSet) -> dict:
-    return {"set": s.members()}
 
 
 def set_from_json(obj: str | dict, n: int) -> VertexSet:

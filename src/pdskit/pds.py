@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple
 
-from .errors import Disconnected, InvalidArgument, NotAPds, VerificationFailed
+from .errors import InvalidArgument, VerificationFailed
 from .graph import Graph, VertexSet, induced_connected
 
 
@@ -86,7 +86,7 @@ def pds_size_upper_bound(g: Graph) -> int:
     n = g.n
     delta = g.max_degree
     if delta == 0:
-        raise Disconnected(f"the bound needs a connected graph; {n} vertices, no edges")
+        raise InvalidArgument(f"the bound needs a connected graph; {n} vertices, no edges")
     return (n * (delta - 1) + 1) // delta
 
 
@@ -96,5 +96,5 @@ def is_inclusionwise_maximal(g: Graph, s: VertexSet, cap: int | None = None) -> 
     from . import exact  # local import: exact builds on this module
 
     if not check_pds(g, s).holds:
-        raise NotAPds("maximality is only defined for sets that are a PDS")
+        raise InvalidArgument("maximality is only defined for sets that are a PDS")
     return exact.pds_extension(g, s, cap=cap) is None

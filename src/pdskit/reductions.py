@@ -27,15 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (
-    InvalidArgument,
-    InvalidGraph,
-    IsStar,
-    NotAPds,
-    NotIndependent,
-    ParseError,
-    VerificationFailed,
-)
+from .errors import InvalidArgument, InvalidGraph, ParseError, VerificationFailed
 from .graph import (
     MAX_EDGES,
     Graph,
@@ -49,16 +41,18 @@ from .graph import (
 from .pds import check_pds
 
 
-def _require_independent(g: Graph, s: VertexSet) -> None:
+def _inside_edge(g: Graph, s: VertexSet) -> tuple[int, int] | None:
+    """The first edge of g with both ends in s, or None when s is independent."""
     if s.n != g.n:
         raise InvalidArgument(f"set lives on {s.n} vertices, source graph has {g.n}")
     flags = s.flags()
-    for u, v in g.edges:
-        if flags[u] and flags[v]:
-            raise NotIndependent(f"edge ({u}, {v}) lies inside the set")
+    return next(((u, v) for u, v in g.edges if flags[u] and flags[v]), None)
 
 
 def _embed(inst, is_set: VertexSet) -> VertexSet:
+    """Core plus the mapped independent set; InvalidArgument unless is_set is one."""
+    if edge := _inside_edge(inst.source, is_set):
+        raise InvalidArgument(f"edge {edge} lies inside the set")
     core = inst.core_size
     return VertexSet(inst.target.n, (1 << core) - 1 | is_set.mask << core)
 
@@ -66,7 +60,8 @@ def _embed(inst, is_set: VertexSet) -> VertexSet:
 def _extract(inst, s: VertexSet) -> VertexSet:
     """Project a PDS of the target back to an independent set of the source."""
     out = VertexSet(inst.source.n, inst.normalize_pds(s).mask >> inst.core_size)
-    _require_independent(inst.source, out)  # guaranteed; fail loudly if not
+    if edge := _inside_edge(inst.source, out):  # guaranteed; fail loudly if not
+        raise VerificationFailed(f"edge {edge} lies inside the set")
     return out
 
 
@@ -84,7 +79,6 @@ class SplitReduction(NamedTuple):
 
     def embed_independent_set(self, is_set: VertexSet) -> VertexSet:
         """Core plus the mapped independent set; always a PDS of the target."""
-        _require_independent(self.source, is_set)
         return _embed(self, is_set)
 
     extract_independent_set = _extract
@@ -101,7 +95,7 @@ class SplitReduction(NamedTuple):
         was missing.
         """
         if not check_pds(self.target, s).holds:
-            raise NotAPds("normalize_pds needs a PDS of the target")
+            raise InvalidArgument("normalize_pds needs a PDS of the target")
         core, m = self.core_size, self.source.m
         inside = s.mask >> core
         evicted = 0
@@ -134,19 +128,19 @@ class BipartiteReduction(NamedTuple):
 
     def embed_independent_set(self, is_set: VertexSet) -> VertexSet:
         """Core plus the mapped set; needs |is_set| >= k to be a PDS."""
-        _require_independent(self.source, is_set)
+        embedded = _embed(self, is_set)  # an edge inside is_set is named first
         if len(is_set) < self.k:
             raise InvalidArgument(
                 f"need an independent set of size >= k={self.k}, got {len(is_set)}"
             )
-        return _embed(self, is_set)
+        return embedded
 
     extract_independent_set = _extract
 
     def normalize_pds(self, s: VertexSet) -> VertexSet:
         """Absorb the core into a large PDS; no transfer loop is needed."""
         if not check_pds(self.target, s).holds:
-            raise NotAPds("normalize_pds needs a PDS of the target")
+            raise InvalidArgument("normalize_pds needs a PDS of the target")
         if len(s) < self.threshold:
             raise InvalidArgument(f"need |S| >= {self.threshold}, got {len(s)}")
         return VertexSet(self.target.n, s.mask | (1 << self.core_size) - 1)
@@ -170,7 +164,7 @@ def _layout(g: Graph, core_size: int):
 def _require_reducible(g: Graph) -> None:
     require_connected(g)
     if is_star(g):
-        raise IsStar("reductions are undefined on stars")
+        raise InvalidArgument("reductions are undefined on stars")
 
 
 def split_reduction(g: Graph) -> SplitReduction:
@@ -227,10 +221,8 @@ def verify_certificate(
     expected_kind = "split" if isinstance(inst, SplitReduction) else "bipartite"
     if cert.kind != expected_kind:
         return [f"certificate kind {cert.kind!r} does not match the instance"]
-    try:
-        _require_independent(inst.source, cert.independent_set)
-    except NotIndependent as exc:
-        problems.append(f"independent set invalid: {exc}")
+    if edge := _inside_edge(inst.source, cert.independent_set):
+        problems.append(f"independent set invalid: edge {edge} lies inside the set")
     verdict = check_pds(inst.target, cert.pds)
     if not verdict.holds:
         problems.append(f"target set is not a PDS ({len(verdict.unsatisfied)} violations)")

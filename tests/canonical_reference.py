@@ -9,7 +9,7 @@ that the enumerator keeps the same representative of every class.
 
 from __future__ import annotations
 
-from pdskit.graph import _mask_connected
+from pdskit.graph import _mask_component
 
 
 def _new_vertex_may_be_removed(n: int, adj: tuple[int, ...]) -> bool:
@@ -30,7 +30,8 @@ def _new_vertex_may_be_removed(n: int, adj: tuple[int, ...]) -> bool:
                 new_sum = nbr_degrees(n - 1)
             if nbr_degrees(w) <= new_sum:
                 continue
-        if _mask_connected(adj, ((1 << n) - 1) ^ (1 << w)):  # w is no cut vertex
+        rest = ((1 << n) - 1) ^ (1 << w)
+        if _mask_component(adj, rest) == rest:  # w is no cut vertex
             return False
     return True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from pdskit import Graph, VertexSet
-from pdskit.exact import _mask_connected, adjacency_masks
+from pdskit.exact import _mask_component, adjacency_masks
 from pdskit.pds import pds_size_upper_bound
 
 
@@ -58,7 +58,7 @@ def descend_scan(
         while smask < top:
             checked += 1
             if mask_is_pds(adjm, deg, smask, co, sm1) and (
-                not connected_only or _mask_connected(adjm, smask)
+                not connected_only or _mask_component(adjm, smask) == smask
             ):
                 hits.append(smask)
                 if not all_optima:

@@ -1,8 +1,10 @@
-"""The original edge-at-a-time Graph constructor.
+"""The original edge-at-a-time Graph constructor, and the split and
+bipartite tests.
 
-Kept only as a test oracle: ``pdskit.Graph`` must give the same fields
+Kept only as test oracles: ``pdskit.Graph`` must give the same fields
 for every edge list this accepts, and raise the same exception with the
-same message for every list it rejects.
+same message for every list it rejects; the two reductions' targets must
+be split and bipartite graphs.
 """
 
 from __future__ import annotations
@@ -47,3 +49,36 @@ def build_graph_loop(n: int, edges: Iterable[tuple[int, int]]) -> GraphFields:
     return GraphFields(
         n, len(canon), tuple(canon), tuple(map(tuple, nbrs)), tuple(map(len, nbrs))
     )
+
+
+def is_bipartite(g) -> bool:
+    """Two-colouring by breadth-first search: the bipartite reduction's
+    target must pass."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        order = [start]
+        for u in order:
+            for w in g.adj[u]:
+                if color[w] == -1:
+                    color[w] = color[u] ^ 1
+                    order.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
+
+
+def is_split(g) -> bool:
+    """Degree-sequence split test (Hammer and Simeone): the top
+    clique-candidate degrees must absorb exactly the edge mass a
+    clique-plus-independent-set allows.  The split reduction's target
+    must pass."""
+    d = sorted(g.deg, reverse=True)
+    k = 0
+    for i, di in enumerate(d, start=1):
+        if di < i - 1:
+            break
+        k = i
+    return sum(d[:k]) == k * (k - 1) + sum(d[k:])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from pdskit import CubicCycleGraph, Graph, InvalidInstance, ParseError
+from pdskit import CubicCycleGraph, Graph, InvalidGraph, ParseError
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -49,16 +49,16 @@ def parse_graph_lines(text: str) -> Graph:
 def check_chords_loop(n: int, chord: tuple[int, ...]) -> None:
     """The per-vertex checks of a cycle-plus-chords table."""
     if n < 4 or n % 2:
-        raise InvalidInstance(f"need even n >= 4, got {n}")
+        raise InvalidGraph(f"need even n >= 4, got {n}")
     if len(chord) != n:
-        raise InvalidInstance("chord table must list every vertex")
+        raise InvalidGraph("chord table must list every vertex")
     for v, c in enumerate(chord):
         if not 0 <= c < n:
-            raise InvalidInstance(f"chord target {c} out of range")
+            raise InvalidGraph(f"chord target {c} out of range")
         if (c - v) % n in (0, 1, n - 1):
-            raise InvalidInstance(f"chord ({v}, {c}) repeats a cycle edge")
+            raise InvalidGraph(f"chord ({v}, {c}) repeats a cycle edge")
         if chord[c] != v:
-            raise InvalidInstance(f"chords are not a matching at {v}")
+            raise InvalidGraph(f"chords are not a matching at {v}")
 
 
 def parse_cubic_lines(text: str) -> CubicCycleGraph:
@@ -80,7 +80,7 @@ def parse_cubic_lines(text: str) -> CubicCycleGraph:
         chord[v] = u
     try:
         check_chords_loop(n, tuple(chord))
-    except InvalidInstance as exc:
+    except InvalidGraph as exc:
         raise ParseError(str(exc)) from exc
-    # an InvalidInstance from here on means the two checks disagree
+    # an InvalidGraph from here on means the two checks disagree
     return CubicCycleGraph(n, tuple(chord))

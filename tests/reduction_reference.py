@@ -6,7 +6,7 @@ same set, or raise the same error, on every PDS of a split target.
 
 from __future__ import annotations
 
-from pdskit import NotAPds, VerificationFailed, VertexSet, check_pds
+from pdskit import InvalidArgument, VerificationFailed, VertexSet, check_pds
 from pdskit.reductions import SplitReduction
 
 
@@ -15,7 +15,7 @@ def normalize_pds_restart(inst: SplitReduction, s: VertexSet) -> VertexSet:
     endpoints are both inside, rescanning the edges from the start after
     every eviction."""
     if not check_pds(inst.target, s).holds:
-        raise NotAPds("normalize_pds needs a PDS of the target")
+        raise InvalidArgument("normalize_pds needs a PDS of the target")
     inside = set(s.members())
     budget = sum(1 for eid in inst.edge_ids.values() if eid not in inside)
     inside.update(range(inst.core_size))

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdskit import (
-    Disconnected,
     Graph,
     InstanceTooLarge,
     InvalidArgument,
@@ -61,7 +60,7 @@ class TestHalfPds:
     def test_small_and_disconnected_rejected(self):
         with pytest.raises(InvalidArgument, match="at least three vertices"):
             half_pds(Graph(2, [(0, 1)]))
-        with pytest.raises(Disconnected):
+        with pytest.raises(InvalidArgument, match="is disconnected"):
             half_pds(Graph(4, [(0, 1), (2, 3)]))
 
     def test_exceptional_cubic_caps_at_half(self):

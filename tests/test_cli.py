@@ -15,6 +15,7 @@ from pdskit import (
     VerificationFailed,
     bench,
     cli,
+    errors,
     generators,
     reductions,
     emit_cubic,
@@ -798,6 +799,20 @@ class TestDispatch:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    # every class pdskit.errors defines, found by introspection, and the CLI's file errors
+    ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PdsKitError)]
+
+    @pytest.mark.parametrize("exc", [*ERRORS, OSError], ids=lambda c: c.__name__)
+    def test_each_error_class_has_its_exit_code(self, capsys, monkeypatch, exc):
+        def boom(*a, **kw):
+            raise exc("synthetic")
+
+        monkeypatch.setattr(cli, "max_pds_exact", boom)
+        code = {errors.NoPds: 1, errors.VerificationFailed: 3}.get(exc, 2)
+        prefix = {errors.NoPds: "negative", errors.VerificationFailed: "error: verification failed"}
+        want = f"{prefix.get(exc, 'error')}: synthetic\n"
+        assert run(capsys, "exact", "k4") == (code, "", want)
 
     def test_verification_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(*a, **kw):

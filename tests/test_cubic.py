@@ -18,7 +18,7 @@ from pdskit import (
     Graph,
     InvalidArgument,
     InvalidGraph,
-    InvalidInstance,
+    InvalidGraph,
     ParseError,
     VerificationFailed,
     VertexSet,
@@ -109,17 +109,17 @@ class TestCubicCycleGraph:
         assert g.m == 6 and g.n == 4  # the complete graph
 
     def test_rejects_bad_instances(self):
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidGraph):
             CubicCycleGraph(5, (2, 3, 0, 1, 4))  # odd n
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidGraph):
             CubicCycleGraph(4, (2, 3, 0))  # wrong length
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidGraph):
             CubicCycleGraph(4, (0, 3, 2, 1))  # self-chord
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidGraph):
             CubicCycleGraph(4, (1, 0, 3, 2))  # chord duplicates a cycle edge
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidGraph):
             CubicCycleGraph(6, (5, 3, 4, 1, 2, 0))  # chord 0-5 duplicates the wrap edge
-        with pytest.raises(InvalidInstance):
+        with pytest.raises(InvalidGraph):
             CubicCycleGraph(6, (3, 4, 5, 0, 1, 3))  # not an involution
 
     def test_chord_is_stored_as_a_tuple(self):
@@ -139,13 +139,13 @@ class TestCubicCycleGraph:
         for bad in ((2, 3, 0, 4), (-1, 3, 0, 1), (1, 0, 3, 2)):
             messages = set()
             for table in (list(bad), array("q", bad)):
-                with pytest.raises(InvalidInstance) as exc:
+                with pytest.raises(InvalidGraph) as exc:
                     CubicCycleGraph(4, table)
                 messages.add(str(exc.value))
             assert len(messages) == 1, bad
 
     def test_rejects_entries_past_64_bits(self):
-        with pytest.raises(InvalidInstance, match=r"^chord \(0, 2361"):
+        with pytest.raises(InvalidGraph, match=r"^chord \(0, 2361"):
             CubicCycleGraph(4, (2**71, 3, 0, 1))
 
     def test_fixture_chords_match_graphs(self):
@@ -710,7 +710,7 @@ class TestCodeString:
         ],
     )
     def test_constructor_messages(self, n, chord, message):
-        with pytest.raises(InvalidInstance) as info:
+        with pytest.raises(InvalidGraph) as info:
             CubicCycleGraph(n, chord)
         assert str(info.value) == message
 
@@ -724,7 +724,7 @@ class TestCodeString:
                     assert CubicCycleGraph(n, chord).chord == chord
                     continue
                 v = bad[0]
-                with pytest.raises(InvalidInstance) as info:
+                with pytest.raises(InvalidGraph) as info:
                     CubicCycleGraph(n, chord)
                 assert str(info.value) == f"chord ({v}, {chord[v]}) repeats a cycle edge"
 

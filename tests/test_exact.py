@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdskit import (
-    Disconnected,
     Graph,
     InstanceTooLarge,
     InvalidArgument,
@@ -94,7 +93,7 @@ class TestMaxPdsExact:
             max_pds_exact(Graph(2, [(0, 1)]))
 
     def test_disconnected_rejected(self):
-        with pytest.raises(Disconnected):
+        with pytest.raises(InvalidArgument, match="is disconnected"):
             max_pds_exact(Graph(4, [(0, 1), (2, 3)]))
 
     def test_connected_only_can_be_strictly_smaller(self):
@@ -245,7 +244,7 @@ class TestCaps:
         two_paths = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         with pytest.raises(InstanceTooLarge, match="enumeration cap must be in"):
             max_pds_exact(two_paths, cap=1)
-        with pytest.raises(Disconnected):
+        with pytest.raises(InvalidArgument, match="is disconnected"):
             max_pds_exact(two_paths, cap=6)
 
 
@@ -266,7 +265,7 @@ class TestExtension:
 
     def test_full_base_rejected(self):
         with pytest.raises(InvalidArgument, match="strict subset"):
-            pds_extension(K4, K4.full_set())
+            pds_extension(K4, VertexSet(4, 0b1111))
 
     def test_matches_scan_on_every_base_n_le_6(self):
         for n in range(2, 7):

@@ -11,21 +11,24 @@ from pdskit import (
     InvalidGraph,
     UnknownName,
     all_connected_graphs,
-    cycle_graph,
     fixture,
     fixture_names,
-    is_connected,
-    is_cubic,
     is_star,
     max_independent_set_exact,
     max_pds_exact,
-    path_graph,
     random_connected,
-    star_graph,
 )
 from pdskit import generators
 from pdskit.exact import adjacency_masks
-from pdskit.generators import _augmentations, _canonical_key, _connected_masks
+from pdskit.generators import (
+    _augmentations,
+    _canonical_key,
+    _connected_masks,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
+from pdskit.graph import is_connected, is_cubic
 
 from .canonical_reference import _canonical_key as reference_key
 from .canonical_reference import _new_vertex_may_be_removed

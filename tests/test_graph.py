@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdskit import (
-    Disconnected,
     Graph,
     InvalidArgument,
     InvalidGraph,
@@ -16,22 +15,17 @@ from pdskit import (
     graph_from_json,
     graph_to_json,
     induced_connected,
-    is_bipartite,
-    is_connected,
-    is_cubic,
-    is_split,
     is_star,
     parse_graph,
     set_from_json,
-    set_to_json,
 )
 from pdskit import graph as graph_mod
 from pdskit.approx import decide_pds_at_least_k, half_pds
 from pdskit.exact import adjacency_masks, max_pds_exact
-from pdskit.graph import require_connected
+from pdskit.graph import is_connected, is_cubic, require_connected
 from pdskit.reductions import split_reduction
 
-from .graph_reference import build_graph_loop, fields
+from .graph_reference import build_graph_loop, fields, is_bipartite, is_split
 from .strategies import graphs, graphs_with_subset
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -54,11 +48,6 @@ class TestVertexSet:
         with pytest.raises(InvalidArgument, match="does not fit a 3-vertex graph"):
             VertexSet(3, 0b1000)
 
-    def test_complement(self):
-        s = VertexSet.from_ids(6, [0, 3])
-        assert s.complement().members() == [1, 2, 4, 5]
-        assert s.complement().complement() == s
-
     def test_flags(self):
         assert bytes(VertexSet.from_ids(4, [1, 3]).flags()) == b"\x00\x01\x00\x01"
 
@@ -72,7 +61,6 @@ class TestVertexSet:
         n = 1_000_000
         s = VertexSet.from_ids(n, [0, 123_456, n - 1])
         assert s.members() == [0, 123_456, n - 1]
-        assert len(s.complement()) == n - 3
 
     def test_iteration(self):
         assert list(VertexSet.from_ids(5, [4, 0])) == [0, 4]
@@ -112,9 +100,6 @@ class TestGraph:
             for v in range(g.n):
                 assert (masks[u] >> v & 1 == 1) == g.has_edge(u, v)
             assert all(a < b for a, b in zip(g.adj[u], g.adj[u][1:]))
-
-    def test_full_set(self):
-        assert K4.full_set().members() == [0, 1, 2, 3]
 
 
 @st.composite
@@ -301,7 +286,7 @@ class TestPredicates:
         assert is_connected(P4)
         g = Graph(4, [(0, 1), (2, 3)])
         assert not is_connected(g)
-        with pytest.raises(Disconnected):
+        with pytest.raises(InvalidArgument, match="is disconnected"):
             require_connected(g)
 
     def test_is_star(self):
@@ -369,7 +354,7 @@ class TestConnectivitySlot:
     def test_disconnected_raises_every_time(self, solve):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
         for _ in range(3):
-            with pytest.raises(Disconnected):
+            with pytest.raises(InvalidArgument, match="is disconnected"):
                 solve(g)
         assert g._connected is False
 
@@ -440,7 +425,6 @@ class TestSerialisation:
 
     def test_set_json_roundtrip(self):
         s = VertexSet.from_ids(5, [0, 2])
-        assert set_to_json(s) == {"set": [0, 2]}
         assert set_from_json('{"set": [0, 2]}', 5) == s
         with pytest.raises(ParseError):
             set_from_json("{}", 5)

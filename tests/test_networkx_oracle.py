@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdskit import all_connected_graphs, induced_connected, is_bipartite, is_connected
-from pdskit.graph import _reach
+from pdskit import all_connected_graphs, induced_connected
+from pdskit.graph import _reach, is_connected
 
+from .graph_reference import is_bipartite
 from .strategies import graphs, graphs_with_subset
 
 nx = pytest.importorskip("networkx")

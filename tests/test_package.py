@@ -1,8 +1,11 @@
+import inspect
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pdskit
+from pdskit import errors
 
 
 def test_public_surface():
@@ -10,7 +13,27 @@ def test_public_surface():
     assert names == sorted(names)
     assert len(names) == len(set(names))
     for name in names:
-        getattr(pdskit, name)
+        obj = getattr(pdskit, name)
+        # every annotation names a type the module binds
+        if callable(obj):
+            typing.get_type_hints(obj)
+        if inspect.isclass(obj):  # and its public methods and properties
+            for attr, member in vars(obj).items():
+                fn = member.fget if isinstance(member, property) else getattr(obj, attr)
+                if not attr.startswith("_") and (inspect.isfunction(fn) or inspect.ismethod(fn)):
+                    typing.get_type_hints(fn)
+
+
+def test_one_error_class_per_kind_of_fault():
+    kinds = {c.__name__ for c in vars(errors).values() if isinstance(c, type)}
+    assert kinds == {
+        "PdsKitError", "ParseError", "InvalidGraph", "InvalidArgument",
+        "UnknownName", "NoPds", "VerificationFailed", "InstanceTooLarge",
+    }
+    assert kinds <= set(pdskit.__all__)
+    # the folded classes leave no second name behind
+    for gone in ("Disconnected", "IsStar", "NotAPds", "NotIndependent", "InvalidInstance"):
+        assert not hasattr(pdskit, gone) and not hasattr(errors, gone)
 
 
 def test_cold_start_leaves_rare_modules_unloaded():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdskit import (
     CubicCycleGraph,
-    InvalidInstance,
+    InvalidGraph,
     ParseError,
     PdsKitError,
     cubic,
@@ -135,8 +135,8 @@ def test_chord_checks_match_the_per_vertex_loop(table):
     n, chord = table
     try:
         check_chords_loop(n, chord)
-    except InvalidInstance:
-        with pytest.raises(InvalidInstance):
+    except InvalidGraph:
+        with pytest.raises(InvalidGraph):
             CubicCycleGraph(n, chord)
     else:
         assert CubicCycleGraph(n, chord).chord == chord

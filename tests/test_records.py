@@ -17,7 +17,6 @@ from pdskit import (
     SplitReduction,
     VertexSet,
     bipartite_reduction,
-    cycle_graph,
     half_pds,
     max_pds_exact,
     random_cubic_cycle,
@@ -25,7 +24,7 @@ from pdskit import (
     split_reduction,
 )
 from pdskit.cubic import _finish
-from pdskit.generators import FixtureRecord
+from pdskit.generators import FixtureRecord, cycle_graph
 
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 S012 = VertexSet.from_ids(5, [0, 1, 2])

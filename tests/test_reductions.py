@@ -6,16 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdskit import (
-    Disconnected,
     Graph,
     InvalidArgument,
     InvalidGraph,
-    IsStar,
-    NotAPds,
-    NotIndependent,
     ParseError,
     PdsKitError,
     SplitReduction,
+    VerificationFailed,
     VertexSet,
     all_connected_graphs,
     bipartite_reduction,
@@ -23,8 +20,6 @@ from pdskit import (
     certificate_to_json,
     check_pds,
     half_pds,
-    is_bipartite,
-    is_split,
     is_star,
     max_independent_set_exact,
     max_pds_exact,
@@ -34,6 +29,7 @@ from pdskit import (
 from pdskit import reductions
 from pdskit.reductions import ReductionCertificate
 
+from .graph_reference import is_bipartite, is_split
 from .reduction_reference import normalize_pds_restart
 from .strategies import graphs
 
@@ -79,9 +75,9 @@ class TestSplitStructure:
             assert not t.has_edge(0, w) and not t.has_edge(1, w)
 
     def test_rejects_stars_and_disconnected(self):
-        with pytest.raises(IsStar):
+        with pytest.raises(InvalidArgument, match="undefined on stars"):
             split_reduction(Graph(4, [(0, 1), (0, 2), (0, 3)]))
-        with pytest.raises(Disconnected):
+        with pytest.raises(InvalidArgument, match="is disconnected"):
             split_reduction(Graph(4, [(0, 1), (2, 3)]))
 
 
@@ -95,7 +91,7 @@ class TestSplitTransfer:
 
     def test_embed_rejects_dependent_sets(self):
         inst = split_reduction(DEMO5)
-        with pytest.raises(NotIndependent):
+        with pytest.raises(InvalidArgument, match=r"^edge \(0, 1\) lies inside the set$"):
             inst.embed_independent_set(VertexSet.from_ids(5, [0, 1]))
 
     def test_optimum_correspondence(self):
@@ -127,9 +123,18 @@ class TestSplitTransfer:
         out = inst.extract_independent_set(s)
         assert len(out) == len(s) - inst.core_size == 1
 
+    def test_broken_extraction_is_a_verification_failure(self, monkeypatch):
+        # an extraction that spans a source edge is an internal fault, not an input error
+        inst = split_reduction(DEMO5)
+        core = inst.core_size
+        spans = VertexSet(inst.target.n, (1 << core) - 1 | 0b11 << core)  # source edge (0, 1)
+        monkeypatch.setattr(SplitReduction, "normalize_pds", lambda self, s: spans)
+        with pytest.raises(VerificationFailed, match=r"^edge \(0, 1\) lies inside the set$"):
+            inst.extract_independent_set(spans)
+
     def test_normalize_rejects_non_pds(self):
         inst = split_reduction(TRIANGLE)
-        with pytest.raises(NotAPds):
+        with pytest.raises(InvalidArgument, match="needs a PDS of the target"):
             inst.normalize_pds(VertexSet.from_ids(inst.target.n, [6, 7]))
 
 
@@ -231,7 +236,7 @@ class TestCertificates:
             pds=cert.pds,
         )
         problems = verify_certificate(inst, bad)
-        assert any("independent" in p for p in problems)
+        assert "independent set invalid: edge (0, 1) lies inside the set" in problems
 
     def test_tampered_pds_is_caught(self):
         inst, cert = self._forward("bipartite", k=3)
