@@ -60,9 +60,8 @@ from .pds import (
     pds_size_upper_bound,
 )
 from .reductions import (
-    BipartiteReduction,
+    Reduction,
     ReductionCertificate,
-    SplitReduction,
     bipartite_reduction,
     certificate_from_json,
     certificate_to_json,
@@ -74,7 +73,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ApproxTrace",
-    "BipartiteReduction",
     "CubicCycleGraph",
     "CubicOutcome",
     "ExactResult",
@@ -87,8 +85,8 @@ __all__ = [
     "ParseError",
     "PdsKitError",
     "PdsVerdict",
+    "Reduction",
     "ReductionCertificate",
-    "SplitReduction",
     "UnknownName",
     "VerificationFailed",
     "VertexSet",

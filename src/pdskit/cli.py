@@ -302,22 +302,20 @@ def cmd_reduce(args) -> int:
         raise ParseError("reduce --cap needs --certificate")
     resolve_cap(args.cap)
     _check_output(args.certificate)
-    kind = "split" if args.k is None else "bipartite"  # --k names the reduction
     g, digest = _load_graph(args.graph)
-    if kind == "split":
-        inst = split_reduction(g)
+    inst = split_reduction(g) if args.k is None else bipartite_reduction(g, args.k)
+    if inst.k is None:  # --k names the reduction
         head = {"target": graph_to_json(inst.target), "anchors": list(inst.anchors)}
         tail = {"core_size": inst.core_size}
         human = [f"core size {inst.core_size}"]
     else:
-        inst = bipartite_reduction(g, args.k)
         head = {
-            "k": args.k, "target": graph_to_json(inst.target), "filler_count": inst.filler_count
+            "k": inst.k, "target": graph_to_json(inst.target), "filler_count": inst.filler_count
         }
         tail = {"threshold": inst.threshold}
         human = [f"filler {inst.filler_count}", f"threshold {inst.threshold}"]
     fields = {
-        "kind": kind,
+        "kind": inst.kind,
         "input_digest": digest,
         **head,
         "edge_block": [[list(e), i] for e, i in inst.edge_ids.items()],
@@ -327,14 +325,10 @@ def cmd_reduce(args) -> int:
     human.insert(0, f"target n {inst.target.n} m {inst.target.m}")
     if args.certificate:
         alpha, is_set = max_independent_set_exact(g, cap=args.cap)
-        if kind == "bipartite" and alpha < args.k:
-            raise NoPds(f"alpha(G) = {alpha} < k = {args.k}: no certificate exists")
-        cert = ReductionCertificate(
-            kind=kind, direction="forward", k=getattr(inst, "k", None),
-            independent_set=is_set, pds=inst.embed_independent_set(is_set),
-        )
-        problems = verify_certificate(inst, cert)
-        if problems:
+        if inst.k is not None and alpha < inst.k:
+            raise NoPds(f"alpha(G) = {alpha} < k = {inst.k}: no certificate exists")
+        cert = ReductionCertificate("forward", is_set, inst.embed_independent_set(is_set))
+        if problems := verify_certificate(inst, cert):
             raise VerificationFailed("; ".join(problems))
         text = json.dumps(certificate_to_json(inst, cert), indent=2) + "\n"
         Path(args.certificate).write_text(text)
@@ -349,7 +343,7 @@ def cmd_certify(args) -> int:
     problems = verify_certificate(inst, cert)
     return _report(
         args, 0 if not problems else 1, [f"valid {str(not problems).lower()}", *problems],
-        kind=cert.kind, direction=cert.direction, valid=not problems, problems=problems,
+        kind=inst.kind, direction=cert.direction, valid=not problems, problems=problems,
     )
 
 
@@ -485,7 +479,8 @@ COMMANDS = {
 
 
 @functools.cache  # built once per process: parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse.ArgumentParser for every pdskit command."""
     import argparse  # loaded on first use: import pdskit.cli stays cheap
 
     p = argparse.ArgumentParser(prog="pdskit", description="Proportionally dense subgraph toolkit")

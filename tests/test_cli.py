@@ -331,6 +331,22 @@ class TestReduce:
         code2, payload2, _ = run_json(capsys, "certify", str(cert))
         assert code2 == 0 and payload2["valid"] is True
 
+    # the exact bytes reduce --certificate writes for each reduction
+    @pytest.mark.parametrize("k, kind, pds", [
+        ((), "split", [*range(9), 10, 12]),
+        (("--k", "2"), "bipartite", [*range(18), 19, 21]),
+    ], ids=["split", "bipartite"])
+    def test_certificate_file_bytes(self, capsys, tmp_path, k, kind, pds):
+        cert = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "reduce", "demo5", *k, "--certificate", str(cert))
+        text = cert.read_text()
+        expected = {
+            "kind": kind, "direction": "forward", "k": int(k[1]) if k else None,
+            "source_graph": graph_to_json(fixture("demo5").graph),
+            "independent_set": [0, 2, 4], "pds": pds,
+        }
+        assert (code, text) == (0, json.dumps(expected, indent=2) + "\n")
+
     # --k alone picks the reduction, and each certificate checks out
     @pytest.mark.parametrize("name", ["k4", "cycle7", "path7", "cubic10", "caterpillar15"])
     def test_k_names_the_reduction(self, capsys, tmp_path, name):

@@ -90,9 +90,7 @@ def _valid_certificates():
     _, best = max_independent_set_exact(g)
     out = []
     for inst in (split_reduction(g), bipartite_reduction(g, 2)):
-        k = getattr(inst, "k", None)
-        kind = "split" if k is None else "bipartite"
-        cert = ReductionCertificate(kind, "forward", k, best, inst.embed_independent_set(best))
+        cert = ReductionCertificate("forward", best, inst.embed_independent_set(best))
         out.append(certificate_to_json(inst, cert))
     return out
 

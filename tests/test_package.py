@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 import subprocess
 import sys
 import typing
@@ -12,16 +14,33 @@ def test_public_surface():
     names = pdskit.__all__
     assert names == sorted(names)
     assert len(names) == len(set(names))
-    for name in names:
-        obj = getattr(pdskit, name)
-        # every annotation names a type the module binds
-        if callable(obj):
-            typing.get_type_hints(obj)
-        if inspect.isclass(obj):  # and its public methods and properties
-            for attr, member in vars(obj).items():
-                fn = member.fget if isinstance(member, property) else getattr(obj, attr)
-                if not attr.startswith("_") and (inspect.isfunction(fn) or inspect.ismethod(fn)):
-                    typing.get_type_hints(fn)
+    assert len(names) == 49
+    # every annotation of every function, method and property that a pdskit
+    # module defines names a type that module binds
+    checked = 0
+    for info in pkgutil.iter_modules(pdskit.__path__):
+        module = importlib.import_module(f"pdskit.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            obj = inspect.unwrap(obj)  # functools.cache keeps the function as __wrapped__
+            if inspect.isfunction(obj):
+                typing.get_type_hints(obj)
+                checked += 1
+            elif inspect.isclass(obj):
+                typing.get_type_hints(obj)  # the class's own fields, e.g. NamedTuple ones
+                checked += 1
+                for attr, member in vars(obj).items():
+                    if attr == "__new__" and issubclass(obj, tuple):
+                        continue  # the NamedTuple's generated constructor
+                    if isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member := inspect.unwrap(member)):
+                        typing.get_type_hints(member)
+                        checked += 1
+    assert checked > 100  # the scan reached every module
 
 
 def test_one_error_class_per_kind_of_fault():

@@ -7,14 +7,13 @@ import pytest
 
 from pdskit import (
     ApproxTrace,
-    BipartiteReduction,
     CubicCycleGraph,
     CubicOutcome,
     ExactResult,
     Graph,
     MoveRecord,
+    Reduction,
     ReductionCertificate,
-    SplitReduction,
     VertexSet,
     bipartite_reduction,
     half_pds,
@@ -63,30 +62,25 @@ CASES = [
     (
         ReductionCertificate,
         {
-            "kind": "split",
             "direction": "forward",
-            "k": None,
             "independent_set": VertexSet.from_ids(5, [0, 2]),
             "pds": VertexSet.from_ids(11, [0, 1, 2]),
         },
         True,
-        "ReductionCertificate(kind='split', direction='forward', k=None, "
+        "ReductionCertificate(direction='forward', "
         "independent_set=VertexSet(n=5, {0, 2}), pds=VertexSet(n=11, {0, 1, 2}))",
     ),
     (
-        SplitReduction,
-        dict(zip(SplitReduction._fields, SPLIT)),
-        False,
-        "SplitReduction(source=Graph(n=5, m=4), target=Graph(n=11, m=27), anchors=(0, 1), "
-        "edge_ids={(0, 1): 2, (1, 2): 3, (2, 3): 4, (3, 4): 5}, source_ids=(6, 7, 8, 9, 10))",
+        Reduction,
+        dict(zip(Reduction._fields, SPLIT)),
+        True,
+        "Reduction(source=Graph(n=5, m=4), target=Graph(n=11, m=27), k=None)",
     ),
     (
-        BipartiteReduction,
-        dict(zip(BipartiteReduction._fields, BIP)),
-        False,
-        "BipartiteReduction(source=Graph(n=5, m=4), target=Graph(n=16, m=40), k=2, "
-        "filler_count=7, edge_ids={(0, 1): 7, (1, 2): 8, (2, 3): 9, (3, 4): 10}, "
-        "source_ids=(11, 12, 13, 14, 15))",
+        Reduction,
+        dict(zip(Reduction._fields, BIP)),
+        True,
+        "Reduction(source=Graph(n=5, m=4), target=Graph(n=16, m=40), k=2)",
     ),
     (
         CubicCycleGraph,
@@ -97,9 +91,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "cls, fields, hashable, text", CASES, ids=[case[0].__name__ for case in CASES]
-)
+def _case_id(case):
+    cls, fields = case[0], case[1]
+    if cls is Reduction:  # one record for both reductions: the id names the one it holds
+        return ("Split" if fields["k"] is None else "Bipartite") + "Reduction"
+    return cls.__name__
+
+
+@pytest.mark.parametrize("cls, fields, hashable, text", CASES, ids=[_case_id(c) for c in CASES])
 class TestRecord:
     def test_positional_and_keyword_construction(self, cls, fields, hashable, text):
         assert cls(*fields.values()) == cls(**fields)
@@ -170,8 +169,10 @@ def test_finish_keeps_only_n_chord_and_codes():
 def test_reduction_properties_from_the_mixin():
     for k in (1, 2, 3):
         inst = bipartite_reduction(P5, k)
+        assert (inst.kind, inst.k) == ("bipartite", k)
         assert inst.threshold == inst.filler_count + P5.m + k
         assert inst.core_size == inst.filler_count + P5.m
+    assert (SPLIT.kind, SPLIT.k, SPLIT.threshold, SPLIT.filler_count) == ("split", None, None, None)
     assert split_reduction(P5).core_size == P5.m + 2
     is_set = VertexSet.from_ids(5, [0, 2])
     assert SPLIT.extract_independent_set(SPLIT.embed_independent_set(is_set)) == is_set

@@ -11,7 +11,7 @@ from pdskit import (
     InvalidGraph,
     ParseError,
     PdsKitError,
-    SplitReduction,
+    Reduction,
     VerificationFailed,
     VertexSet,
     all_connected_graphs,
@@ -29,6 +29,7 @@ from pdskit import (
 from pdskit import reductions
 from pdskit.reductions import ReductionCertificate
 
+from . import reduction_reference
 from .graph_reference import is_bipartite, is_split
 from .reduction_reference import normalize_pds_restart
 from .strategies import graphs
@@ -128,7 +129,7 @@ class TestSplitTransfer:
         inst = split_reduction(DEMO5)
         core = inst.core_size
         spans = VertexSet(inst.target.n, (1 << core) - 1 | 0b11 << core)  # source edge (0, 1)
-        monkeypatch.setattr(SplitReduction, "normalize_pds", lambda self, s: spans)
+        monkeypatch.setattr(Reduction, "normalize_pds", lambda self, s: spans)
         with pytest.raises(VerificationFailed, match=r"^edge \(0, 1\) lies inside the set$"):
             inst.extract_independent_set(spans)
 
@@ -211,9 +212,7 @@ class TestCertificates:
         inst = split_reduction(g) if kind == "split" else bipartite_reduction(g, k)
         _, best = max_independent_set_exact(g)
         return inst, ReductionCertificate(
-            kind=kind,
             direction="forward",
-            k=k,
             independent_set=best,
             pds=inst.embed_independent_set(best),
         )
@@ -229,9 +228,7 @@ class TestCertificates:
     def test_tampered_set_is_caught(self):
         inst, cert = self._forward("split")
         bad = ReductionCertificate(
-            kind=cert.kind,
             direction=cert.direction,
-            k=None,
             independent_set=VertexSet.from_ids(5, [0, 1]),
             pds=cert.pds,
         )
@@ -241,20 +238,11 @@ class TestCertificates:
     def test_tampered_pds_is_caught(self):
         inst, cert = self._forward("bipartite", k=3)
         bad = ReductionCertificate(
-            kind=cert.kind,
             direction=cert.direction,
-            k=3,
             independent_set=cert.independent_set,
             pds=VertexSet.from_ids(inst.target.n, range(2, 8)),
         )
         assert verify_certificate(inst, bad) != []
-
-    def test_kind_mismatch_is_the_only_problem(self):
-        inst, cert = self._forward("split")
-        wrong = cert._replace(kind="bipartite")
-        assert verify_certificate(inst, wrong) == [
-            "certificate kind 'bipartite' does not match the instance"
-        ]
 
     def test_backward_extraction_bound(self):
         # a PDS that embeds the 3-set {0, 2, 4} cannot come back as a 1-set
@@ -268,9 +256,7 @@ class TestCertificates:
         inst, _ = self._forward("bipartite", k=3)
         small, _ = half_pds(inst.target)
         cert = ReductionCertificate(
-            kind="bipartite",
             direction="backward",
-            k=3,
             independent_set=VertexSet.from_ids(5, [0, 2]),
             pds=small,
         )
@@ -334,12 +320,36 @@ def test_split_embed_property(g, rnd):
 @given(graphs(min_n=3, max_n=8, connected=True), st.data())
 @settings(max_examples=60, deadline=None)
 def test_block_layout_that_the_shifts_rely_on(g, data):
+    # the shifts need source vertex v at id core + v and the edge block just
+    # below it, in g.edges order: read both off the target's adjacency
     assume(not is_star(g))
     k = data.draw(st.integers(min_value=1, max_value=g.n - 2))
     for inst in (split_reduction(g), bipartite_reduction(g, k)):
-        core = inst.core_size
-        assert inst.source_ids == tuple(range(core, inst.target.n))
-        assert inst.edge_ids == {e: core - g.m + i for i, e in enumerate(g.edges)}
+        core, t = inst.core_size, inst.target
+        for v in range(g.n):  # a source vertex sees the edge vertices off v
+            off = [i for i, e in enumerate(g.edges) if v not in e]
+            assert t.adj[core + v] == tuple(core - g.m + i for i in off)
+        for i, e in enumerate(g.edges):  # an edge vertex sees the sources off e
+            links = [x for x in t.adj[core - g.m + i] if x >= core]
+            assert links == [core + w for w in range(g.n) if w not in e]
+
+
+def test_one_record_builds_the_targets_the_two_records_built():
+    built = 0
+    for n in range(3, 7):
+        for g in all_connected_graphs(n):
+            if is_star(g):
+                continue
+            cases = [(split_reduction(g), reduction_reference.split_reduction(g))]
+            cases += [
+                (bipartite_reduction(g, k), reduction_reference.bipartite_reduction(g, k))
+                for k in range(1, n - 1)
+            ]
+            for inst, ref in cases:
+                for field in ref._fields:
+                    assert getattr(inst, field) == getattr(ref, field), (g.edges, inst.k, field)
+                built += 1
+    assert built == 652  # 1, 5, 20 and 111 graphs with n = 3 .. 6, each with n - 1 instances
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -353,13 +363,7 @@ def test_sets_on_the_wrong_vertex_count_are_rejected(n):
         good = inst.embed_independent_set(VertexSet.from_ids(5, [0, 2]))
         with pytest.raises(InvalidArgument, match="^set lives on"):
             inst.extract_independent_set(VertexSet(inst.target.n + n - 5, good.mask))
-        cert = ReductionCertificate(
-            kind="split" if inst is split else "bipartite",
-            direction="forward",
-            k=None if inst is split else 1,
-            independent_set=wrong,
-            pds=good,
-        )
+        cert = ReductionCertificate(direction="forward", independent_set=wrong, pds=good)
         with pytest.raises(InvalidArgument, match=message):
             verify_certificate(inst, cert)
 
@@ -383,7 +387,7 @@ def test_one_pass_normalize_matches_the_restart_loop():
                 s = VertexSet(t.n, mask)
                 if not 2 <= s.size < t.n or not check_pds(t, s).holds:
                     continue
-                got = _outcome(SplitReduction.normalize_pds, inst, s)
+                got = _outcome(Reduction.normalize_pds, inst, s)
                 assert got == _outcome(normalize_pds_restart, inst, s), (g.edges, s)
                 compared += 1
     assert compared == 10505
