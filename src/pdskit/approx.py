@@ -7,26 +7,27 @@ such move shrinks the cut between S and its complement at least every
 other iteration, so at most 2m+1 moves happen.
 
 Two paths make the same moves.  Up to SCAN_CUTOFF vertices S is one int
-mask: every step runs over S's members, takes each inside degree as a
-popcount of the member's neighbour mask and S, and finds the density
-violators, the pick and the cut in that one pass; a move is
-S = (V ^ S) | 1 << u.  Above the cutoff every vertex keeps a fixed side
-bit and its count of neighbours on its own side, so S is just one of the
-two sides; a lazy heap per side yields the pick and a per-side count of
-vertices below their density threshold answers "is S a PDS?".  One move
-there costs O(deg(u) log n) instead of a scan of all n vertices, but
-building the two heaps costs more than a whole small search: on the
-tens of thousands of calls that every start of every graph with n <= 8
-makes, the set-up, not the moves, is the time.
+mask: every step runs over S's members, as graph.member_table lists
+them, takes each inside degree as a popcount of the member's neighbour
+mask and S, and finds the density violators, the pick and the cut in
+that one pass; a move is S = (V ^ S) | 1 << u.  Above the cutoff every
+vertex keeps a fixed side bit and its count of neighbours on its own
+side, so S is just one of the two sides; a lazy heap per side yields the
+pick and a per-side count of vertices below their density threshold
+answers "is S a PDS?".  One move there costs O(deg(u) log n) instead of
+a scan of all n vertices, but building the two heaps costs more than a
+whole small search: on the tens of thousands of calls that every start
+of every graph with n <= 8 makes, the set-up, not the moves, is the time.
 
-The cutoff, n <= 12, is measured (2-CPU VM, Python 3.11.7, 400 random
-starts on 40 random graphs per size and density, best of seven).  At
-n = 12 a first call on a graph, which builds its neighbour masks, took
-18-21 us against the heap path's 17-18 us on sparse graphs (m = 1.25n)
-and 25-29 against 30-31 us on denser ones (m = 4n and m = 2/3 of
-n(n-1)/2); every later call on the same Graph, which keeps its masks,
-took 12-14 us.  From n = 16 a first call on a sparse graph loses
-clearly: 21-38 against 16-27 us at n = 16, 54-56 against 30-35 us at 24.
+The cutoff, n <= 12, is measured with the member table in place (2-CPU
+VM, Python 3.11.7, 400 random starts on 40 random graphs per size and
+density, best of seven, two runs; n = 13 and 16 read a wider table).  A
+first call, which builds the neighbour masks, took 16.3-16.4 us against
+the heap's 16.4-16.6 on sparse graphs (m = 1.25n) and 20-21 against 25-26
+on denser ones (m = 4n, 2/3 of n(n-1)/2) at n = 12; 15.6-16.3 against
+15.2-15.7 and 21 against 24 at 13; 23 against 20-21 and 28-33 against
+33-41 at 16.  Later calls on a Graph took 7-8 us at 12.  Past 12 a sparse
+first call stops winning, and each bit doubles the table (193 KB at 12).
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from typing import NamedTuple
 
 from . import exact
 from .errors import InvalidArgument, VerificationFailed
-from .graph import Graph, VertexSet, adjacency_masks, require_connected
+from .graph import MEMBER_BITS, Graph, VertexSet, adjacency_masks, member_table, require_connected
 
-# the measurement behind this cutoff is in the module docstring
-SCAN_CUTOFF = 12
+SCAN_CUTOFF = MEMBER_BITS  # the member table's width; measured in the module docstring
 
 # _DIGITS[cur] turns side bits into the binary digits of S's mask, lowest bit first
 _DIGITS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
@@ -89,13 +89,13 @@ def half_pds(
     search = _scan_search if n <= SCAN_CUTOFF else _heap_search
     mask, moves = search(g, start, half)
     if not moves:
-        return start, ApproxTrace(start, (), start)
+        return start, tuple.__new__(ApproxTrace, (start, (), start))
     final = VertexSet(n, mask)
     if not half <= len(final) <= half + 1:
         raise VerificationFailed(
             f"local search returned {len(final)} vertices, not {half} or {half + 1}"
         )
-    return final, ApproxTrace(start, tuple(moves), final)
+    return final, tuple.__new__(ApproxTrace, (start, tuple(moves), final))
 
 
 def _scan_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveRecord]]:
@@ -109,16 +109,13 @@ def _scan_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveR
     # k = |S| - 1, half - 1 and n - half in turn; a member with c neighbours in
     # S fails c*(n-|S|) >= (deg-c)*(|S|-1) iff c*(n-1) < deg*k
     k, k_next = half - 1, n - half
+    table = member_table(n) if n <= SCAN_CUTOFF else None  # only a direct call passes a larger n
     moves: list[MoveRecord] = []
     for _ in range(2 * g.m + 2):
         dense = True
         gain = -n  # below every deg - 2*inside
         cut = 0
-        m = s
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
+        for v in table[s] if table else [w for w in range(n) if s >> w & 1]:
             c = (adjm[v] & s).bit_count()
             d = deg[v]
             if c * n1 < d * k:
@@ -130,7 +127,8 @@ def _scan_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveR
                 o = c
         if dense:
             return s, moves
-        moves.append(MoveRecord(u, o, deg[u] - o, cut, cut - gain))
+        # tuple.__new__ skips the record's Python-level __new__, 0.15 us a call
+        moves.append(tuple.__new__(MoveRecord, (u, o, deg[u] - o, cut, cut - gain)))
         s = (full ^ s) | 1 << u
         k, k_next = k_next, k
     raise VerificationFailed("local search exceeded its 2m+1 move bound")
@@ -193,7 +191,7 @@ def _heap_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveR
         d = deg[u]
         cut_before = cut
         cut -= d - 2 * o
-        moves.append(MoveRecord(u, o, d - o, cut_before, cut))
+        moves.append(tuple.__new__(MoveRecord, (u, o, d - o, cut_before, cut)))
         old = cur
         cur ^= 1
         k_old = sm1[old]

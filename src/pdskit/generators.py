@@ -59,7 +59,7 @@ from operator import or_
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, InvalidGraph, UnknownName
-from .graph import MAX_EDGES, MAX_VERTICES, Graph, _mask_component, parse_graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, _mask_component, member_table, parse_graph
 
 _ENUM_CAP = 9  # candidate counts explode past this; the suite needs 8
 
@@ -318,7 +318,7 @@ def _connected_masks(n: int, cache=_connected_cache) -> list[tuple[int, ...]]:
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:
     """All connected n-vertex graphs, one per isomorphism class."""
-    for adj in _connected_masks(n):
-        yield Graph(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
-        )
+    reps = _connected_masks(n)  # refuses n outside 2.._ENUM_CAP before any table is built
+    table = member_table(n)  # row >> u + 1 << u + 1 keeps row's bits above u
+    for adj in reps:
+        yield Graph(n, [(u, v) for u, row in enumerate(adj) for v in table[row >> u + 1 << u + 1]])

@@ -33,6 +33,9 @@ MAX_VERTICES = 2**22
 # edges stay under 2 GB.  The largest approx-scaling graph has 2**19.
 MAX_EDGES = 2**22
 
+MEMBER_BITS = 12  # the widest mask member_table covers, and approx.SCAN_CUTOFF
+_members: tuple[bytes, ...] = (b"",)
+
 
 class VertexSet:
     """Immutable subset of the vertices of an n-vertex graph."""
@@ -231,6 +234,20 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     if g._masks is None:
         object.__setattr__(g, "_masks", tuple([sum([1 << w for w in nbrs]) for nbrs in g.adj]))
     return g._masks
+
+
+def member_table(n: int) -> tuple[bytes, ...]:
+    """Entry mask lists mask's set bits in ascending order, for every mask below
+    2**n at least (n <= MEMBER_BITS; 6 KB at 7, 193 KB at 12).  A wider table is
+    built whole and stored by one assignment: no thread reads a half-built one."""
+    global _members
+    table = _members  # the one read: a racing caller may store a narrower table
+    if len(table) < 1 << n:
+        rows = list(table)
+        for v in range(len(rows).bit_length() - 1, n):  # masks with top bit v follow those below
+            rows += [row + bytes((v,)) for row in rows]
+        _members = table = tuple(rows)
+    return table
 
 
 def require_connected(g: Graph) -> None:

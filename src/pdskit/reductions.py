@@ -226,6 +226,8 @@ def certificate_from_json(obj: dict):
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
     if kind == "split":
+        if obj.get("k") is not None:  # a k would claim a bipartite certificate
+            raise ParseError(f"split certificate: k must be null, got {obj['k']!r}")
         inst = split_reduction(source)
     elif kind == "bipartite":
         (k,) = _json_ints([obj.get("k")], "k")

@@ -386,6 +386,19 @@ class TestCertify:
         code, payload, _ = run_json(capsys, "certify", str(cert))
         assert code == 1 and payload["problems"]
 
+    # a split certificate carries "k": null; any other k is refused, never ignored
+    @pytest.mark.parametrize("k", [3, 0, "3", True])
+    def test_split_certificate_with_k(self, capsys, tmp_path, k):
+        cert = tmp_path / "cert.json"
+        run(capsys, "reduce", "demo5", "--certificate", str(cert))
+        obj = json.loads(cert.read_text())
+        assert (obj["kind"], obj["k"]) == ("split", None)
+        obj["k"] = k
+        cert.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "certify", str(cert))
+        assert (code, out) == (2, "")
+        assert err == f"error: split certificate: k must be null, got {k!r}\n"
+
     def test_malformed(self, capsys, tmp_path):
         f = tmp_path / "junk.json"
         f.write_text("{]")

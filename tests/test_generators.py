@@ -200,10 +200,13 @@ class TestEnumeration:
     def test_cap(self):
         from pdskit import InstanceTooLarge
 
-        with pytest.raises(InstanceTooLarge):
-            next(all_connected_graphs(10))
-        with pytest.raises(InvalidArgument, match="starts at n=2"):
-            next(all_connected_graphs(1))
+        # refused before the member table is sized for n: 2**64 entries, or a negative shift
+        for n in (10, 64):
+            with pytest.raises(InstanceTooLarge):
+                next(all_connected_graphs(n))
+        for n in (1, -1):
+            with pytest.raises(InvalidArgument, match="starts at n=2"):
+                next(all_connected_graphs(n))
 
 
 def _children(parents: list[tuple[int, ...]], n: int):

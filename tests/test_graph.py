@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -100,6 +103,48 @@ class TestGraph:
             for v in range(g.n):
                 assert (masks[u] >> v & 1 == 1) == g.has_edge(u, v)
             assert all(a < b for a, b in zip(g.adj[u], g.adj[u][1:]))
+
+    def test_member_table(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_members", (b"",))
+        small = graph_mod.member_table(3)
+        assert small == (b"", b"\0", b"\1", b"\0\1", b"\2", b"\0\2", b"\1\2", b"\0\1\2")
+        # a wider request replaces the table whole; a narrower one reuses it
+        table = graph_mod.member_table(graph_mod.MEMBER_BITS)
+        assert graph_mod.member_table(5) is graph_mod.member_table(12) is table
+        assert len(table) == 1 << graph_mod.MEMBER_BITS == 4096
+        assert table[:8] == small
+        for m, row in enumerate(table):
+            assert type(row) is bytes
+            assert list(row) == [v for v in range(12) if m >> v & 1]
+
+    def test_member_table_under_racing_threads(self, monkeypatch):
+        # every caller gets a table wide enough for its n, even when another
+        # thread has just stored a narrower one (here a reset to the empty table)
+        monkeypatch.setattr(graph_mod, "_members", (b"",))
+        short = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                if rng.random() < 0.2:
+                    graph_mod._members = (b"",)
+                n = rng.randint(1, 12)
+                table = graph_mod.member_table(n)
+                if len(table) < 1 << n or list(table[(1 << n) - 1]) != list(range(n)):
+                    short.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert short == []
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from pdskit import (
     check_pds,
     is_inclusionwise_maximal,
     pds_size_upper_bound,
+    random_connected,
 )
 
 from pdskit.graph import adjacency_masks
@@ -93,7 +95,27 @@ class TestCheckPdsSources:
         for mask in data.draw(st.lists(masks, min_size=1, max_size=8)):
             s = VertexSet(g.n, mask)
             assert check_pds(g, s) == check_pds(fresh, s)
-        assert fresh._masks is None  # a check never builds the table
+        assert fresh._masks is None  # a check never builds the masks
+
+    def test_table_and_flags_paths_agree_on_every_mask(self):
+        # held masks and n <= 12 read the member table; a fresh Graph, or
+        # held masks past the table, read g.adj and the flags
+        rng = random.Random(12)
+        for n in (*range(3, 13), 13):
+            top = n * (n - 1) // 2
+            for m in sorted({n - 1, min(2 * n, top), top}):
+                g = random_connected(n, m, seed=rng.randrange(2**32))
+                fresh = Graph(n, g.edges)
+                adjacency_masks(g)
+                for mask in range(1 << n):
+                    if 2 <= mask.bit_count() < n:
+                        s = VertexSet(n, mask)
+                        verdict = check_pds(g, s)
+                        assert verdict == check_pds(fresh, s)
+                        assert [u for u, _, _ in verdict.unsatisfied] == sorted(
+                            u for u, _, _ in verdict.unsatisfied
+                        )
+                assert fresh._masks is None
 
     def test_masks_match_adj_rows(self):
         graphs_seen = 0
