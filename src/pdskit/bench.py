@@ -45,7 +45,7 @@ def cubic_scaling(
     checks build the chord tags, and one solve with its re-check."""
     rows = []
     for i, n in enumerate(sizes):
-        chord = cubic.random_cubic_cycle(n, seed=seed + i).chord
+        chord = tuple(cubic.random_cubic_cycle(n, seed=seed + i).chord)
         seconds, _ = _best_of(
             lambda: cubic.solve_hamiltonian_cubic(cubic.CubicCycleGraph(n, chord)), repeats
         )

@@ -12,10 +12,12 @@ it yields the optimum.
 Every vertex is tagged by where its chord lands relative to the walk
 direction: AHEAD when the chord reaches at most k = ceil((n-1)/3) steps
 forward, BACK when at most k steps backward, untagged otherwise.  Each
-instance holds one code byte per vertex (1 AHEAD, 2 BACK, 0 untagged).  A
-full arc from u exists iff u is not BACK and the vertex k+1 behind u is not
-AHEAD; two translates of the codes and one AND of little-endian ints find
-the first such u, and a no-full-arc pattern is one bytes comparison.
+instance holds its chord table as one array('q') of 8-byte entries, read
+through a read-only memoryview, and one code byte per vertex (1 AHEAD,
+2 BACK, 0 untagged).  A full arc from u exists iff u is not BACK and the
+vertex k+1 behind u is not AHEAD; two translates of the codes and one AND
+of little-endian ints find the first such u, and a no-full-arc pattern is
+one bytes comparison.
 
 The answer is re-checked from n and the validated chord matching alone,
 independently of the arc logic and without building a Graph: three byte
@@ -45,7 +47,7 @@ PAIRED = "paired"  # tags run AHEAD,AHEAD,BACK,BACK around the cycle
 ALTERNATING = "alternating"  # tags strictly alternate
 _NOT_BACK = b"\1\1".ljust(256, b"\0")  # translate tables of the code bytes
 _NOT_AHEAD = b"\1\0\1".ljust(256, b"\0")
-CODE_BLOCK = 4096  # vertices per itemgetter lookup of the code table
+CODE_BLOCK = 4096  # vertices per itemgetter gather from a table of n entries
 
 
 def max_pds_size_cubic(n: int) -> int:
@@ -56,61 +58,67 @@ def max_pds_size_cubic(n: int) -> int:
 class CubicCycleGraph:
     """Even cycle plus chord perfect matching; chord[v] is v's partner.
 
-    chord may be any sequence of ints; it is stored as a tuple.  Immutable,
-    like Graph; holds only n, chord and codes, the n-byte chord tag string."""
+    chord may be any sequence of ints; the instance copies it into an
+    array('q') of its own and exposes that as chord, a read-only memoryview
+    of format 'q'.  Immutable, like Graph; holds only n, chord and codes,
+    the n-byte chord tag string."""
 
     def __init__(self, n: int, chord):
-        raw = chord
         if n < 4 or n % 2:
             raise InvalidGraph(f"need even n >= 4, got {n}")
-        if len(raw) != n:
+        if n > MAX_VERTICES:
+            raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
+        if len(chord) != n:
             raise InvalidGraph("chord table must list every vertex")
         # Bulk passes; a slow one names a vertex once one fails.  The matching
         # pass raises IndexError at an entry >= n or < -n (OverflowError past
         # 64 bits) and fails at c < 0 (c != n + c).
         try:
-            # Ints made in another order (by value, or by input line) sit at
-            # scattered addresses, so reading chord[0], chord[1], ... would
-            # miss the cache at every vertex at n = 10^6.  Read back from a
-            # compact array, the ints are made anew in vertex order.  A copy
-            # of parse_cubic's array('q') would add 8 bytes per vertex.
-            arr = raw if isinstance(raw, array) and raw.typecode == "q" else array("q", raw)
-            chord = tuple(arr)
-            # one gather per block from the 8-byte array, whose reads stay
-            # nearer in cache than the tuple's ints; as in _chord_codes, no
-            # block has the lone entry itemgetter returns bare
+            table = array("q", chord)
+            # one gather per block; as in _chord_codes, no block has the
+            # lone entry itemgetter returns bare
             matched = all(
-                itemgetter(*arr[lo : lo + CODE_BLOCK])(arr) == tuple(range(lo, n)[:CODE_BLOCK])
+                itemgetter(*table[lo : lo + CODE_BLOCK])(table) == tuple(range(lo, n)[:CODE_BLOCK])
                 for lo in range(0, n, CODE_BLOCK)
             )
         except (IndexError, OverflowError):
             matched = False
         if not matched:
-            v = next(v for v, c in enumerate(raw) if not 0 <= c < n or raw[c] != v)
-            raise InvalidGraph(f"chord ({v}, {raw[v]}) is out of range or not matched")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "chord", chord)
-        codes = _chord_codes(self)  # given a matching, 3 marks each loop and cycle edge
-        if (v := codes.find(3)) >= 0:
-            raise InvalidGraph(f"chord ({v}, {chord[v]}) repeats a cycle edge")
-        object.__setattr__(self, "codes", codes)
+            v = next(v for v, c in enumerate(chord) if not 0 <= c < n or chord[c] != v)
+            raise InvalidGraph(f"chord ({v}, {chord[v]}) is out of range or not matched")
+        _adopt(self, n, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicCycleGraph is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CubicCycleGraph) and (self.n, self.chord) == (other.n, other.chord)
+        # memoryviews of one format compare item by item, no int made
+        return isinstance(other, CubicCycleGraph) and self.n == other.n and self.chord == other.chord
 
     def __hash__(self) -> int:
-        return hash((self.n, self.chord))
+        return hash((self.n, self.chord.tobytes()))
 
     def __repr__(self) -> str:
-        return f"CubicCycleGraph(n={self.n!r}, chord={self.chord!r})"
+        return f"CubicCycleGraph(n={self.n!r}, chord={tuple(self.chord)!r})"
 
     @property
     def window(self) -> int:
         """Tag window k = ceil((n-1)/3)."""
         return (self.n + 1) // 3
+
+
+def _adopt(g: CubicCycleGraph, n: int, table: array) -> CubicCycleGraph:
+    """Give g n, chord and codes, from table, an array('q') that no one
+    else holds and that is a perfect matching on range(n), n even, 4 <= n
+    <= MAX_VERTICES; the one build behind both ways to an instance.
+    Raises InvalidGraph at a chord on a cycle edge."""
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "chord", memoryview(table).toreadonly())
+    codes = _chord_codes(g)  # given a matching, 3 marks each loop and cycle edge
+    if (v := codes.find(3)) >= 0:
+        raise InvalidGraph(f"chord ({v}, {g.chord[v]}) repeats a cycle edge")
+    object.__setattr__(g, "codes", codes)
+    return g
 
 
 class CubicOutcome(NamedTuple):
@@ -263,8 +271,14 @@ def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
     flags = s.flags()
     # byte v of each lane is the flag of one neighbour of v: chord[v], v-1
     # and v+1.  Their sum is v's inside degree, at most 3, so no byte
-    # carries into the next.  The chord lane's n-entry tuple goes first.
-    across = int.from_bytes(bytes(itemgetter(*chord)(flags)), "little")
+    # carries into the next.  Only members' bytes are read below, so the
+    # chord lane is gathered a block at a time, and only in blocks that
+    # hold a member.
+    lane = bytearray(n)
+    for lo in range(0, n, CODE_BLOCK):
+        if 1 in flags[lo : lo + CODE_BLOCK]:
+            lane[lo : lo + CODE_BLOCK] = itemgetter(*chord[lo : lo + CODE_BLOCK])(flags)
+    across = int.from_bytes(lane, "little")
     member = int.from_bytes(flags, "little")
     before = int.from_bytes(flags[-1:] + flags[:-1], "little")
     inside = before + int.from_bytes(flags[1:] + flags[:1], "little") + across
@@ -329,7 +343,7 @@ def all_cubic_cycles(n: int):
                 u = v
                 break
         if u < 0:
-            yield CubicCycleGraph(n, tuple(chord))
+            yield CubicCycleGraph(n, chord)  # which copies the table
             return
         for v in range(u + 1, n):
             if chord[v] < 0 and (v - u) % n not in (1, n - 1):
@@ -394,28 +408,40 @@ def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
 
 def parse_cubic(text: str) -> CubicCycleGraph:
     """Cycle-graph format: a line "n", then n/2 chord lines "u v"."""
-    ints = _data_ints(text, 1)
+    blocks = _data_ints(text, 1)
+    ints = next(blocks)
     if not ints:
         raise ParseError("expected a single-token header line with n")
-    n = ints[0]
-    if len(ints) - 1 != n // 2 * 2:
-        raise ParseError(f"expected {n // 2} chord lines, found {(len(ints) - 1) // 2}")
-    # n is 0 or 1 with no chord line and at least 2 with one, never negative
-    if min(ints) < 0:
-        raise ParseError(f"chord vertex out of range for n={n}")
-    # a repeated vertex leaves another at -1, which CubicCycleGraph rejects;
-    # a compact array lets the parsed ints go before the table is laid out
+    n = ints.pop(0)
+    if n > MAX_VERTICES:  # refused from the header, before the table is allocated
+        raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
+    # Each block fills the compact table and goes.  A fault only stops the
+    # fill: every block is read first, so a later line the line pass
+    # refuses, then a wrong chord count, are named before it.
     chord = array("q", [-1]) * n
-    it = islice(ints, 1, None)
+    size, bad = 0, False
+    for ints in chain((ints,), blocks):
+        size += len(ints)
+        if bad or min(ints, default=0) < 0:
+            bad = True
+            continue
+        it = iter(ints)
+        try:
+            for u, v in zip(it, it):  # IndexError at a vertex >= n, OverflowError past 64 bits
+                chord[u] = v
+                chord[v] = u
+        except (IndexError, OverflowError):
+            bad = True
+    if size != n // 2 * 2:
+        raise ParseError(f"expected {n // 2} chord lines, found {size // 2}")
+    if bad:
+        raise ParseError(f"chord vertex out of range for n={n}")
     try:
-        for u, v in zip(it, it):  # IndexError at a vertex >= n, OverflowError past 64 bits
-            chord[u] = v
-            chord[v] = u
-    except (IndexError, OverflowError):
-        raise ParseError(f"chord vertex out of range for n={n}") from None
-    del ints, it
-    try:
-        return CubicCycleGraph(n, chord)
+        # n/2 pairs that leave no -1 cover every vertex once: a perfect
+        # matching, so the table is adopted without the constructor's gather
+        if n >= 4 and n % 2 == 0 and -1 not in chord:
+            return _adopt(CubicCycleGraph.__new__(CubicCycleGraph), n, chord)
+        return CubicCycleGraph(n, chord)  # a repeated vertex leaves another at -1
     except InvalidGraph as exc:
         raise ParseError(str(exc)) from exc
 

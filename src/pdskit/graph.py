@@ -9,7 +9,7 @@ graphs with a million vertices.
 from __future__ import annotations
 
 import json
-from itertools import compress, islice, starmap
+from itertools import chain, compress, islice, starmap
 from operator import itemgetter, le, lt
 from typing import Iterable, Iterator
 
@@ -20,6 +20,10 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _NO_TOKEN_CHARS = dict.fromkeys(map(ord, "0123456789-"))
 _TO_COMMAS = str.maketrans(" \n", ",,")
 _SECOND = itemgetter(1)
+# Canonical text per json.loads call, about 1,500 lines.  2**13 to 2**16
+# parse at one speed; at 2**14 the traced peak of a 10^5-vertex parse_cubic
+# is 1.14 MiB, against 2.03 at 2**16, as two blocks of ints live at once.
+BLOCK_CHARS = 2**14
 
 # The most vertices a Graph may have.  The n neighbour rows are allocated
 # before any edge is read, so a header such as "1000000000 0" must be
@@ -273,12 +277,17 @@ def induced_connected(g: Graph, s: VertexSet) -> bool:
     return _reach(g.adj, seen, start) == len(s)
 
 
-def _canonical_ints(text: str, head: int) -> list[int] | None:
-    """The integers of text when it is in the canonical form that
-    emit_graph and emit_cubic write, else None.  Canonical: ASCII digits
-    and '-' only, one space between the tokens of a line and a newline
-    after each line, head tokens on the first line and two on every other.
-    One json.loads converts the whole text, so no token str is made."""
+def _canonical_ints(text: str, head: int) -> Iterator[list[int]] | None:
+    """The integers of text, one list per block of whole lines, when text
+    has the canonical layout that emit_graph and emit_cubic write, else
+    None.  Canonical: ASCII digits and '-' only, one space between the
+    tokens of a line and a newline after each line, head tokens on the
+    first line and two on every other.  The layout of the whole text is
+    checked before any block is decoded.  One json.loads converts each
+    block of about BLOCK_CHARS characters, so no token str is made and no
+    list of every integer is.  A first block that is not JSON (empty
+    tokens, "00", "--1", over-long tokens) gives None too; a later one
+    raises ValueError when it is reached."""
     if not text.isascii() or text[-1:] != "\n":
         return None
     # deleting the token characters leaves exactly the separators of the layout
@@ -286,27 +295,49 @@ def _canonical_ints(text: str, head: int) -> list[int] | None:
     first = " " * (head - 1) + "\n"
     if seps != first + " \n" * ((len(seps) - len(first)) // 2):
         return None
-    try:  # empty tokens, "00", "--1" and over-long tokens are not JSON ints
-        # the final newline's comma takes a 0, popped below, so that the
-        # text is not sliced first
-        ints = json.loads(f"[{text.translate(_TO_COMMAS)}0]")
+    blocks = _blocks(text)
+    try:
+        return chain((next(blocks),), blocks)
     except ValueError:
         return None
-    ints.pop()
-    return ints
 
 
-def _data_ints(text: str, head: int = 2) -> list[int]:
+def _blocks(text: str) -> Iterator[list[int]]:
+    """The integers of canonical text, one json.loads per block of whole
+    lines; ValueError at a block that is not JSON."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + BLOCK_CHARS) + 1 or len(text)  # a block ends with its line
+        # the final newline's comma takes a 0, popped below, so that the
+        # block is not sliced again
+        ints = json.loads(f"[{text[start:end].translate(_TO_COMMAS)}0]")
+        ints.pop()
+        yield ints
+        start = end
+
+
+def _data_ints(text: str, head: int = 2) -> Iterator[list[int]]:
     """Every integer on the lines of text that are neither blank nor '#'
-    comments.  The first such line holds head tokens (1 for the cycle
-    format's n, 2 for the edge-list header), every later one two.
+    comments, handed out in lists of whole lines.  The first such line
+    holds head tokens (1 for the cycle format's n, 2 for the edge-list
+    header), every later one two.
 
-    Canonical text takes one bulk pass (_canonical_ints); anything else
-    goes line by line, which also names the line at fault.  No line's
-    token list outlives its line for the cyclic collector to walk."""
-    ints = _canonical_ints(text, head)
-    if ints is not None:
-        return ints
+    Canonical text is decoded block by block (_canonical_ints); anything
+    else goes line by line, which also names the line at fault, and comes
+    as one list.  A canonical block that is not JSON hands the text to the
+    line pass, which hands out only what follows the blocks already given:
+    their lines read the same either way.  No line's token list outlives
+    its line for the cyclic collector to walk."""
+    blocks = _canonical_ints(text, head)
+    done = 0
+    if blocks is not None:
+        try:
+            for ints in blocks:
+                done += len(ints)  # before the reader, which may pop the header
+                yield ints
+            return
+        except ValueError:
+            pass
     tokens: list[str] = []
     add = tokens.extend
     width = head
@@ -320,7 +351,7 @@ def _data_ints(text: str, head: int = 2) -> list[int]:
             width = 2
             add(t)
     try:
-        return list(map(int, tokens))
+        yield list(map(int, islice(tokens, done, None)))
     except ValueError as exc:
         raise ParseError(f"bad token: {exc}") from exc
 
@@ -330,7 +361,7 @@ def parse_graph(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are ignored.
     """
-    ints = _data_ints(text)
+    ints = list(chain.from_iterable(_data_ints(text)))  # each block goes once copied
     if not ints:
         raise ParseError("empty input")
     n, m = ints[0], ints[1]

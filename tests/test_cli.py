@@ -258,6 +258,12 @@ class TestCubic:
         code, payload, _ = run_json(capsys, "cubic", str(f))
         assert (code, payload["cycle"], payload["set"]) == (0, list(range(6)), [0, 1, 2, 3])
 
+    def test_cycle_text_above_the_vertex_limit(self, capsys, tmp_path):
+        f = tmp_path / "big.txt"
+        f.write_text(f"{MAX_VERTICES + 2}\n")
+        want = f"error: n={MAX_VERTICES + 2} is above the limit of {MAX_VERTICES} vertices\n"
+        assert run(capsys, "cubic", str(f)) == (2, "", want)
+
     def test_cycle_text_after_comments(self, capsys, tmp_path):
         f = tmp_path / "inst.txt"
         f.write_text("# prism\n\n  # cycle and chords\n\n6\n0 3\n1 4\n2 5\n")

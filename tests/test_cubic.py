@@ -122,19 +122,36 @@ class TestCubicCycleGraph:
         with pytest.raises(InvalidGraph):
             CubicCycleGraph(6, (3, 4, 5, 0, 1, 3))  # not an involution
 
-    def test_chord_is_stored_as_a_tuple(self):
-        for table in ([2, 3, 0, 1], array("q", [2, 3, 0, 1]), K4_CHORDS):
+    def test_chord_is_a_read_only_q_view(self):
+        g = CubicCycleGraph(4, K4_CHORDS)
+        assert type(g.chord) is memoryview and g.chord.format == "q" and g.chord.readonly
+        assert tuple(g.chord) == K4_CHORDS
+        with pytest.raises(TypeError):
+            g.chord[0] = 1
+        assert tuple(g.chord) == K4_CHORDS
+
+    def test_instance_keeps_its_own_copy_of_the_table(self):
+        for table in ([2, 3, 0, 1], array("q", [2, 3, 0, 1])):
             g = CubicCycleGraph(4, table)
-            assert type(g.chord) is tuple and g.chord == K4_CHORDS
-            assert g == CubicCycleGraph(4, K4_CHORDS)
-        assert type(parse_cubic("4\n0 2\n1 3\n").chord) is tuple
+            table[0], table[2] = 3, 3
+            assert tuple(g.chord) == K4_CHORDS and g == CubicCycleGraph(4, K4_CHORDS)
+
+    def test_equal_tables_give_equal_instances_and_hashes(self):
+        for n, seed in ((4, 0), (30, 1), (1000, 2)):
+            chord = tuple(random_cubic_cycle(n, seed=seed).chord)
+            instances = [CubicCycleGraph(n, list(chord)), CubicCycleGraph(n, chord),
+                         CubicCycleGraph(n, array("q", chord)),
+                         parse_cubic(emit_cubic(CubicCycleGraph(n, chord)))]
+            assert all(g == instances[0] for g in instances)
+            assert len({hash(g) for g in instances}) == 1
+            assert len(set(instances)) == 1
 
     def test_list_and_q_array_tables_build_equal_instances(self):
-        # an array('q') is read without a copy, any other table through one
+        # every table is copied into an array('q') of the instance's own
         for n, seed in ((4, 0), (30, 1), (1000, 2)):
             table = list(random_cubic_cycle(n, seed=seed).chord)
             a, b = CubicCycleGraph(n, table), CubicCycleGraph(n, array("q", table))
-            assert a == b and a.codes == b.codes and type(b.chord) is tuple
+            assert a == b and a.codes == b.codes and tuple(b.chord) == tuple(table)
             assert CubicCycleGraph(n, array("l", table)) == a
         for bad in ((2, 3, 0, 4), (-1, 3, 0, 1), (1, 0, 3, 2)):
             messages = set()
@@ -147,6 +164,33 @@ class TestCubicCycleGraph:
     def test_rejects_entries_past_64_bits(self):
         with pytest.raises(InvalidGraph, match=r"^chord \(0, 2361"):
             CubicCycleGraph(4, (2**71, 3, 0, 1))
+
+    def test_refuses_n_above_the_vertex_limit_before_reading_an_entry(self):
+        big = cubic.MAX_VERTICES + 2
+
+        class Unread:
+            def __len__(self):
+                return big
+
+            def __getitem__(self, v):
+                raise AssertionError(f"entry {v} was read")
+
+        with pytest.raises(InvalidGraph) as info:
+            CubicCycleGraph(big, Unread())
+        assert str(info.value) == f"n={big} is above the limit of {cubic.MAX_VERTICES} vertices"
+
+    def test_parse_refuses_n_above_the_vertex_limit_from_the_header(self):
+        # a table for n = 2^22 + 2 would take 32 MiB; none is allocated
+        big = cubic.MAX_VERTICES + 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidGraph) as info:
+                parse_cubic(f"{big}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"n={big} is above the limit of {cubic.MAX_VERTICES} vertices"
+        assert peak < 2**20
 
     def test_fixture_chords_match_graphs(self):
         for name in ("exc8_paired", "exc8_alternating", "prism6", "k4"):
@@ -439,6 +483,29 @@ class TestBulkRecheck:
         got, expected = _recheck_outcomes(CubicCycleGraph(n, chord), s)
         assert got == expected == "is not connected"
 
+    def test_matches_graph_recheck_with_blocks_that_hold_no_member(self):
+        # the chord lane is gathered only in the CODE_BLOCK-vertex blocks
+        # that hold a member; here blocks 0, 2 and 4 hold none
+        block = cubic.CODE_BLOCK
+        n = 5 * block
+        seen = set()
+        for seed in range(2):
+            rng = random.Random(seed)
+            # runs of even length: under "runs" pairing no chord joins them
+            arcs = [(lo + rng.randrange(block // 2), 2 * rng.randint(1, block // 4))
+                    for lo in (block, 3 * block)]
+            cases = [arc_union_case(n, arcs, seed, pairing) for pairing in ("random", "set", "runs")]
+            # scattered members in blocks 1 and 3, most with no neighbour inside
+            scattered = rng.getrandbits(block) << block | rng.getrandbits(block) << 3 * block
+            cases.append((cases[0][0], VertexSet(n, scattered)))
+            for g, s in cases:
+                flags = s.flags()
+                assert not any(1 in flags[lo : lo + block] for lo in (0, 2 * block, 4 * block))
+                got, expected = _recheck_outcomes(g, s)
+                assert got == expected, seed
+                seen.add(got)
+        assert seen == {"ok", "failed the re-check", "is not connected"}
+
     def test_arc_unions_cover_every_case(self):
         """The sets the property below draws: several runs joined only by
         chords, disconnected PDSs, and both with a run through n-1 and 0."""
@@ -721,7 +788,7 @@ class TestCodeString:
             for chord in _involutions(n):
                 bad = [v for v, c in enumerate(chord) if c - v in (0, 1, 1 - n)]
                 if not bad:
-                    assert CubicCycleGraph(n, chord).chord == chord
+                    assert tuple(CubicCycleGraph(n, chord).chord) == chord
                     continue
                 v = bad[0]
                 with pytest.raises(InvalidGraph) as info:
@@ -774,7 +841,7 @@ class TestGenerators:
         assert random_cubic_cycle(20, seed=9) == random_cubic_cycle(20, seed=9)
 
     def test_random_varies_with_seed(self):
-        seen = {random_cubic_cycle(8, seed=s).chord for s in range(40)}
+        seen = {tuple(random_cubic_cycle(8, seed=s).chord) for s in range(40)}
         assert len(seen) > 5
 
     def test_random_checks_the_vertex_limit_first(self, monkeypatch):
@@ -796,7 +863,7 @@ class TestGenerators:
         assert sum(1 for _ in all_cubic_cycles(8)) == 31
 
     def test_enumeration_is_lexicographic_and_unique(self):
-        seen = [g.chord for g in all_cubic_cycles(8)]
+        seen = [tuple(g.chord) for g in all_cubic_cycles(8)]
         assert seen == sorted(set(seen))
 
 
@@ -812,7 +879,7 @@ class TestSerialisation:
 
     def test_comments_ignored(self):
         g = parse_cubic("# cycle plus chords\n4\n0 2\n# middle\n1 3\n")
-        assert g.chord == K4_CHORDS
+        assert tuple(g.chord) == K4_CHORDS
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32))

@@ -2,6 +2,7 @@
 references in parse_reference.py."""
 
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,14 @@ from pdskit import (
     emit_graph,
     parse_cubic,
     parse_graph,
+    random_connected,
     random_cubic_cycle,
 )
+from pdskit import graph as graph_mod
 from pdskit.graph import _canonical_ints, _data_ints
 
 from .parse_reference import check_chords_loop, parse_cubic_lines, parse_graph_lines
-from .strategies import graphs
+from .strategies import graphs, jump
 
 _BLANKS = st.sampled_from(["", " ", "\t", "# a comment", "  # indented", "#", "\t#0 1"])
 _PADS = st.sampled_from(["", " ", "\t", " \t "])
@@ -139,7 +142,7 @@ def test_chord_checks_match_the_per_vertex_loop(table):
         with pytest.raises(InvalidGraph):
             CubicCycleGraph(n, chord)
     else:
-        assert CubicCycleGraph(n, chord).chord == chord
+        assert tuple(CubicCycleGraph(n, chord).chord) == chord
 
 
 def test_wrong_token_count_names_the_line():
@@ -176,23 +179,28 @@ def test_parse_cubic_reports_only_the_fill_as_out_of_range(monkeypatch):
 def test_parse_cubic_frees_its_token_rows():
     """The token rows of a 10^5-vertex text (about 8 MB) must be gone before
     the chord table is built; the peak was near 20 MB while they outlived
-    the parse, and 9.3 MiB while one token str per integer was made."""
+    the parse, 9.3 MiB while one token str per integer was made, and 4.95
+    MiB while one list held every integer.  The instance holds its 8-byte
+    table and n code bytes, 0.86 MiB; a tuple of n ints held 3.90."""
     text = emit_cubic(random_cubic_cycle(10**5, seed=0))
     tracemalloc.start()
     try:
         g = parse_cubic(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g.n == 10**5
-    assert peak < 8 * 2**20
+    assert held < 1.5 * 2**20
+    assert peak < 3 * 2**20
 
 
 def _assert_bulk(text: str, head: int) -> None:
-    """text takes the bulk pass, and it reads what the line pass reads."""
-    ints = _canonical_ints(text, head)
-    assert ints is not None, text[:80]
-    assert ints == _data_ints(text.replace("\n", "\n#\n"), head)
+    """text takes the bulk pass to its last block, and it reads what the
+    line pass reads."""
+    blocks = _canonical_ints(text, head)
+    assert blocks is not None, text[:80]
+    ints = list(chain.from_iterable(blocks))  # a block that is not JSON raises ValueError
+    assert ints == list(chain.from_iterable(_data_ints(text.replace("\n", "\n#\n"), head)))
 
 
 @given(graphs(min_n=2, max_n=9))
@@ -213,4 +221,126 @@ def test_non_canonical_text_falls_through_to_the_line_pass():
                  "4\n0\t2\n1 3\n", "4\n\n0 2\n1 3\n", "4\n00 2\n1 3\n",
                  "4\n0 +2\n1 3\n", "4\n0 2\n1 3\n# end\n", "4\n0 2\n1 ٣\n"):
         assert _canonical_ints(text, 1) is None, text
-        assert parse_cubic(text).chord == (2, 3, 0, 1), text
+        assert tuple(parse_cubic(text).chord) == (2, 3, 0, 1), text
+
+
+# n = 30,000 writes about 180,000 characters: three blocks of BLOCK_CHARS or more
+BLOCKED_N = 30_000
+
+
+def _blocked_cubic_text(last: str | None = None, before: str | None = None) -> str:
+    """emit_cubic text of jump(BLOCKED_N, 3), whose last two lines are
+    "n-6 n-3" and "n-4 n-1", with those lines replaced when given."""
+    lines = emit_cubic(jump(BLOCKED_N, 3)).splitlines()
+    assert lines[-2:] == [f"{BLOCKED_N - 6} {BLOCKED_N - 3}", f"{BLOCKED_N - 4} {BLOCKED_N - 1}"]
+    lines[-2] = before or lines[-2]
+    lines[-1] = last or lines[-1]
+    return "\n".join(lines) + "\n"
+
+
+def _message(parse, text):
+    with pytest.raises(PdsKitError) as info:
+        parse(text)
+    return type(info.value), str(info.value)
+
+
+def test_canonical_text_in_three_blocks_or_more_parses_to_the_reference():
+    text = _blocked_cubic_text()
+    assert len(list(_canonical_ints(text, 1))) >= 3
+    _assert_bulk(text, 1)
+    assert parse_cubic(text) == parse_cubic_lines(text) == jump(BLOCKED_N, 3)
+    g = random_connected(5000, 20_000, seed=1)
+    text = emit_graph(g)
+    assert len(list(_canonical_ints(text, 2))) >= 3
+    _assert_bulk(text, 2)
+    assert parse_graph(text) == parse_graph_lines(text) == g
+
+
+@pytest.mark.parametrize("token", ["0", "+"])
+def test_a_non_json_token_in_the_last_block_falls_back_to_the_line_pass(token):
+    # "029996" is not a JSON int and "+29996" not a token character; both
+    # read as 29996 line by line
+    n = BLOCKED_N
+    text = _blocked_cubic_text(last=f"{token}{n - 4} {n - 1}")
+    blocks = _canonical_ints(text, 1)
+    if token == "0":  # the layout holds, and only the last block is refused
+        assert next(blocks)
+        with pytest.raises(ValueError):
+            list(blocks)
+    else:
+        assert blocks is None
+    assert parse_cubic(text) == parse_cubic_lines(text) == jump(n, 3)
+    g = random_connected(5000, 20_000, seed=1)
+    lines = emit_graph(g).splitlines()
+    lines[-1] = token + lines[-1]
+    text = "\n".join(lines) + "\n"
+    assert parse_graph(text) == parse_graph_lines(text) == g
+
+
+_N = BLOCKED_N
+_LATE_FAULTS = {
+    # vertex 0 twice: 0's partner 3 no longer points back
+    "repeated vertex": ((f"{_N - 4} 0", None), "chord (3, 0) is out of range or not matched"),
+    # n-4 paired with itself leaves n-1 unmatched
+    "self-pair": ((f"{_N - 4} {_N - 4}", None),
+                  f"chord ({_N - 1}, -1) is out of range or not matched"),
+    # n-6 and n-1 re-paired, so n-4 meets its cycle neighbour n-3
+    "cycle edge": ((f"{_N - 4} {_N - 3}", f"{_N - 6} {_N - 1}"),
+                   f"chord ({_N - 4}, {_N - 3}) repeats a cycle edge"),
+    "negative vertex": ((f"{_N - 4} -1", None), f"chord vertex out of range for n={_N}"),
+    "vertex n": ((f"{_N - 4} {_N}", None), f"chord vertex out of range for n={_N}"),
+}
+
+
+@pytest.mark.parametrize("fault", _LATE_FAULTS)
+def test_a_fault_in_a_later_block_keeps_its_message(fault):
+    (last, before), message = _LATE_FAULTS[fault]
+    text = _blocked_cubic_text(last, before)
+    assert len(list(_canonical_ints(text, 1))) >= 3  # the fault is in the third block or later
+    got = _message(parse_cubic, text)
+    assert got == (ParseError, message)
+    assert got == _message(parse_cubic, text.replace("\n", "\n#\n"))  # the line pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "BLOCK_CHARS", len(text))  # the whole text in one block
+        assert got == _message(parse_cubic, text)
+    assert _message(parse_cubic_lines, text)[0] is ParseError
+
+
+@st.composite
+def canonical_corruptions(draw, text: str) -> str:
+    """text with one token replaced by one that keeps the canonical layout:
+    noise of digits and '-', or a copy of another token."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[i]) - 1))
+    tokens = [t for line in lines for t in line]
+    lines[i][j] = draw(st.one_of(
+        st.sampled_from(["", "00", "-0", "007", "--1", "-", "1-2", "-1", "0", "99", "9" * 5000]),
+        st.sampled_from(tokens),
+    ))
+    return "\n".join(map(" ".join, lines)) + "\n"
+
+
+_BLOCK_TEXTS = st.one_of(
+    st.tuples(st.just(parse_cubic), _CUBIC_TEXTS.flatmap(canonical_corruptions)),
+    st.tuples(st.just(parse_cubic), _CUBIC_TEXTS),
+    st.tuples(st.just(parse_graph), graphs(min_n=2, max_n=9).map(emit_graph).flatmap(canonical_corruptions)),
+    st.tuples(st.just(parse_graph), graphs(min_n=2, max_n=9).map(emit_graph)),
+)
+
+
+@given(_BLOCK_TEXTS, st.integers(1, 24))
+@settings(max_examples=400, deadline=None)
+def test_any_block_size_gives_the_one_block_outcome(case, size):
+    """Blocks of a few characters put every line boundary, and every fault,
+    at or after a block boundary; the outcome and every message are those
+    of the one block that the default size gives these texts."""
+    parse, text = case
+    want = _outcome(parse, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "BLOCK_CHARS", size)
+        got = _outcome(parse, text)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), text
+    else:
+        assert got == want, text
