@@ -20,6 +20,7 @@ import math
 import re
 import sys
 import time
+from itertools import chain, compress, groupby
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -171,13 +172,41 @@ def _parse_ids(flag: str, text: str) -> list[int]:
     raise ParseError(f"{flag} must list distinct integers, got {text!r}")
 
 
+SET_BLOCK = 4096  # vertices per json.dumps of a VertexSet's members
+
+
 def _report(args, code: int, human: list[str], **fields) -> int:
     """Print {"command": ..., **fields} as one JSON line under --json, or
-    else the human lines; returns the exit code."""
-    if args.json:
-        print(json.dumps({"command": args.command, **fields}))
-    else:
+    else the human lines; returns the exit code.  A VertexSet field is
+    written as the list of its members.
+
+    The line is written in pieces, with the bytes of print(json.dumps(...)):
+    each run of other fields through one json.dumps of that run, cut to its
+    '"k": v, ...' part, and a set one block of SET_BLOCK vertices at a time,
+    read off its flags, so neither its member list nor the line is built."""
+    if not args.json:
         print(*human, sep="\n")
+        return code
+    write = sys.stdout.write
+    write("{")
+    sep = ""
+    items = chain([("command", args.command)], fields.items())
+    for is_set, run in groupby(items, lambda item: isinstance(item[1], VertexSet)):
+        if not is_set:
+            write(sep + json.dumps(dict(run))[1:-1])
+            sep = ", "
+            continue
+        for key, s in run:
+            write(f"{sep}{json.dumps(key)}: [")
+            sep = ", "
+            flags, comma = s.flags(), ""
+            for lo in range(0, s.n, SET_BLOCK):
+                block = list(compress(range(lo, lo + SET_BLOCK), flags[lo : lo + SET_BLOCK]))
+                if block:
+                    write(comma + json.dumps(block)[1:-1])
+                    comma = ", "
+            write("]")
+    write("}\n")
     return code
 
 
@@ -223,7 +252,7 @@ def cmd_exact(args) -> int:
         recheck(g, ext, "extension")
         return _report(
             args, 0, [f"extension of size {len(ext)}", *_set_lines(ext)],
-            input_digest=digest, extension=ext.members(), verified=True,
+            input_digest=digest, extension=ext, verified=True,
         )
     t0 = time.perf_counter()
     res = max_pds_exact(
@@ -237,7 +266,7 @@ def cmd_exact(args) -> int:
     human.append(f"subsets checked {res.subsets_checked}")
     return _report(
         args, 0, human,
-        input_digest=digest, size=res.size, witness=res.witness.members(), connected=connected,
+        input_digest=digest, size=res.size, witness=res.witness, connected=connected,
         optima=[s.members() for s in res.optima] if res.optima else None,
         subsets_checked=res.subsets_checked, seconds=elapsed, verified=True,
     )
@@ -254,7 +283,7 @@ def cmd_approx(args) -> int:
     elapsed = time.perf_counter() - t0
     connected = recheck(g, s, "local search output")
     fields = {
-        "input_digest": digest, "size": len(s), "set": s.members(), "connected": connected,
+        "input_digest": digest, "size": len(s), "set": s, "connected": connected,
         "moves": trace.iterations, "seconds": elapsed, "verified": True,
     }
     if args.trace:
@@ -293,7 +322,7 @@ def cmd_cubic(args) -> int:
         fields["cycle"] = order
     return _report(
         args, 0, [f"size {len(s)}", *_set_lines(s)],
-        **fields, size=len(s), set=s.members() if s.n <= 100_000 else None,
+        **fields, size=len(s), set=s if s.n <= 100_000 else None,
     )
 
 

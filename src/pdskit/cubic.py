@@ -29,6 +29,7 @@ chords, decide connectivity.
 from __future__ import annotations
 
 import random
+import re
 from array import array
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, sub
@@ -48,6 +49,7 @@ ALTERNATING = "alternating"  # tags strictly alternate
 _NOT_BACK = b"\1\1".ljust(256, b"\0")  # translate tables of the code bytes
 _NOT_AHEAD = b"\1\0\1".ljust(256, b"\0")
 CODE_BLOCK = 4096  # vertices per itemgetter gather from a table of n entries
+_UNSET = re.compile(b"\xff" * 8)  # an 8-byte -1 entry of a chord table
 
 
 def max_pds_size_cubic(n: int) -> int:
@@ -417,9 +419,13 @@ def parse_cubic(text: str) -> CubicCycleGraph:
         raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
     # Each block fills the compact table and goes.  A fault only stops the
     # fill: every block is read first, so a later line the line pass
-    # refuses, then a wrong chord count, are named before it.
-    chord = array("q", [-1]) * n
-    size, bad = 0, False
+    # refuses, then a wrong chord count, are named before it.  The header
+    # and n // 2 lines "u v", each after a newline, take 4 * (n // 2) + 1
+    # characters at least: a shorter text has the wrong count, so its
+    # blocks are only counted and no table is allocated.
+    bad = len(text) <= 4 * (n // 2)
+    chord = array("q", [-1]) * (0 if bad else n)
+    size = 0
     for ints in chain((ints,), blocks):
         size += len(ints)
         if bad or min(ints, default=0) < 0:
@@ -438,8 +444,11 @@ def parse_cubic(text: str) -> CubicCycleGraph:
         raise ParseError(f"chord vertex out of range for n={n}")
     try:
         # n/2 pairs that leave no -1 cover every vertex once: a perfect
-        # matching, so the table is adopted without the constructor's gather
-        if n >= 4 and n % 2 == 0 and -1 not in chord:
+        # matching, so the table is adopted without the constructor's gather.
+        # An entry is -1 iff its 8 bytes are 0xff; every other entry is in
+        # [0, n), n <= 2**22, so its top five bytes are 0 and no run of
+        # eight 0xff bytes crosses into it: the byte scan boxes no entry.
+        if n >= 4 and n % 2 == 0 and _UNSET.search(memoryview(chord)) is None:
             return _adopt(CubicCycleGraph.__new__(CubicCycleGraph), n, chord)
         return CubicCycleGraph(n, chord)  # a repeated vertex leaves another at -1
     except InvalidGraph as exc:

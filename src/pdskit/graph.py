@@ -49,10 +49,10 @@ class VertexSet:
     def __init__(self, n: int, mask: int):
         if n < 0 or mask < 0 or mask >> n:
             raise InvalidArgument(f"mask does not fit a {n}-vertex graph")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
+        _set_n(self, n)
+        _set_mask(self, mask)
         # always counted, never taken from a caller: the re-check reads it
-        object.__setattr__(self, "size", mask.bit_count())
+        _set_size(self, mask.bit_count())
 
     @classmethod
     def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
@@ -99,6 +99,11 @@ class VertexSet:
         if self.size <= 16:
             return f"VertexSet(n={self.n}, {{{', '.join(map(str, self.members()))}}})"
         return f"VertexSet(n={self.n}, size={self.size})"
+
+
+# the slot descriptors' setters, bound once: __init__ is on the hot path of
+# the small-graph solvers, and these skip object.__setattr__'s lookup
+_set_n, _set_mask, _set_size = VertexSet.n.__set__, VertexSet.mask.__set__, VertexSet.size.__set__
 
 
 class Graph:

@@ -7,8 +7,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdskit import (
     CubicCycleGraph,
@@ -28,7 +31,7 @@ from pdskit import (
 )
 from pdskit.cli import main
 from pdskit.generators import _connected_cache
-from pdskit.graph import MAX_EDGES, MAX_VERTICES
+from pdskit.graph import MAX_EDGES, MAX_VERTICES, VertexSet
 
 from .cubic_reference import to_graph
 
@@ -203,7 +206,9 @@ class TestCubic:
     def test_json_run_peak_at_1e5(self, tmp_path):
         """The text goes once its digest is taken and the instance once the
         solve returns, so neither is alive while the 66,667-member set is
-        emitted; the run peaked at 11.1 MiB while both were, now 6.7."""
+        emitted; the run peaked at 11.1 MiB while both were, and 6.7 while
+        the report built the member list and the whole line.  Written in
+        blocks, it peaks at about 2.3."""
         f = tmp_path / "cubic.txt"
         f.write_text(emit_cubic(random_cubic_cycle(10**5, seed=0)))
         out = io.StringIO()
@@ -215,7 +220,7 @@ class TestCubic:
         finally:
             tracemalloc.stop()
         assert code == 0 and json.loads(out.getvalue())["size"] == 66_667
-        assert peak < 8 * 2**20
+        assert peak < 4 * 2**20
 
     def test_find_cycle(self, capsys, tmp_path):
         f = tmp_path / "prism.txt"
@@ -262,6 +267,12 @@ class TestCubic:
         f = tmp_path / "big.txt"
         f.write_text(f"{MAX_VERTICES + 2}\n")
         want = f"error: n={MAX_VERTICES + 2} is above the limit of {MAX_VERTICES} vertices\n"
+        assert run(capsys, "cubic", str(f)) == (2, "", want)
+
+    def test_short_cycle_text_is_counted_without_a_table(self, capsys, tmp_path):
+        f = tmp_path / "short.txt"
+        f.write_text(f"{MAX_VERTICES}\n0 2\n")
+        want = f"error: expected {MAX_VERTICES // 2} chord lines, found 1\n"
         assert run(capsys, "cubic", str(f)) == (2, "", want)
 
     def test_cycle_text_after_comments(self, capsys, tmp_path):
@@ -762,6 +773,48 @@ class TestFileErrors:
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and list(tmp_path.iterdir()) == []
+
+
+_PLAIN = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["paired", "é\"\\"]), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def report_fields(draw) -> dict:
+    """Plain fields, and at most one VertexSet among them (first, last or in
+    between): empty, full, with members at the block edges, or any."""
+    # keys start with "k", so none is "command", "set" or a parameter of _report
+    fields = draw(st.dictionaries(st.text(max_size=6).map("k".__add__), _PLAIN, max_size=4))
+    if not draw(st.integers(0, 5)):
+        return fields
+    n = draw(st.integers(1, 3 * cli.SET_BLOCK + 1))
+    kind = draw(st.sampled_from(["empty", "full", "edges", "any"]))
+    if kind == "edges":
+        edges = {0, n - 1}.union(*({b - 1, b} for b in range(cli.SET_BLOCK, n, cli.SET_BLOCK)))
+        s = VertexSet.from_ids(n, draw(st.sets(st.sampled_from(sorted(edges)), min_size=1)))
+    else:
+        mask = {"empty": 0, "full": (1 << n) - 1}.get(kind)
+        s = VertexSet(n, draw(st.integers(0, (1 << n) - 1)) if mask is None else mask)
+    items = list(fields.items())
+    items.insert(draw(st.integers(0, len(items))), ("set", s))
+    return dict(items)
+
+
+@given(report_fields())
+@example({})
+@example({"size": 0, "set": VertexSet(cli.SET_BLOCK, 0)})
+@example({"set": VertexSet(2 * cli.SET_BLOCK, 1 << cli.SET_BLOCK), "size": 1})
+@settings(max_examples=150, deadline=None)
+def test_json_report_is_the_bytes_of_one_dumps(fields):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli._report(SimpleNamespace(json=True, command="cubic"), 4, [], **fields)
+    plain = {k: v.members() if isinstance(v, VertexSet) else v for k, v in fields.items()}
+    assert code == 4
+    assert out.getvalue() == json.dumps({"command": "cubic", **plain}) + "\n"
 
 
 class TestDispatch:

@@ -192,6 +192,48 @@ class TestCubicCycleGraph:
         assert str(info.value) == f"n={big} is above the limit of {cubic.MAX_VERTICES} vertices"
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4194304\n", "expected 2097152 chord lines, found 0"),
+            # a canonical first block, then a line the line pass refuses
+            ("4194304\n" + "0 2\n" * 5000 + "--1 5\n",
+             "bad token: invalid literal for int() with base 10: '--1'"),
+        ],
+        ids=["header only", "bad later line"],
+    )
+    def test_parse_counts_a_short_text_before_it_allocates(self, text, message):
+        # too short for 2097152 chord lines: counted, and no 32 MiB table
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_cubic(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # 4 * (n // 2) + 1 characters, the fewest that hold n // 2 lines "u v"
+            ("8\n0 4\n1 5\n2 6\n3 7", None),
+            ("7\n0 3\n1 4\n2 5", "need even n >= 4, got 7"),
+            ("7\n0 3\n1 4\n2 7", "chord vertex out of range for n=7"),
+            # shorter: only counted
+            ("8\n0 4\n1 5\n2 6\n", "expected 4 chord lines, found 3"),
+            ("7\n0 3\n1 4\n", "expected 3 chord lines, found 2"),
+        ],
+    )
+    def test_parse_at_the_shortest_text(self, text, message):
+        if message is None:
+            assert parse_cubic(text) == CubicCycleGraph(8, (4, 5, 6, 7, 0, 1, 2, 3))
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_cubic(text)
+            assert str(info.value) == message
+
     def test_fixture_chords_match_graphs(self):
         for name in ("exc8_paired", "exc8_alternating", "prism6", "k4"):
             rec = fixture(name)
