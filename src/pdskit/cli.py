@@ -7,8 +7,10 @@ survive the independent re-check, or a cubic chord pattern that the
 theorem rules out).
 
 Graph arguments accept a file path (edge-list text or JSON), "-" for
-stdin, or a fixture name such as cubic10 or path7; cubic also reads
-cycle-plus-chords text, and the text itself tells the three apart.
+stdin, or a fixture name such as cubic10 or path7.  cubic reads only
+cycle-plus-chords text, or a fixture with a chord table.  The text
+itself tells the three formats apart, and a command refuses unread the
+ones it does not take.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .generators import fixture, fixture_names, random_connected
 from .graph import (
     Graph,
     VertexSet,
-    _json_ints,
     _json_object,
     emit_graph,
     graph_from_json,
@@ -121,7 +122,15 @@ def _head(raw: str) -> list[str] | None:
 
 
 def _parse_any_graph(raw: str) -> Graph:
-    return graph_from_json(raw) if _head(raw) is None else parse_graph(raw)
+    head = _head(raw)
+    if head is None:
+        return graph_from_json(raw)
+    if len(head) == 1:
+        raise ParseError(
+            'a one-token header starts cycle-plus-chords text, which pdskit cubic reads;'
+            ' an edge list starts with "n m"'
+        )
+    return parse_graph(raw)
 
 
 def _load_graph(arg: str) -> tuple[Graph, str]:
@@ -129,29 +138,18 @@ def _load_graph(arg: str) -> tuple[Graph, str]:
     return _load(arg, _parse_any_graph, _graph_fixture)
 
 
-def _parse_cubic_input(raw: str) -> tuple[cubic_mod.CubicCycleGraph, list[int] | None]:
-    """(instance, None) of cycle-plus-chords text, else the searched
-    (instance, order) of _cubic_from_graph, for edge-list or JSON text; a
-    graph too large to search is refused from its n before it is built."""
+def _parse_cubic_input(raw: str) -> cubic_mod.CubicCycleGraph | None:
+    """The instance of cycle-plus-chords text; None, unread, for any other."""
     head = _head(raw)
-    if head is None:
-        obj = _json_object(raw, "n", "edges")
-        cubic_mod._check_cycle_search(*_json_ints([obj["n"]], "n"))
-        return cubic_mod._cubic_from_graph(graph_from_json(obj))
-    if len(head) == 1:
-        return cubic_mod.parse_cubic(raw), None
-    n = head[0].lstrip("0") if head else ""
-    if n.isdecimal() and len(n) < 10:  # a longer n is past Graph's vertex limit
-        cubic_mod._check_cycle_search(int(n))
-    return cubic_mod._cubic_from_graph(parse_graph(raw))
+    return cubic_mod.parse_cubic(raw) if head is not None and len(head) == 1 else None
 
 
-def _cubic_fixture(arg: str) -> tuple[tuple, str]:
+def _cubic_fixture(arg: str) -> tuple[cubic_mod.CubicCycleGraph | None, str]:
     rec = fixture(arg)
     if rec.chords is None:
-        return cubic_mod._cubic_from_graph(rec.graph), emit_graph(rec.graph)
+        return None, ""
     inst = cubic_mod.CubicCycleGraph(rec.graph.n, rec.chords)
-    return (inst, None), cubic_mod.emit_cubic(inst)
+    return inst, cubic_mod.emit_cubic(inst)
 
 
 def _check_output(path: str | None) -> None:
@@ -306,7 +304,12 @@ def cmd_cubic(args) -> int:
         human = [f"instances {len(kinds)}", *(f"exceptional {k} {c}" for k, c in counts.items())]
         return _report(args, 0, human, instances=len(kinds), exceptional=counts)
 
-    (inst, order), digest = _load(args.input, _parse_cubic_input, _cubic_fixture)
+    inst, digest = _load(args.input, _parse_cubic_input, _cubic_fixture)
+    if inst is None:  # a graph, or a fixture with no chord table
+        raise ParseError(
+            'cubic reads cycle-plus-chords text ("n", then n/2 chord lines);'
+            " pdskit exact --connected solves a graph"
+        )
     fields = {"input_digest": digest, "n": inst.n}
     t0 = time.perf_counter()
     outcome = cubic_mod.solve_hamiltonian_cubic(inst)
@@ -316,10 +319,6 @@ def cmd_cubic(args) -> int:
         human = [f"exceptional {outcome.exceptional}", "no PDS of target size"]
         return _report(args, 1, human, **fields, exceptional=outcome.exceptional)
     s = outcome.pds
-    if order is not None:
-        # translate cycle positions back to the labels the user supplied
-        s = VertexSet.from_ids(s.n, (order[v] for v in s.members()))
-        fields["cycle"] = order
     return _report(
         args, 0, [f"size {len(s)}", *_set_lines(s)],
         **fields, size=len(s), set=s if s.n <= 100_000 else None,
@@ -459,7 +458,7 @@ def _approx_args(sp) -> None:
 
 
 def _cubic_args(sp) -> None:
-    sp.add_argument("input", nargs="?", help="cycle-plus-chords text, or a graph (n <= 24)")
+    sp.add_argument("input", nargs="?", help='cycle-plus-chords text: "n", then n/2 lines "u v"')
     sp.add_argument("--sweep8", action="store_true", help="solve all n=8 instances")
 
 

@@ -9,6 +9,12 @@ exactly the target size) exists for most instances; otherwise an arc one
 vertex larger exists and dropping one well-chosen interior vertex from
 it yields the optimum.
 
+In any cubic graph, a set S of s = floor((2n+1)/3) vertices is a PDS
+exactly when every member has at least two neighbours in S.  A member
+with d neighbours inside passes iff d(n - s) >= (3 - d)(s - 1), that is
+d(n - 1) >= 3(s - 1).  As 3s <= 2n + 1, d = 2 passes; d = 1 would need
+s <= (n + 2)/3, which fails for every n >= 4, and d = 0 fails too.
+
 Every vertex is tagged by where its chord lands relative to the walk
 direction: AHEAD when the chord reaches at most k = ceil((n-1)/3) steps
 forward, BACK when at most k steps backward, untagged otherwise.  Each
@@ -35,14 +41,8 @@ from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .errors import (
-    InstanceTooLarge,
-    InvalidArgument,
-    InvalidGraph,
-    ParseError,
-    VerificationFailed,
-)
-from .graph import MAX_VERTICES, Graph, VertexSet, _data_ints, _reach, is_cubic
+from .errors import InvalidArgument, InvalidGraph, ParseError, VerificationFailed
+from .graph import MAX_VERTICES, VertexSet, _data_ints, _reach
 
 PAIRED = "paired"  # tags run AHEAD,AHEAD,BACK,BACK around the cycle
 ALTERNATING = "alternating"  # tags strictly alternate
@@ -356,56 +356,6 @@ def all_cubic_cycles(n: int):
                 chord[v] = -1
 
     yield from rec()
-
-
-def _check_cycle_search(n: int) -> None:
-    if n > 24:
-        raise InstanceTooLarge("cycle search is exponential; capped at n=24")
-
-
-def _hamiltonian_cycle(g: Graph) -> list[int] | None:
-    """A Hamiltonian cycle of g as a vertex order from 0, or None;
-    backtracking, so refused above 24 vertices."""
-    _check_cycle_search(g.n)
-    used = bytearray(g.n)
-    used[0] = 1
-    order = [0]
-
-    def rec() -> bool:
-        v = order[-1]
-        if len(order) == g.n:
-            return g.has_edge(v, 0)
-        for w in g.adj[v]:
-            if not used[w]:
-                used[w] = 1
-                order.append(w)
-                if rec():
-                    return True
-                order.pop()
-                used[w] = 0
-        return False
-
-    return order if rec() else None
-
-
-def _cubic_from_graph(g: Graph) -> tuple[CubicCycleGraph, list[int]]:
-    """g relabelled along a Hamiltonian cycle, and that cycle: cycle
-    position i is the input vertex order[i]."""
-    if not is_cubic(g):
-        raise InvalidGraph("the graph is not cubic")
-    order = _hamiltonian_cycle(g)
-    if order is None:
-        raise InvalidGraph("the graph has no Hamiltonian cycle")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    chord = [-1] * g.n
-    for i, v in enumerate(order):
-        prev_v = order[i - 1]
-        next_v = order[(i + 1) % g.n]
-        third = next(w for w in g.adj[v] if w not in (prev_v, next_v))
-        chord[i] = pos[third]
-    return CubicCycleGraph(g.n, chord), order
 
 
 def parse_cubic(text: str) -> CubicCycleGraph:

@@ -12,9 +12,7 @@ class ParseError(PdsKitError):
 class InvalidGraph(PdsKitError):
     """A graph or cubic instance that breaks its own invariants: a self-loop,
     duplicate edge, out-of-range vertex id or too many vertices or edges; a
-    chord table that is no perfect matching of an even cycle off its edges;
-    a graph given to the cubic solver that is not cubic or has no
-    Hamiltonian cycle."""
+    chord table that is no perfect matching of an even cycle off its edges."""
 
 
 class InvalidArgument(PdsKitError):

@@ -268,10 +268,6 @@ def is_star(g: Graph) -> bool:
     return g.m == g.n - 1 and g.max_degree == g.n - 1
 
 
-def is_cubic(g: Graph) -> bool:
-    return all(d == 3 for d in g.deg)
-
-
 def induced_connected(g: Graph, s: VertexSet) -> bool:
     """True when the subgraph induced by s is connected (s must be non-empty)."""
     if len(s) == 0:

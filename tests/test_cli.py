@@ -179,10 +179,6 @@ class TestCubic:
         code, payload, _ = run_json(capsys, "cubic", "prism6")
         assert code == 0 and payload["size"] == 4
 
-    def test_fixture_without_chords(self, capsys):
-        code, _, err = run(capsys, "cubic", "caterpillar15")
-        assert code == 2 and "not cubic" in err
-
     def test_generated_instance_through_stdin(self, capsys, monkeypatch):
         code, text, _ = run(capsys, "gen", "--cubic", "30", "--seed", "7")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -222,46 +218,11 @@ class TestCubic:
         assert code == 0 and json.loads(out.getvalue())["size"] == 66_667
         assert peak < 4 * 2**20
 
-    def test_find_cycle(self, capsys, tmp_path):
-        f = tmp_path / "prism.txt"
-        f.write_text(emit_graph(fixture("prism6").graph))
-        code, payload, _ = run_json(capsys, "cubic", str(f))
-        assert code == 0 and payload["size"] == 4
-        assert sorted(payload["cycle"]) == list(range(6))
-
-    def test_find_cycle_on_bridge_graph(self, capsys, tmp_path):
-        f = tmp_path / "cubic10.txt"
-        f.write_text(emit_graph(fixture("cubic10").graph))
-        code, _, err = run(capsys, "cubic", str(f))
-        assert code == 2 and "Hamiltonian" in err
-
-    def test_find_cycle_is_capped(self, capsys, tmp_path):
-        f = tmp_path / "cubic26.txt"
-        f.write_text(emit_graph(to_graph(random_cubic_cycle(26, seed=0))))
-        code, _, err = run(capsys, "cubic", str(f))
-        assert code == 2 and "capped at n=24" in err
-
     def test_cubic_format_file(self, capsys, tmp_path):
         f = tmp_path / "inst.txt"
         f.write_text("6\n0 3\n1 4\n2 5\n")
         code, payload, _ = run_json(capsys, "cubic", str(f))
         assert code == 0 and payload["n"] == 6
-
-    PRISM = fixture("prism6").graph
-    # the text alone picks the path: a graph goes through the cycle search
-    # (test_find_cycle reads the plain edge list)
-    GRAPH_TEXTS = {
-        "one-line JSON": json.dumps(graph_to_json(PRISM)),
-        "indented JSON": json.dumps(graph_to_json(PRISM), indent=2),
-        "edge list after comments": "# prism\n\n  # six vertices\n" + emit_graph(PRISM),
-    }
-
-    @pytest.mark.parametrize("text", GRAPH_TEXTS.values(), ids=GRAPH_TEXTS)
-    def test_graph_text_is_searched(self, capsys, tmp_path, text):
-        f = tmp_path / "g.txt"
-        f.write_text(text)
-        code, payload, _ = run_json(capsys, "cubic", str(f))
-        assert (code, payload["cycle"], payload["set"]) == (0, list(range(6)), [0, 1, 2, 3])
 
     def test_cycle_text_above_the_vertex_limit(self, capsys, tmp_path):
         f = tmp_path / "big.txt"
@@ -280,7 +241,6 @@ class TestCubic:
         f.write_text("# prism\n\n  # cycle and chords\n\n6\n0 3\n1 4\n2 5\n")
         code, payload, _ = run_json(capsys, "cubic", str(f))
         assert (code, payload["n"], payload["set"]) == (0, 6, [0, 1, 2, 3])
-        assert "cycle" not in payload
 
     @pytest.mark.parametrize(
         "text, kind",
@@ -298,27 +258,46 @@ class TestCubic:
         head = cli._head(text)
         assert ("json" if head is None else "cycle" if len(head) == 1 else "edges") == kind
 
-    @pytest.mark.parametrize("header", ["26 39", "# big\n300000 450000", "0000000030 45"])
-    def test_large_edge_list_refused_from_its_header(self, capsys, monkeypatch, tmp_path, header):
+    PRISM = fixture("prism6").graph
+    # edge lists and graph JSON, small and large: cubic decodes none of them
+    GRAPH_TEXTS = {
+        "prism edge list": emit_graph(PRISM),
+        "edge list after comments": "# prism\n\n  # six vertices\n" + emit_graph(PRISM),
+        "bridged cubic10 edge list": emit_graph(fixture("cubic10").graph),
+        "26-vertex edge list": emit_graph(to_graph(random_cubic_cycle(26, seed=0))),
+        "header 26 39": "26 39\n0 1\n",
+        "300,000-vertex header": "# big\n300000 450000\n0 1\n",
+        "zero-padded header": "0000000030 45\n0 1\n",
+        "one-line JSON": json.dumps(graph_to_json(PRISM)),
+        "indented JSON": json.dumps(graph_to_json(PRISM), indent=2),
+        "25-vertex JSON": json.dumps({"n": 25, "edges": [[v, v + 1] for v in range(24)]}),
+    }
+
+    @pytest.mark.parametrize("arg", [*GRAPH_TEXTS, "caterpillar15", "cubic10", "path7"])
+    def test_graph_input_is_refused_unread(self, capsys, monkeypatch, tmp_path, arg):
         def refuse(*args, **kwargs):
-            raise AssertionError("the graph was built before its size was checked")
+            raise AssertionError("the input was decoded before it was refused")
+
+        for name in ("parse_graph", "graph_from_json", "_json_object"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.cubic_mod, "parse_cubic", refuse)
+        if arg in self.GRAPH_TEXTS:
+            (tmp_path / "g.txt").write_text(self.GRAPH_TEXTS[arg])
+            arg = str(tmp_path / "g.txt")
+        assert run(capsys, "cubic", arg) == (2, "", f"error: {CUBIC_INPUT}\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--set", "0,1"], ["exact"], ["approx"], ["reduce"]], ids=lambda a: a[0]
+    )
+    def test_graph_commands_name_cycle_text(self, capsys, monkeypatch, tmp_path, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cycle-plus-chords text went to the edge-list parser")
 
         monkeypatch.setattr(cli, "parse_graph", refuse)
-        f = tmp_path / "g.txt"
-        f.write_text(header + "\n0 1\n")
-        want = "error: cycle search is exponential; capped at n=24\n"
-        assert run(capsys, "cubic", str(f)) == (2, "", want)
-
-    def test_large_graph_json_refused_from_its_n(self, capsys, monkeypatch, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the graph was built before its size was checked")
-
-        monkeypatch.setattr(cli, "graph_from_json", refuse)
-        monkeypatch.setattr(cli, "parse_graph", refuse)
-        f = tmp_path / "g.json"
-        f.write_text(json.dumps({"n": 25, "edges": [[v, v + 1] for v in range(24)]}))
-        want = "error: cycle search is exponential; capped at n=24\n"
-        assert run(capsys, "cubic", str(f)) == (2, "", want)
+        f = tmp_path / "inst.txt"
+        f.write_text("# prism\n6\n0 3\n1 4\n2 5\n")
+        want = f"error: {GRAPH_CYCLE_TEXT}\n"
+        assert run(capsys, argv[0], str(f), *argv[1:]) == (2, "", want)
 
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "cubic")
@@ -559,6 +538,14 @@ class TestGen:
 # exact --extend 1,3 answers {1, 2, 3, 6} here, which is not connected
 GRAPH7 = "7 7\n0 1\n0 2\n0 4\n0 5\n0 6\n1 3\n2 6\n"
 
+CUBIC_INPUT = (
+    'cubic reads cycle-plus-chords text ("n", then n/2 chord lines);'
+    " pdskit exact --connected solves a graph"
+)
+GRAPH_CYCLE_TEXT = (
+    "a one-token header starts cycle-plus-chords text, which pdskit cubic reads;"
+    ' an edge list starts with "n m"'
+)
 EXTEND_ALONE = "exact --extend takes neither --connected nor --all-optima"
 CUBIC_MODES = "cubic takes exactly one of an input and --sweep8"
 GEN_MODES = "gen takes only one of --list, --fixture, --random and --cubic"

@@ -380,6 +380,32 @@ class TestSolve:
             self._assert_optimal(g, out)
 
 
+def _bound_size_equivalence(g):
+    """check_pds on every s-subset, s = floor((2n+1)/3), of the cubic graph
+    g agrees with the test that every member has two neighbours inside."""
+    rows = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    for ids in combinations(range(g.n), max_pds_size_cubic(g.n)):
+        mask = sum(1 << v for v in ids)
+        two_inside = all((rows[v] & mask).bit_count() >= 2 for v in ids)
+        assert check_pds(g, VertexSet(g.n, mask)).holds == two_inside, (g.edges, ids)
+
+
+class TestBoundSizeEquivalence:
+    """The equivalence the cubic module's docstring proves, by brute force."""
+
+    def test_every_chord_matching_up_to_10_and_cubic10(self):
+        graphs = [to_graph(inst) for n in range(4, 11, 2) for inst in all_cubic_cycles(n)]
+        assert len(graphs) == 1 + 4 + 31 + 293
+        for g in [*graphs, fixture("cubic10").graph]:
+            _bound_size_equivalence(g)
+
+    def test_random_cubic_graphs_with_12_vertices_and_petersen(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [nx.random_regular_graph(3, 12, seed=seed) for seed in range(8)]
+        for h in [*graphs, nx.petersen_graph()]:
+            _bound_size_equivalence(Graph(h.number_of_nodes(), sorted(map(sorted, h.edges))))
+
+
 class TestVerification:
     def test_finish_rejects_wrong_size(self, monkeypatch):
         g = CubicCycleGraph(6, PRISM6_CHORDS)

@@ -25,7 +25,7 @@ from pdskit import (
 from pdskit import graph as graph_mod
 from pdskit.approx import decide_pds_at_least_k, half_pds
 from pdskit.exact import adjacency_masks, max_pds_exact
-from pdskit.graph import is_connected, is_cubic, require_connected
+from pdskit.graph import is_connected, require_connected
 from pdskit.reductions import split_reduction
 
 from .graph_reference import build_graph_loop, fields, is_bipartite, is_split
@@ -339,10 +339,6 @@ class TestPredicates:
         assert is_star(Graph(2, [(0, 1)]))
         assert not is_star(P4)
         assert not is_star(K4)
-
-    def test_is_cubic(self):
-        assert is_cubic(K4)
-        assert not is_cubic(P4)
 
     def test_is_bipartite(self):
         assert is_bipartite(P4)
