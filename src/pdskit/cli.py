@@ -22,7 +22,7 @@ import math
 import re
 import sys
 import time
-from itertools import chain, compress, groupby
+from itertools import chain, compress
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -37,7 +37,7 @@ from .errors import (
     VerificationFailed,
 )
 from .exact import max_independent_set_exact, max_pds_exact, pds_extension, resolve_cap
-from .generators import fixture, fixture_names, random_connected
+from .generators import fixture, fixture_chords, fixture_names, random_connected
 from .graph import (
     Graph,
     VertexSet,
@@ -138,17 +138,23 @@ def _load_graph(arg: str) -> tuple[Graph, str]:
     return _load(arg, _parse_any_graph, _graph_fixture)
 
 
-def _parse_cubic_input(raw: str) -> cubic_mod.CubicCycleGraph | None:
-    """The instance of cycle-plus-chords text; None, unread, for any other."""
-    head = _head(raw)
-    return cubic_mod.parse_cubic(raw) if head is not None and len(head) == 1 else None
+_CUBIC_ONLY = ('cubic reads cycle-plus-chords text ("n", then n/2 chord lines);'
+               " pdskit exact --connected solves a graph")
 
 
-def _cubic_fixture(arg: str) -> tuple[cubic_mod.CubicCycleGraph | None, str]:
-    rec = fixture(arg)
-    if rec.chords is None:
-        return None, ""
-    inst = cubic_mod.CubicCycleGraph(rec.graph.n, rec.chords)
+def _parse_cubic_input(raw: str) -> cubic_mod.CubicCycleGraph:
+    """The instance of cycle-plus-chords text; any other text is refused unread."""
+    if len(_head(raw) or ()) != 1:  # graph JSON, or an edge list
+        raise ParseError(_CUBIC_ONLY)
+    return cubic_mod.parse_cubic(raw)
+
+
+def _cubic_fixture(arg: str) -> tuple[cubic_mod.CubicCycleGraph, str]:
+    """A chord fixture's instance, from the name alone: no graph is built."""
+    chords = fixture_chords(arg)
+    if chords is None:
+        raise ParseError(_CUBIC_ONLY)
+    inst = cubic_mod.CubicCycleGraph(len(chords), chords)
     return inst, cubic_mod.emit_cubic(inst)
 
 
@@ -178,32 +184,29 @@ def _report(args, code: int, human: list[str], **fields) -> int:
     else the human lines; returns the exit code.  A VertexSet field is
     written as the list of its members.
 
-    The line is written in pieces, with the bytes of print(json.dumps(...)):
-    each run of other fields through one json.dumps of that run, cut to its
-    '"k": v, ...' part, and a set one block of SET_BLOCK vertices at a time,
-    read off its flags, so neither its member list nor the line is built."""
+    The line is written one field at a time, with the bytes of
+    print(json.dumps(...)): each key and each other value through json.dumps,
+    and a set one block of SET_BLOCK vertices at a time, read off its flags,
+    so neither its member list nor the line is built."""
     if not args.json:
         print(*human, sep="\n")
         return code
     write = sys.stdout.write
-    write("{")
-    sep = ""
-    items = chain([("command", args.command)], fields.items())
-    for is_set, run in groupby(items, lambda item: isinstance(item[1], VertexSet)):
-        if not is_set:
-            write(sep + json.dumps(dict(run))[1:-1])
-            sep = ", "
+    sep = "{"  # the first field opens the object
+    for key, value in chain([("command", args.command)], fields.items()):
+        write(f"{sep}{json.dumps(key)}: ")
+        sep = ", "
+        if not isinstance(value, VertexSet):
+            write(json.dumps(value))
             continue
-        for key, s in run:
-            write(f"{sep}{json.dumps(key)}: [")
-            sep = ", "
-            flags, comma = s.flags(), ""
-            for lo in range(0, s.n, SET_BLOCK):
-                block = list(compress(range(lo, lo + SET_BLOCK), flags[lo : lo + SET_BLOCK]))
-                if block:
-                    write(comma + json.dumps(block)[1:-1])
-                    comma = ", "
-            write("]")
+        flags, comma = value.flags(), ""
+        write("[")
+        for lo in range(0, value.n, SET_BLOCK):
+            block = list(compress(range(lo, lo + SET_BLOCK), flags[lo : lo + SET_BLOCK]))
+            if block:
+                write(comma + json.dumps(block)[1:-1])
+                comma = ", "
+        write("]")
     write("}\n")
     return code
 
@@ -225,7 +228,7 @@ def cmd_verify(args) -> int:
     else:
         s = set_from_json(_read_source(args.set_file), g.n)
     verdict = check_pds(g, s)
-    connected = induced_connected(g, s) if len(s) else False
+    connected = induced_connected(g, s)
     ok = verdict.holds and (connected or not args.connected)
     human = [f"pds {str(verdict.holds).lower()}", f"connected {str(connected).lower()}"]
     human += [f"violated by {u}: inside {di}, outside {do}" for u, di, do in verdict.unsatisfied]
@@ -305,11 +308,6 @@ def cmd_cubic(args) -> int:
         return _report(args, 0, human, instances=len(kinds), exceptional=counts)
 
     inst, digest = _load(args.input, _parse_cubic_input, _cubic_fixture)
-    if inst is None:  # a graph, or a fixture with no chord table
-        raise ParseError(
-            'cubic reads cycle-plus-chords text ("n", then n/2 chord lines);'
-            " pdskit exact --connected solves a graph"
-        )
     fields = {"input_digest": digest, "n": inst.n}
     t0 = time.perf_counter()
     outcome = cubic_mod.solve_hamiltonian_cubic(inst)

@@ -95,26 +95,30 @@ def fixture_names() -> list[str]:
     return sorted(_EXPECTED)
 
 
+def fixture_chords(name: str) -> tuple[int, ...] | None:
+    """Fixture name's chord table, read off the name alone; None if it has none."""
+    if name not in _EXPECTED and not _PARAMETRIC.match(name):
+        raise UnknownName(f"no fixture named {name!r}")
+    return _CHORDS.get(name)
+
+
 def fixture(name: str) -> FixtureRecord:
     """Look up a named fixture, or a parametric one like star5/path7/cycle9
     (the number is the vertex count)."""
+    chords = fixture_chords(name)  # refuses an unknown name
     if name in _EXPECTED:
         from importlib import resources  # loaded on first use: import pdskit stays cheap
 
         text = (resources.files("pdskit") / "data" / f"{name}.txt").read_text()
-        return FixtureRecord(
-            name, parse_graph(text), dict(_EXPECTED[name]), _CHORDS.get(name)
-        )
-    match = _PARAMETRIC.match(name)
-    if match:
-        kind, digits = match.group(1), match.group(2).lstrip("0") or "0"
-        # checked before the edge list is built; a count longer than the
-        # limit is refused unread, as int() rejects strings over 4300 digits
-        if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
-            raise InvalidGraph(f"{name}: n={digits} is above the limit of {MAX_VERTICES} vertices")
-        builder = {"star": star_graph, "path": path_graph, "cycle": cycle_graph}[kind]
-        return FixtureRecord(name, builder(int(digits)), {}, None)
-    raise UnknownName(f"no fixture named {name!r}")
+        return FixtureRecord(name, parse_graph(text), dict(_EXPECTED[name]), chords)
+    kind, digits = _PARAMETRIC.match(name).groups()
+    digits = digits.lstrip("0") or "0"
+    # checked before the edge list is built; a count longer than the
+    # limit is refused unread, as int() rejects strings over 4300 digits
+    if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+        raise InvalidGraph(f"{name}: n={digits} is above the limit of {MAX_VERTICES} vertices")
+    builder = {"star": star_graph, "path": path_graph, "cycle": cycle_graph}[kind]
+    return FixtureRecord(name, builder(int(digits)), {}, None)
 
 
 def star_graph(n: int) -> Graph:

@@ -31,10 +31,10 @@ BLOCK_CHARS = 2**14
 MAX_VERTICES = 2**22
 
 # The most edges a generated graph may have.  random_connected and the
-# bipartite reduction build their edge list before any Graph can refuse
-# it; random_connected peaked at 270-430 bytes per edge (edge set, the
-# dense draw's complement list, sorted tuple, neighbour rows), so 2**22
-# edges stay under 2 GB.  The largest approx-scaling graph has 2**19.
+# two reductions build their edge list before any Graph can refuse it;
+# random_connected peaked at 270-430 bytes per edge (edge set, the dense
+# draw's complement list, sorted tuple, neighbour rows), so 2**22 edges
+# stay under 2 GB.  The largest approx-scaling graph has 2**19.
 MAX_EDGES = 2**22
 
 MEMBER_BITS = 12  # the widest mask member_table covers, and approx.SCAN_CUTOFF
@@ -286,9 +286,8 @@ def _canonical_ints(text: str, head: int) -> Iterator[list[int]] | None:
     first line and two on every other.  The layout of the whole text is
     checked before any block is decoded.  One json.loads converts each
     block of about BLOCK_CHARS characters, so no token str is made and no
-    list of every integer is.  A first block that is not JSON (empty
-    tokens, "00", "--1", over-long tokens) gives None too; a later one
-    raises ValueError when it is reached."""
+    list of every integer is.  A block that is not JSON (empty tokens,
+    "00", "--1", over-long tokens) raises ValueError when it is reached."""
     if not text.isascii() or text[-1:] != "\n":
         return None
     # deleting the token characters leaves exactly the separators of the layout
@@ -296,11 +295,7 @@ def _canonical_ints(text: str, head: int) -> Iterator[list[int]] | None:
     first = " " * (head - 1) + "\n"
     if seps != first + " \n" * ((len(seps) - len(first)) // 2):
         return None
-    blocks = _blocks(text)
-    try:
-        return chain((next(blocks),), blocks)
-    except ValueError:
-        return None
+    return _blocks(text)
 
 
 def _blocks(text: str) -> Iterator[list[int]]:
@@ -325,10 +320,10 @@ def _data_ints(text: str, head: int = 2) -> Iterator[list[int]]:
 
     Canonical text is decoded block by block (_canonical_ints); anything
     else goes line by line, which also names the line at fault, and comes
-    as one list.  A canonical block that is not JSON hands the text to the
-    line pass, which hands out only what follows the blocks already given:
-    their lines read the same either way.  No line's token list outlives
-    its line for the cyclic collector to walk."""
+    as one list.  A canonical block that is not JSON, first or later, hands
+    the text to the line pass, which hands out only what follows the blocks
+    already given: their lines read the same either way.  No line's token
+    list outlives its line for the cyclic collector to walk."""
     blocks = _canonical_ints(text, head)
     done = 0
     if blocks is not None:

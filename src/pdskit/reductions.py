@@ -140,8 +140,12 @@ class Reduction(NamedTuple):
         return VertexSet(self.target.n, (1 << core) - 1 | inside << core)
 
 
-def _links(g: Graph, core: int) -> list[tuple[int, int]]:
-    """Each edge vertex's links to the sources off its endpoints."""
+def _links(g: Graph, core: int, core_m: int) -> list[tuple[int, int]]:
+    """Each edge vertex's n - 2 links to the sources off its endpoints, built
+    only once they and the core's core_m edges are known to fit MAX_EDGES."""
+    target_m = core_m + g.m * (g.n - 2)
+    if target_m > MAX_EDGES:
+        raise InvalidGraph(f"target m={target_m} is above the limit of {MAX_EDGES} edges")
     first = core - g.m
     return [(first + i, core + w) for i, e in enumerate(g.edges) for w in range(g.n) if w not in e]
 
@@ -155,10 +159,11 @@ def _require_reducible(g: Graph) -> None:
 def split_reduction(g: Graph) -> Reduction:
     _require_reducible(g)
     core_size = g.m + 2
+    links = _links(g, core_size, core_size * (core_size - 1) // 2)
     clique = [(i, j) for i in range(core_size) for j in range(i + 1, core_size)]
     # sorted, the clique and the links interleave into the canonical
     # order that Graph takes through its C-level scans
-    return Reduction(g, Graph(core_size + g.n, sorted(clique + _links(g, core_size))), None)
+    return Reduction(g, Graph(core_size + g.n, sorted(clique + links)), None)
 
 
 def bipartite_reduction(g: Graph, k: int) -> Reduction:
@@ -167,13 +172,10 @@ def bipartite_reduction(g: Graph, k: int) -> Reduction:
         raise InvalidArgument(f"need 1 <= k < n-1, got k={k}, n={g.n}")
     m = g.m
     filler_count = m * (g.n - k - 1) - k + 1
-    # the filler-to-edge block, and each edge vertex's n - 2 source links
-    target_m = filler_count * m + m * (g.n - 2)
-    if target_m > MAX_EDGES:
-        raise InvalidGraph(f"target m={target_m} is above the limit of {MAX_EDGES} edges")
     core_size = filler_count + m
+    links = _links(g, core_size, filler_count * m)  # the filler-to-edge block's edges
     edges = [(f, e) for f in range(filler_count) for e in range(filler_count, core_size)]
-    return Reduction(g, Graph(core_size + g.n, edges + _links(g, core_size)), k)
+    return Reduction(g, Graph(core_size + g.n, edges + links), k)
 
 
 class ReductionCertificate(NamedTuple):

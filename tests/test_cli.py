@@ -286,6 +286,27 @@ class TestCubic:
             arg = str(tmp_path / "g.txt")
         assert run(capsys, "cubic", arg) == (2, "", f"error: {CUBIC_INPUT}\n")
 
+    # a fixture with no chord table, path1000000 included, is refused from
+    # its name: it once built the whole graph first (1.44 s, 326 MB)
+    @pytest.mark.parametrize("name", ["path1000000", "star5", "cycle9", "path99999999999"])
+    def test_chordless_fixture_is_refused_from_its_name(self, capsys, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built before the fixture was refused")
+
+        for builder in ("path_graph", "star_graph", "cycle_graph", "parse_graph"):
+            monkeypatch.setattr(generators, builder, refuse)
+        assert run(capsys, "cubic", name) == (2, "", f"error: {CUBIC_INPUT}\n")
+        want = "error: cubic11: not a file, and no such fixture\n"
+        assert run(capsys, "cubic", "cubic11") == (2, "", want)
+
+    def test_chord_fixture_is_read_from_its_name(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fixture's edge list was parsed")
+
+        monkeypatch.setattr(generators, "parse_graph", refuse)
+        code, payload, _ = run_json(capsys, "cubic", "prism6")
+        assert (code, payload["n"], payload["size"], payload["set"]) == (0, 6, 4, [0, 1, 2, 3])
+
     @pytest.mark.parametrize(
         "argv", [["verify", "--set", "0,1"], ["exact"], ["approx"], ["reduce"]], ids=lambda a: a[0]
     )
@@ -371,7 +392,23 @@ class TestReduce:
         assert code == 1 and "alpha" in err
 
 
+    # path2000's split target has m = C(2001, 2) + 1999 * 1998 = 5,995,002 edges;
+    # it was built, 12.4 s and 1.5 GB, before the split reduction had a limit
+    def test_split_target_above_the_edge_limit(self, capsys):
+        want = f"error: target m=5995002 is above the limit of {MAX_EDGES} edges\n"
+        assert run(capsys, "reduce", "path2000", "--json") == (2, "", want)
+
+
 class TestCertify:
+    def test_split_certificate_above_the_edge_limit(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        source = graph_to_json(generators.path_graph(3000))
+        obj = {"kind": "split", "direction": "forward", "k": None, "source_graph": source,
+               "independent_set": [], "pds": []}
+        cert.write_text(json.dumps(obj))
+        want = f"error: target m=13492502 is above the limit of {MAX_EDGES} edges\n"
+        assert run(capsys, "certify", str(cert), "--json") == (2, "", want)
+
     def test_tampered_certificate(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         run(capsys, "reduce", "demo5", "--k", "2",

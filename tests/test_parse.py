@@ -216,12 +216,18 @@ def test_emitted_cubic_text_takes_the_bulk_pass(n):
 
 
 def test_non_canonical_text_falls_through_to_the_line_pass():
-    # each is off the canonical layout, or not a JSON integer, yet parses
+    # each is off the canonical layout, yet parses
     for text in ("4\n0 2\n1 3", "4\r\n0 2\r\n1 3\r\n", "4\n0  2\n1 3\n",
-                 "4\n0\t2\n1 3\n", "4\n\n0 2\n1 3\n", "4\n00 2\n1 3\n",
+                 "4\n0\t2\n1 3\n", "4\n\n0 2\n1 3\n",
                  "4\n0 +2\n1 3\n", "4\n0 2\n1 3\n# end\n", "4\n0 2\n1 ٣\n"):
         assert _canonical_ints(text, 1) is None, text
         assert tuple(parse_cubic(text).chord) == (2, 3, 0, 1), text
+    # the layout holds, but "00" is not a JSON integer: the first block
+    # refuses it, and _data_ints's one fallback reads the text line by line
+    text = "4\n00 2\n1 3\n"
+    with pytest.raises(ValueError):
+        list(_canonical_ints(text, 1))
+    assert tuple(parse_cubic(text).chord) == (2, 3, 0, 1)
 
 
 # n = 30,000 writes about 180,000 characters: three blocks of BLOCK_CHARS or more

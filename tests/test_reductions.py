@@ -75,6 +75,20 @@ class TestSplitStructure:
         for w in inst.source_ids:
             assert not t.has_edge(0, w) and not t.has_edge(1, w)
 
+    def test_edge_limit_checked_before_the_target_is_built(self, monkeypatch):
+        # the core clique's C(m + 2, 2) edges, and n - 2 source links per edge
+        assert split_reduction(DEMO5).target.m == 28 + DEMO5.m * (DEMO5.n - 2) == 46
+        monkeypatch.setattr(reductions, "MAX_EDGES", 46)
+        assert split_reduction(DEMO5).target.m == 46
+        monkeypatch.setattr(reductions, "MAX_EDGES", 45)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the target was built before the limit was checked")
+
+        monkeypatch.setattr(reductions, "Graph", refuse)
+        with pytest.raises(InvalidGraph, match="^target m=46 is above the limit of 45 edges$"):
+            split_reduction(DEMO5)
+
     def test_rejects_stars_and_disconnected(self):
         with pytest.raises(InvalidArgument, match="undefined on stars"):
             split_reduction(Graph(4, [(0, 1), (0, 2), (0, 3)]))
