@@ -20,10 +20,14 @@ direction: AHEAD when the chord reaches at most k = ceil((n-1)/3) steps
 forward, BACK when at most k steps backward, untagged otherwise.  Each
 instance holds its chord table as one array('q') of 8-byte entries, read
 through a read-only memoryview, and one code byte per vertex (1 AHEAD,
-2 BACK, 0 untagged).  A full arc from u exists iff u is not BACK and the
-vertex k+1 behind u is not AHEAD; two translates of the codes and one AND
-of little-endian ints find the first such u, and a no-full-arc pattern is
-one bytes comparison.
+2 BACK, 0 untagged), read off one tag table by the chord's step.  The
+parse writes each chord's two code bytes in the loop that writes its two
+table entries, into a string that starts as 0xff, which no code is: n/2
+pairs that leave no 0xff name every vertex once, and that is the proof of
+the matching.  The constructor, given a table, gathers the codes in bulk.
+A full arc from u exists iff u is not BACK and the vertex k+1 behind u is
+not AHEAD; two translates of the codes and one AND of little-endian ints
+find the first such u, and a no-full-arc pattern is one bytes comparison.
 
 The answer is re-checked from n and the validated chord matching alone,
 independently of the arc logic and without building a Graph: three byte
@@ -35,7 +39,6 @@ chords, decide connectivity.
 from __future__ import annotations
 
 import random
-import re
 from array import array
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, sub
@@ -49,7 +52,6 @@ ALTERNATING = "alternating"  # tags strictly alternate
 _NOT_BACK = b"\1\1".ljust(256, b"\0")  # translate tables of the code bytes
 _NOT_AHEAD = b"\1\0\1".ljust(256, b"\0")
 CODE_BLOCK = 4096  # vertices per itemgetter gather from a table of n entries
-_UNSET = re.compile(b"\xff" * 8)  # an 8-byte -1 entry of a chord table
 
 
 def max_pds_size_cubic(n: int) -> int:
@@ -88,7 +90,7 @@ class CubicCycleGraph:
         if not matched:
             v = next(v for v, c in enumerate(chord) if not 0 <= c < n or chord[c] != v)
             raise InvalidGraph(f"chord ({v}, {chord[v]}) is out of range or not matched")
-        _adopt(self, n, table)
+        _adopt(self, n, table, _chord_codes(n, table))
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicCycleGraph is immutable")
@@ -109,15 +111,16 @@ class CubicCycleGraph:
         return (self.n + 1) // 3
 
 
-def _adopt(g: CubicCycleGraph, n: int, table: array) -> CubicCycleGraph:
+def _adopt(g: CubicCycleGraph, n: int, table: array, codes: bytes) -> CubicCycleGraph:
     """Give g n, chord and codes, from table, an array('q') that no one
     else holds and that is a perfect matching on range(n), n even, 4 <= n
-    <= MAX_VERTICES; the one build behind both ways to an instance.
-    Raises InvalidGraph at a chord on a cycle edge."""
+    <= MAX_VERTICES, and from codes, its code bytes off _tag_table(n): the
+    constructor's bulk gather or the parse's fill.  The one build behind
+    both ways to an instance.  Raises InvalidGraph at a chord on a cycle
+    edge."""
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "chord", memoryview(table).toreadonly())
-    codes = _chord_codes(g)  # given a matching, 3 marks each loop and cycle edge
-    if (v := codes.find(3)) >= 0:
+    if (v := codes.find(3)) >= 0:  # given a matching, 3 marks each loop and cycle edge
         raise InvalidGraph(f"chord ({v}, {g.chord[v]}) repeats a cycle edge")
     object.__setattr__(g, "codes", codes)
     return g
@@ -130,16 +133,24 @@ class CubicOutcome(NamedTuple):
     exceptional: str | None
 
 
-def _chord_codes(g: CubicCycleGraph) -> bytes:
-    """One code byte per vertex: 1 AHEAD, 2 BACK, 0 untagged, 3 c = v or v + 1 (mod n)."""
-    n = g.n
-    k = g.window
+def _tag_table(n: int) -> bytes:
+    """code[c - v] is the code byte of a vertex v whose chord is c: 1 AHEAD,
+    2 BACK, 0 untagged, 3 for c = v or v + 1 (mod n)."""
+    k = (n + 1) // 3
     # code[d] for d = (c - v) mod n (2k < n, so the runs never meet).  As
     # -n < c - v < n, indexing by c - v wraps the same way (1 - n to entry 1).
-    # One byte per entry stays in cache at n = 10^6.  No n-entry tuple is built:
-    # n and CODE_BLOCK are even, so no block has the lone entry itemgetter returns bare.
-    code = b"\3\3" + b"\1" * (k - 1) + bytes(n - 2 * k - 1) + b"\2" * (k - 1) + bytes(1)
-    chord = g.chord
+    # One byte per entry stays in cache at n = 10^6.  ljust, where bytes(count)
+    # would raise, takes the negative counts of n < 3: no instance has such n,
+    # but the parse fills its tags before it refuses them.
+    return (b"\3\3" + b"\1" * (k - 1)).ljust(n - k, b"\0") + b"\2" * (k - 1) + b"\0"
+
+
+def _chord_codes(n: int, chord) -> bytes:
+    """One code byte per vertex of chord, a table of n in-range entries,
+    gathered off _tag_table(n) a block at a time.  No n-entry tuple is built:
+    n and CODE_BLOCK are even, so no block has the lone entry itemgetter
+    returns bare."""
+    code = _tag_table(n)
     return b"".join(
         bytes(itemgetter(*map(sub, chord[lo : lo + CODE_BLOCK], range(lo, n)))(code))
         for lo in range(0, n, CODE_BLOCK)
@@ -367,14 +378,16 @@ def parse_cubic(text: str) -> CubicCycleGraph:
     n = ints.pop(0)
     if n > MAX_VERTICES:  # refused from the header, before the table is allocated
         raise InvalidGraph(f"n={n} is above the limit of {MAX_VERTICES} vertices")
-    # Each block fills the compact table and goes.  A fault only stops the
-    # fill: every block is read first, so a later line the line pass
-    # refuses, then a wrong chord count, are named before it.  The header
-    # and n // 2 lines "u v", each after a newline, take 4 * (n // 2) + 1
-    # characters at least: a shorter text has the wrong count, so its
-    # blocks are only counted and no table is allocated.
+    # Each block fills the compact table and the tags, and goes.  A fault
+    # only stops the fill: every block is read first, so a later line the
+    # line pass refuses, then a wrong chord count, are named before it.  The
+    # header and n // 2 lines "u v", each after a newline, take
+    # 4 * (n // 2) + 1 characters at least: a shorter text has the wrong
+    # count, so its blocks are only counted and neither table is allocated.
     bad = len(text) <= 4 * (n // 2)
     chord = array("q", [-1]) * (0 if bad else n)
+    tags = bytearray(b"\xff") * len(chord)  # 0xff is no code: a vertex no pair names
+    code = b"" if bad else _tag_table(n)
     size = 0
     for ints in chain((ints,), blocks):
         size += len(ints)
@@ -386,6 +399,8 @@ def parse_cubic(text: str) -> CubicCycleGraph:
             for u, v in zip(it, it):  # IndexError at a vertex >= n, OverflowError past 64 bits
                 chord[u] = v
                 chord[v] = u
+                tags[u] = code[v - u]  # both in range(n) now, as the table entries were
+                tags[v] = code[u - v]
         except (IndexError, OverflowError):
             bad = True
     if size != n // 2 * 2:
@@ -393,13 +408,11 @@ def parse_cubic(text: str) -> CubicCycleGraph:
     if bad:
         raise ParseError(f"chord vertex out of range for n={n}")
     try:
-        # n/2 pairs that leave no -1 cover every vertex once: a perfect
-        # matching, so the table is adopted without the constructor's gather.
-        # An entry is -1 iff its 8 bytes are 0xff; every other entry is in
-        # [0, n), n <= 2**22, so its top five bytes are 0 and no run of
-        # eight 0xff bytes crosses into it: the byte scan boxes no entry.
-        if n >= 4 and n % 2 == 0 and _UNSET.search(memoryview(chord)) is None:
-            return _adopt(CubicCycleGraph.__new__(CubicCycleGraph), n, chord)
+        # n/2 pairs that leave no 0xff tag name every vertex once: a perfect
+        # matching, so the table and its tags are adopted without the
+        # constructor's gathers
+        if n >= 4 and n % 2 == 0 and b"\xff" not in tags:
+            return _adopt(CubicCycleGraph.__new__(CubicCycleGraph), n, chord, bytes(tags))
         return CubicCycleGraph(n, chord)  # a repeated vertex leaves another at -1
     except InvalidGraph as exc:
         raise ParseError(str(exc)) from exc

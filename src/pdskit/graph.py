@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, islice, starmap
-from operator import itemgetter, le, lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgument, InvalidGraph, ParseError
@@ -137,18 +137,7 @@ class Graph:
                 seen.add(e)
                 canon.append(e)
             canon.sort()
-        put = object.__setattr__  # one lookup for the six slots: tiny graphs feel it
-        put(self, "n", n)
-        put(self, "m", len(canon))
-        # canon is sorted, so every neighbour list fills in ascending order
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in canon:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        put(self, "adj", tuple(map(tuple, nbrs)))
-        put(self, "deg", tuple(map(len, nbrs)))
-        put(self, "_connected", None)
-        put(self, "_masks", None)
+        _fill(self, n, canon)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -175,6 +164,27 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _fill(g: Graph, n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+    """Give g its fields from pairs, canonical edges (as _canonical_edges
+    asks) on 2 <= n <= MAX_VERTICES vertices: the one row fill behind the
+    constructor and parse_graph's blocks alike."""
+    nbrs: list = [[] for _ in range(n)]
+    for u, v in pairs:  # pairs ascend, so every row fills in ascending order
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for v, row in enumerate(nbrs):  # in place: each list goes as its tuple comes
+        nbrs[v] = tuple(row)
+    deg = tuple(map(len, nbrs))
+    put = object.__setattr__  # one lookup for the six slots: tiny graphs feel it
+    put(g, "n", n)
+    put(g, "m", sum(deg) // 2)
+    put(g, "adj", tuple(nbrs))
+    put(g, "deg", deg)
+    put(g, "_connected", None)
+    put(g, "_masks", None)
+    return g
 
 
 def _canonical_edges(pairs: list | tuple, n: int) -> bool:
@@ -352,25 +362,40 @@ def _data_ints(text: str, head: int = 2) -> Iterator[list[int]]:
         raise ParseError(f"bad token: {exc}") from exc
 
 
+def _canonical_blocks(blocks: list[list[int]], n: int) -> bool:
+    """_canonical_edges of the pairs u, v that blocks hold, by C-level scans
+    over each block's u and v slices; the last pair of one block is compared
+    with the first of the next."""
+    last = (0, 0)  # the first pair must follow it: u >= 0, as u < v
+    for us, vs in ((ints[::2], ints[1::2]) for ints in blocks if ints):
+        if not (last < (us[0], vs[0]) and all(map(lt, us, vs)) and max(vs) < n):
+            return False
+        if not all(map(lt, zip(us, vs), islice(zip(us, vs), 1, None))):
+            return False
+        last = us[-1], vs[-1]
+    return True
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: a header line "n m", then m lines "u v".
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored.  The token blocks
+    of _data_ints are the one copy of the integers.  Canonical text, as
+    emit_graph writes it, fills the rows straight from them; other text,
+    or an n that Graph refuses, takes the constructor's edge-by-edge route,
+    which names the first fault.
     """
-    ints = list(chain.from_iterable(_data_ints(text)))  # each block goes once copied
-    if not ints:
+    blocks = list(_data_ints(text))
+    if not blocks[0]:
         raise ParseError("empty input")
-    n, m = ints[0], ints[1]
-    if len(ints) != 2 * m + 2:
-        raise ParseError(f"header promises {m} edges, found {len(ints) // 2 - 1}")
-    it = islice(ints, 2, None)
-    pairs = zip(it, it)
-    # only a list takes Graph's canonical route, and only if the u column
-    # never descends; other text streams into the loop, as zip reuses its
-    # tuple and keeps none per line alive
-    if all(map(le, islice(ints, 2, None, 2), islice(ints, 4, None, 2))):
-        pairs = list(pairs)
-        del ints, it  # the pairs hold every int; the list's pointers go
+    n, m = blocks[0][:2]
+    found = sum(map(len, blocks)) // 2 - 1  # every block holds whole lines of two
+    if found != m:
+        raise ParseError(f"header promises {m} edges, found {found}")
+    del blocks[0][:2]
+    pairs = chain.from_iterable(zip(it, it) for it in map(iter, blocks))  # zip reuses its tuple
+    if 2 <= n <= MAX_VERTICES and _canonical_blocks(blocks, n):
+        return _fill(Graph.__new__(Graph), n, pairs)
     return Graph(n, pairs)
 
 
@@ -426,5 +451,7 @@ def graph_from_json(obj: str | dict) -> Graph:
 
 
 def set_from_json(obj: str | dict, n: int) -> VertexSet:
-    obj = _json_object(obj, "set")
-    return VertexSet.from_ids(n, _json_ints(obj["set"], "set"))
+    ids = _json_ints(_json_object(obj, "set")["set"], "set")
+    if len(set(ids)) != len(ids):  # as verify --set refuses them
+        raise ParseError("set must list distinct integers")
+    return VertexSet.from_ids(n, ids)

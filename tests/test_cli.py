@@ -99,6 +99,13 @@ class TestVerify:
         want = f"error: {flag} must list distinct integers, got {text!r}\n"
         assert run(capsys, *argv) == (2, "", want)
 
+    def test_set_file_with_a_repeat_is_usage_error(self, capsys, tmp_path):
+        # read as {0, 1} it exited 0; --set 0,1,1 exits 2
+        f = tmp_path / "s.json"
+        f.write_text('{"set": [0, 1, 1]}')
+        want = "error: set must list distinct integers\n"
+        assert run(capsys, "verify", "path4", "--set-file", str(f)) == (2, "", want)
+
 
 class TestExact:
     def test_fixture_by_name(self, capsys):

@@ -615,7 +615,7 @@ def _bulk_against_loops(g):
     n = g.n
     tags = classify_chords_loop(g)
     codes = g.codes
-    assert codes == _chord_codes(g) == bytes(map(_TAGS.index, tags)), g
+    assert codes == _chord_codes(n, g.chord) == bytes(map(_TAGS.index, tags)), g
     start = find_full_arc(g)
     assert start == full_arc_start_loop(g), g
     if start is not None:
@@ -816,9 +816,9 @@ class TestCodeString:
         chord = make().chord
         calls = []
 
-        def counted(g):
-            calls.append(g.n)
-            return _chord_codes(g)
+        def counted(n, table):
+            calls.append(n)
+            return _chord_codes(n, table)
 
         monkeypatch.setattr(cubic, "_chord_codes", counted)
         g = CubicCycleGraph(1000, chord)

@@ -2,7 +2,7 @@ import json
 import random
 import sys
 import threading
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given
@@ -221,13 +221,17 @@ class TestConstructorRoutes:
             getattr(generators, family)(n)
         assert routes == [True] * 3
 
-    def test_parse_graph_lists_only_text_whose_u_column_ascends(self, monkeypatch):
-        # other text streams into the loop: no tuple per line is kept alive
-        kinds, build = [], graph_mod.Graph
-        monkeypatch.setattr(graph_mod, "Graph", lambda n, e: kinds.append(type(e)) or build(n, e))
+    def test_parse_graph_fills_only_canonical_text_from_its_blocks(self, monkeypatch):
+        # canonical text streams its token blocks into the row fill, with no
+        # list of pairs; other text, a u column that ascends included, takes
+        # the constructor's loop, which lists the edges it has checked
+        want, kinds, fill = Graph(4, [(0, 1), (0, 2), (2, 3)]), [], graph_mod._fill
+        monkeypatch.setattr(
+            graph_mod, "_fill", lambda g, n, pairs: kinds.append(type(pairs)) or fill(g, n, pairs)
+        )
         for text in ("4 3\n0 1\n0 2\n2 3\n", "4 3\n2 3\n0 1\n0 2\n", "4 3\n0 1\n2 0\n2 3\n"):
-            parse_graph(text)
-        assert kinds == [list, zip, list]
+            assert parse_graph(text) == want
+        assert kinds == [chain, list, list]
 
     @pytest.mark.parametrize("edges", [[], ()])
     def test_empty(self, edges):
@@ -469,6 +473,11 @@ class TestSerialisation:
         assert set_from_json('{"set": [0, 2]}', 5) == s
         with pytest.raises(ParseError):
             set_from_json("{}", 5)
+
+    def test_set_json_refuses_a_repeated_id(self):
+        for form in ('{"set": [0, 1, 1]}', {"set": [2, 0, 2]}):
+            with pytest.raises(ParseError, match="^set must list distinct integers$"):
+                set_from_json(form, 4)
 
     @given(graphs(max_n=9))
     def test_emit_parse_roundtrip(self, g):

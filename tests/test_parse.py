@@ -1,8 +1,9 @@
 """The bulk text parsers and chord-table check against their line-at-a-time
 references in parse_reference.py."""
 
+import random
 import tracemalloc
-from itertools import chain
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from pdskit import (
     InvalidGraph,
     ParseError,
     PdsKitError,
+    all_cubic_cycles,
     cubic,
     emit_cubic,
     emit_graph,
@@ -24,8 +26,9 @@ from pdskit import (
 from pdskit import graph as graph_mod
 from pdskit.graph import _canonical_ints, _data_ints
 
+from .graph_reference import build_graph_loop, fields
 from .parse_reference import check_chords_loop, parse_cubic_lines, parse_graph_lines
-from .strategies import graphs, jump
+from .strategies import graphs, jump, paired
 
 _BLANKS = st.sampled_from(["", " ", "\t", "# a comment", "  # indented", "#", "\t#0 1"])
 _PADS = st.sampled_from(["", " ", "\t", " \t "])
@@ -168,12 +171,56 @@ def test_parse_cubic_names_an_out_of_range_vertex(text):
 
 def test_parse_cubic_reports_only_the_fill_as_out_of_range(monkeypatch):
     # an IndexError raised past the fill is a fault, not a vertex >= n
-    def fail(g):
+    def fail(*args):
         raise IndexError("inside the constructor")
 
-    monkeypatch.setattr(cubic, "_chord_codes", fail)
+    monkeypatch.setattr(cubic, "_adopt", fail)
     with pytest.raises(IndexError, match="inside the constructor"):
         parse_cubic("4\n0 2\n1 3\n")
+
+
+def _line_pass_text(g: CubicCycleGraph, rng: random.Random) -> str:
+    """emit_cubic's text of g with its lines shuffled, about half its pairs
+    written v u and a '#' comment after the header: the line pass reads it."""
+    head, *lines = emit_cubic(g).splitlines()
+    lines = [" ".join(line.split()[:: rng.choice((1, -1))]) for line in lines]
+    rng.shuffle(lines)
+    return "\n".join([head, "# chords", *lines]) + "\n"
+
+
+def test_parse_writes_the_tags_the_constructor_gathers():
+    """The fill's two tag bytes per chord equal the code string the
+    constructor gathers from the table: on every chord matching with
+    n <= 10, on random instances up to 10^4 and on the jump and paired
+    families, which have no full arc; as written, and through the line pass."""
+    no_arc = [jump(20, 3), jump(10**4, 3), paired(1004, 3, 5), paired(9992, 7, 9)]
+    assert all(cubic.find_full_arc(g) is None for g in no_arc)
+    cases = [g for n in range(4, 11, 2) for g in all_cubic_cycles(n)] + no_arc
+    cases += [random_cubic_cycle(n, seed=s) for n in (12, 98, 1000, 10**4) for s in range(3)]
+    rng = random.Random(39)
+    for g in cases:
+        rewritten = _line_pass_text(g, rng)
+        assert _canonical_ints(rewritten, 1) is None
+        for text in (emit_cubic(g), rewritten):
+            got = parse_cubic(text)
+            assert got == g
+            assert got.codes == CubicCycleGraph(g.n, list(got.chord)).codes, text[:40]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["4\n0 2\n0 3\n", "4\n0 2\n2 0\n", "6\n0 2\n1 4\n2 5\n", "6\n0 3\n1 4\n5 1\n", "8\n0 4\n1 5\n2 6\n3 3\n"],
+)
+def test_a_vertex_named_twice_ends_in_the_constructors_message(text):
+    # the n/2 pairs then leave some vertex untagged, and the table goes to the constructor
+    n, *pairs = [list(map(int, line.split())) for line in text.splitlines()]
+    table = [-1] * n[0]
+    for u, v in pairs:
+        table[u], table[v] = v, u
+    with pytest.raises(InvalidGraph) as want:
+        CubicCycleGraph(n[0], table)
+    assert _message(parse_cubic, text) == (ParseError, str(want.value))
+    assert _message(parse_cubic, text.replace("\n", "\n#\n")) == (ParseError, str(want.value))
 
 
 def test_parse_cubic_frees_its_token_rows():
@@ -192,6 +239,21 @@ def test_parse_cubic_frees_its_token_rows():
     assert g.n == 10**5
     assert held < 1.5 * 2**20
     assert peak < 3 * 2**20
+
+
+def test_parse_graph_fills_its_rows_from_the_token_blocks():
+    """Canonical text with n = 16,384 and m = 65,536: the token blocks (about
+    4.5 MiB) are the one copy of the integers, and the rows fill from them.
+    A joined int list and a tuple per edge on top took the peak to 10.1 MiB."""
+    text = emit_graph(random_connected(2**14, 2**16, seed=0))
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (2**14, 2**16)
+    assert peak < 8.5 * 2**20
 
 
 def _assert_bulk(text: str, head: int) -> None:
@@ -350,3 +412,42 @@ def test_any_block_size_gives_the_one_block_outcome(case, size):
         assert (type(got), str(got)) == (type(want), str(want)), text
     else:
         assert got == want, text
+
+
+def _graph_outcome(build, *args):
+    """The fields of build(*args), or the type and message it raises."""
+    try:
+        return fields(build(*args)) if build is parse_graph else build(*args)
+    except PdsKitError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("size", [1, 8, 30])
+def test_a_fault_across_a_block_boundary_takes_the_checked_route(size):
+    """Blocks of a few lines put pairs on both sides of many boundaries.
+    Two edges swapped, or an edge written again in place of the next, make
+    the text's only descent; where it straddles a boundary, the text must
+    still take the checked route, which gives the reference's graph or
+    names the same edge."""
+    g = random_connected(40, 90, seed=7)
+    head, *lines = emit_graph(g).splitlines()
+    edges = [tuple(map(int, line.split())) for line in lines]
+    straddled = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "BLOCK_CHARS", size)
+        assert _graph_outcome(parse_graph, emit_graph(g)) == build_graph_loop(g.n, edges)
+        for j in range(1, len(edges)):
+            for case in (
+                edges[: j - 1] + [edges[j], edges[j - 1]] + edges[j + 1 :],
+                edges[:j] + [edges[j - 1]] + edges[j + 1 :],
+            ):
+                text = "\n".join([head, *(f"{u} {v}" for u, v in case)]) + "\n"
+                # the line of edge j opens a block: its pair and the one before straddle
+                blocks = list(_data_ints(text))
+                if j + 1 not in accumulate(len(ints) // 2 for ints in blocks):
+                    continue
+                straddled += 1
+                del blocks[0][:2]  # the header
+                assert not graph_mod._canonical_blocks(blocks, g.n)
+                assert _graph_outcome(parse_graph, text) == _graph_outcome(build_graph_loop, g.n, case)
+    assert straddled >= 20
