@@ -12,7 +12,7 @@ from .errors import InvalidArgument, UnknownName
 
 APPROX_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072)
 CUBIC_SIZES = (1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000)
-EXACT_SIZES = (16, 18, 20, 22, 24)
+EXACT_SIZES = (44, 46, 48, 52, 56)
 ENUM_SIZES = (3, 4, 5, 6, 7, 8)
 
 

@@ -1,21 +1,23 @@
 """Exhaustive solvers: maximum PDS, PDS extension, maximum independent set.
 
-Everything here enumerates bitmask subsets, so instances are capped: the
-default cap of 24 vertices keeps worst cases in the seconds range, the
-hard cap of 63 keeps every mask within one machine word.  Each entry
-point takes a cap= that overrides the default.
+Everything here enumerates bitmask subsets, so instances are capped: at
+the default cap of 24 vertices the slowest of twenty random connected
+graphs across densities took 0.30 s (ROADMAP item 7), and the hard cap
+of 63 keeps every mask within one machine word.  Each entry point takes
+a cap= that overrides the default.
 
-The maximum-PDS search picks the members of each size depth first, from
-the highest vertex down, and cuts every prefix of picks that already
-leaves some member with too few neighbours (see _descend).  Its count of
-subsets checked is arithmetic: the number of subsets a search that tests
-every subset in turn would decide, not the number of nodes visited.
+The maximum-PDS search decides each size by the set T of vertices it
+drops, a few where the members are many.  It picks T depth first, from
+the highest vertex down, and cuts a branch as soon as a member, or a
+vertex the picks left can no longer drop, has more neighbours in T than
+its bound allows (see _drop).  Its count of subsets checked is
+arithmetic: the number of subsets a search that tests every subset in
+turn would decide, not the number of nodes visited.
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import sub
 from typing import NamedTuple
 
 from .errors import InstanceTooLarge, InvalidArgument, NoPds
@@ -64,78 +66,76 @@ class ExactResult(NamedTuple):
     subsets_checked: int
 
 
-def _bounds(deg, n1: int, size: int) -> tuple[list[int], list[int]]:
-    """need[u], the fewest neighbours u in S may have inside S at this size,
-    and allow[u] = deg(u) - need[u], the most outside: inside * (n - size)
-    >= (deg - inside) * (size - 1) iff inside * (n - 1) >= deg * (size - 1)."""
-    need = [(d * (size - 1) + n1 - 1) // n1 for d in deg]
-    return need, list(map(sub, deg, need))
+def _slack(deg, n1: int, size: int) -> tuple[list[int], list[int]]:
+    """allow[u], the most neighbours a member u may have outside S at this
+    size, and the same numbers as bit slices: bit u of slices[i] is bit i
+    of allow[u].  inside * (n - size) >= (deg - inside) * (size - 1) iff
+    inside * (n - 1) >= deg * (size - 1)."""
+    allow = [d - (d * (size - 1) + n1 - 1) // n1 for d in deg]
+    return allow, [
+        sum((a >> i & 1) << u for u, a in enumerate(allow))
+        for i in range(max(allow).bit_length())
+    ]
 
 
-def _pick(adjm, need, allow, out, s, tight, c, r, hits, connected_only, all_optima) -> bool:
-    """Append to hits the qualifying masks that add r members below c to s
-    (all >= c), trying the next member v in ascending order, so hits ascend.
-    out[u] counts member u's neighbours left out, the non-members >= c, and
-    may not pass allow[u]; tight marks the members at that bound.  True
-    means stop; out is restored otherwise."""
-    if r == 1:  # the last pick v leaves out every other vertex below c
-        cand = (1 << c) - 1
-        m = s
-        while m:
-            u = m.bit_length() - 1
-            m ^= 1 << u
-            short = need[u] - (adjm[u] & s).bit_count()
-            if short > 1:
-                return False
-            if short == 1:
-                cand &= adjm[u]
+def _drop(
+    adjm, allow, slices, over, t, kept, top, r, full, hits, connected_only, all_optima
+) -> bool:
+    """Append to hits the qualifying masks full ^ T for the dropped sets T
+    that add r vertices below top to t, trying the next pick v in
+    descending order, so T descends and hits ascend.  Every vertex >= top
+    outside t, and every vertex of kept, is a member.  slices hold each
+    vertex's slack, allow[u] less u's neighbours in t, as bit slices (see
+    _slack); over marks the vertices whose slack has gone below 0, and no
+    member is among them.  True means stop."""
+    tight = ~over  # slack 0: a member here may lose no more neighbours
+    for s in slices:
+        tight &= ~s
+    if r == 1:  # the last pick v keeps every other vertex below top
+        rest = (1 << top) - 1 & ~kept
+        cand = over & rest or rest  # one vertex over its bound must go
+        tight &= ~t
         while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if (adjm[v] & s).bit_count() >= need[v] and (
-                not connected_only or _mask_component(adjm, s | low) == s | low
-            ):
-                hits.append(s | low)
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            s = full ^ t ^ 1 << v
+            if not adjm[v] & tight and (not connected_only or _mask_component(adjm, s) == s):
+                hits.append(s)
                 if not all_optima:
                     return True
         return False
-    # picking v next leaves out (v, c): leave out c-1, c-2, ... until the
-    # next would put a tight member over its bound; w is then the lowest v
-    w = c - 1
-    while w >= r and not adjm[w] & tight:
-        m = adjm[w] & s
-        while m:
-            u = m.bit_length() - 1
-            m ^= 1 << u
-            out[u] += 1
-            if out[u] == allow[u]:
-                tight |= 1 << u
-        w -= 1
-    for v in range(w, c):
-        m = adjm[v] & s if v > w else 0  # v is no longer left out
-        while m:
-            u = m.bit_length() - 1
-            m ^= 1 << u
-            if out[u] == allow[u]:
-                tight ^= 1 << u
-            out[u] -= 1
-        inside = (adjm[v] & s).bit_count()
-        ov = (adjm[v] >> v + 1).bit_count() - inside  # v's neighbours left out
-        if inside + r > need[v] and ov <= allow[v]:
-            out[v] = ov
-            tv = tight | (ov == allow[v]) << v
-            if _pick(
-                adjm, need, allow, out, s | 1 << v, tv, v, r - 1, hits, connected_only, all_optima
+    for v in range(top - 1, r - 2, -1):
+        bit = 1 << v
+        if kept & bit:
+            continue
+        if not adjm[v] & tight & kept:  # else dropping v puts a member over
+            # subtract 1 from the slack of v's neighbours, one borrow ripple
+            # over the slices; the borrow out marks those that pass below 0
+            b = adjm[v] & ~over
+            child = []
+            for s in slices:
+                child.append(s ^ b)
+                b &= ~s
+            b |= over  # every vertex over its bound below v must go too
+            if (b & bit - 1).bit_count() < r and _drop(
+                adjm, allow, child, b, t | bit, kept, v, r - 1, full, hits,
+                connected_only, all_optima,
             ):
                 return True
+        # v is a member for every later pick, with r picks among the v
+        # vertices below it: v - r of them stay, so at least all but v - r
+        # of its lower neighbours go
+        if over & bit or (adjm[v] & (t | bit - 1)).bit_count() + r - v > allow[v]:
+            return False
+        kept |= bit
     return False
 
 
 def _descend(
     g: Graph, stop: int, connected_only: bool = False, all_optima: bool = False
 ) -> tuple[list[int], int]:
-    """The search behind max_pds_exact, stopped after size stop.
+    """The search behind max_pds_exact, stopped after size stop: each size
+    in turn, the dropped sets T of n - size vertices in descending order.
 
     Returns (hits, subsets decided); hits holds the first qualifying mask
     of the largest size that has one (every such mask with all_optima),
@@ -150,8 +150,11 @@ def _descend(
     checked = 0
     for size in range(min(pds_size_upper_bound(g), n - 1), stop - 1, -1):
         hits: list[int] = []
-        need, allow = _bounds(g.deg, n - 1, size)
-        if _pick(adjm, need, allow, [0] * n, 0, 0, n, size, hits, connected_only, all_optima):
+        allow, slices = _slack(g.deg, n - 1, size)
+        if _drop(
+            adjm, allow, slices, 0, 0, 0, n, n - size, (1 << n) - 1, hits,
+            connected_only, all_optima,
+        ):
             return hits, checked + _colex_rank(hits[0]) + 1
         checked += comb(n, size)
         if hits:
@@ -194,27 +197,22 @@ def pds_extension(
 
     base itself need not be a PDS.  Supersets are tried by increasing
     size; within a size, added vertices ascend in mask order.  The search
-    is _pick's on a relabelling that keeps the order of the free vertices
-    and puts base above them, so base is the prefix every pick extends.
+    is _drop's, with base's vertices members from the start, so it drops
+    only free vertices.
     """
     _require_within_cap(g, cap)
     n = g.n
     if len(base) >= n:
         raise InvalidArgument("base must be a strict subset of the vertices")
-    order = [v for v in range(n) if not base.mask >> v & 1] + base.members()
-    label = [0] * n
-    for i, v in enumerate(order):
-        label[v] = i
-    adjm = [sum(1 << label[w] for w in g.adj[v]) for v in order]
-    deg = [g.deg[v] for v in order]
-    c = n - len(base)
-    s = (1 << n) - (1 << c)
+    adjm = adjacency_masks(g)
     for size in range(max(len(base) + 1, 2), n):
         hits: list[int] = []
-        need, allow = _bounds(deg, n - 1, size)
-        tight = sum(1 << u for u in range(c, n) if not allow[u])
-        if _pick(adjm, need, allow, [0] * n, s, tight, c, size + c - n, hits, False, False):
-            return VertexSet.from_ids(n, [v for i, v in enumerate(order) if hits[0] >> i & 1])
+        allow, slices = _slack(g.deg, n - 1, size)
+        if _drop(
+            adjm, allow, slices, 0, 0, base.mask, n, n - size, (1 << n) - 1, hits,
+            False, False,
+        ):
+            return VertexSet(n, hits[0])
     return None
 
 

@@ -1,6 +1,7 @@
 """The original one-mask-at-a-time searches of ``pdskit.exact``.
 
-Kept only as test oracles: the prefix-pruned ``pdskit.exact._descend``
+Kept only as test oracles: ``pdskit.exact._descend``, which searches
+each size's dropped vertices and cuts every branch that cannot qualify,
 must return the same hits, in the same order, and the same count of
 subsets decided on every input, and ``pdskit.exact.pds_extension`` the
 same superset as ``extension_scan``.

@@ -136,7 +136,9 @@ class TestCommittedBaselines:
 
     ROOT = Path(__file__).resolve().parent.parent
 
-    @pytest.mark.parametrize("suite", ["approx-scaling", "cubic-scaling", "enum-scaling"])
+    @pytest.mark.parametrize(
+        "suite", ["approx-scaling", "cubic-scaling", "exact-scaling", "enum-scaling"]
+    )
     def test_file_loads_with_its_keys(self, suite):
         report = json.loads((self.ROOT / f"BENCH_{suite}.json").read_text())
         assert sorted(report) == ["cpu_count", "fit", "python", "rows", "suite"]

@@ -139,7 +139,7 @@ def _modes(n):
 
 
 class TestMatchesDescendReference:
-    """The prefix-pruned search must return the hits and the count of
+    """The search over dropped sets must return the hits and the count of
     subsets decided that testing every mask in turn returns."""
 
     def test_every_connected_graph_n_le_7(self):
@@ -176,6 +176,15 @@ class TestMatchesDescendReference:
         assert 4 * g.m >= g.n * (g.n - 1)
         for mode in _modes(g.n):
             assert _descend(g, *mode) == descend_scan(g, *mode), mode
+
+    def test_seeded_dense_graphs_n_15_16(self):
+        for seed in range(24):
+            n = 15 + seed % 2
+            pairs = n * (n - 1) // 2
+            g = random_connected(n, -(-pairs // 2) + seed * pairs // 48, seed=seed)
+            assert 2 * g.m >= pairs
+            for mode in _modes(n):
+                assert _descend(g, *mode) == descend_scan(g, *mode), (seed, mode)
 
     def test_search_leaves_no_cyclic_garbage(self):
         g = random_connected(16, 24, seed=3)
@@ -277,6 +286,12 @@ class TestExtension:
     @given(graphs(min_n=2, max_n=12), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_scan_on_random_graphs(self, g, data):
+        base = VertexSet(g.n, data.draw(st.integers(0, (1 << g.n) - 2)))
+        assert pds_extension(g, base) == extension_scan(g, base)
+
+    @given(dense_graphs(max_n=12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scan_on_dense_graphs(self, g, data):
         base = VertexSet(g.n, data.draw(st.integers(0, (1 << g.n) - 2)))
         assert pds_extension(g, base) == extension_scan(g, base)
 
