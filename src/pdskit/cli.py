@@ -186,8 +186,8 @@ def _report(args, code: int, human: list[str], **fields) -> int:
 
     The line is written one field at a time, with the bytes of
     print(json.dumps(...)): each key and each other value through json.dumps,
-    and a set one block of SET_BLOCK vertices at a time, read off its flags,
-    so neither its member list nor the line is built."""
+    and a set one block of SET_BLOCK vertices with a member at a time, read
+    off its flags, so neither its member list nor the line is built."""
     if not args.json:
         print(*human, sep="\n")
         return code
@@ -202,9 +202,10 @@ def _report(args, code: int, human: list[str], **fields) -> int:
         flags, comma = value.flags(), ""
         write("[")
         for lo in range(0, value.n, SET_BLOCK):
-            block = list(compress(range(lo, lo + SET_BLOCK), flags[lo : lo + SET_BLOCK]))
-            if block:
-                write(comma + json.dumps(block)[1:-1])
+            chunk = flags[lo : lo + SET_BLOCK]
+            if 1 in chunk:  # a block of members only is its range
+                ids = range(lo, lo + len(chunk))
+                write(comma + json.dumps(list(compress(ids, chunk) if 0 in chunk else ids))[1:-1])
                 comma = ", "
         write("]")
     write("}\n")

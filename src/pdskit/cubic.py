@@ -30,10 +30,12 @@ not AHEAD; two translates of the codes and one AND of little-endian ints
 find the first such u, and a no-full-arc pattern is one bytes comparison.
 
 The answer is re-checked from n and the validated chord matching alone,
-independently of the arc logic and without building a Graph: three byte
-lanes of membership flags sum to every inside degree, one translate table
-tests them all, and the answer's runs along the cycle, joined by its
-chords, decide connectivity.
+independently of the arc logic and without building a Graph: shifted
+membership flags count each member's cycle neighbours inside, gathered
+chord flags add its chord, one translate table tests every member, and
+the runs along the cycle, joined by their chords, decide connectivity.
+Chord flags are gathered only where a verdict or a join needs them, so a
+full arc, one run, has its two ends' blocks gathered and no more.
 """
 
 from __future__ import annotations
@@ -279,31 +281,37 @@ def _finish(g: CubicCycleGraph, s: VertexSet) -> CubicOutcome:
 
 def _recheck(g: CubicCycleGraph, s: VertexSet) -> None:
     """Raise VerificationFailed unless s (2 <= |s| < n) is a PDS of g that
-    induces a connected subgraph.  Reads only g.n and g.chord."""
+    induces a connected subgraph.  Reads only g.n and g.chord, the chord
+    table in the CODE_BLOCK blocks that hold a member whose chord decides
+    its verdict, or, when s is several runs along the cycle, any member."""
     n, chord = g.n, g.chord
     flags = s.flags()
-    # byte v of each lane is the flag of one neighbour of v: chord[v], v-1
-    # and v+1.  Their sum is v's inside degree, at most 3, so no byte
-    # carries into the next.  Only members' bytes are read below, so the
-    # chord lane is gathered a block at a time, and only in blocks that
-    # hold a member.
-    lane = bytearray(n)
-    for lo in range(0, n, CODE_BLOCK):
-        if 1 in flags[lo : lo + CODE_BLOCK]:
-            lane[lo : lo + CODE_BLOCK] = itemgetter(*chord[lo : lo + CODE_BLOCK])(flags)
-    across = int.from_bytes(lane, "little")
     member = int.from_bytes(flags, "little")
     before = int.from_bytes(flags[-1:] + flags[:-1], "little")
-    inside = before + int.from_bytes(flags[1:] + flags[:1], "little") + across
+    # byte v is the flag of v - 1 plus that of v + 1, and 4 more for a member
+    cycle = before + int.from_bytes(flags[1:] + flags[:1], "little") + 4 * member
     # d inside and 3 - d outside fail iff d * (n - |S|) < (3 - d) * (|S| - 1)
     fails = bytes(d * (n - len(s)) < (3 - d) * (len(s) - 1) for d in range(4))
-    violators = inside.to_bytes(n, "little").translate(fails.ljust(256, b"\0"))
-    if int.from_bytes(violators, "little") & member:
-        raise VerificationFailed("answer failed the re-check")
-    # a run of S along the cycle starts at each member whose predecessor
-    # is not one; S is connected iff the chords inside it join its runs
+    # a run of S along the cycle starts at each member whose predecessor is
+    # not one; S is connected iff the chords inside it join its runs
     starts = (member & ~before).to_bytes(n, "little")
     runs = starts.count(1)
+    # a member with c cycle neighbours inside has c or c + 1 inside: its
+    # verdict needs its chord only where fails[c] != fails[c + 1]; a join, always
+    turns = bytes(4) + bytes(runs > 1 or fails[c] != fails[c + 1] for c in range(3))
+    need = cycle.to_bytes(n, "little").translate(turns.ljust(256, b"\0"))
+    lane = bytearray(n)
+    lo = need.find(1)
+    while lo >= 0:
+        lo -= lo % CODE_BLOCK
+        lane[lo : lo + CODE_BLOCK] = itemgetter(*chord[lo : lo + CODE_BLOCK])(flags)
+        lo = need.find(1, lo + CODE_BLOCK)
+    across = int.from_bytes(lane, "little")
+    # a member's byte is 4 plus its inside degree, at most 7, so no byte
+    # carries into the next; a non-member's stays below 4
+    inside = (cycle + across).to_bytes(n, "little")
+    if 1 in inside.translate((bytes(4) + fails).ljust(256, b"\0")):
+        raise VerificationFailed("answer failed the re-check")
     if runs <= 1:
         return
     # Label L runs from the L-th start to the next; label 0, before the first
@@ -389,9 +397,10 @@ def parse_cubic(text: str) -> CubicCycleGraph:
     tags = bytearray(b"\xff") * len(chord)  # 0xff is no code: a vertex no pair names
     code = b"" if bad else _tag_table(n)
     size = 0
+    signed = "-" in text  # only a '-' makes a negative id, on either route
     for ints in chain((ints,), blocks):
         size += len(ints)
-        if bad or min(ints, default=0) < 0:
+        if bad or signed and min(ints, default=0) < 0:
             bad = True
             continue
         it = iter(ints)

@@ -415,7 +415,7 @@ def _json_object(obj: str | dict, *keys: str) -> dict:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
             raise ParseError(f"bad JSON: {exc}") from exc
         except RecursionError:  # the decoder recurses once per nesting level
             raise ParseError("bad JSON: nested too deeply") from None

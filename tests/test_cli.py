@@ -525,6 +525,27 @@ class TestHostileInput:
         self.assert_input_error(proc.returncode, err, "is above the limit of 4194304 vertices")
         assert err.count("\n") == 1, err
 
+    # an int past Python's digit limit makes json.loads raise a plain
+    # ValueError; each JSON reader names it as bad JSON
+    HUGE = "1" + "0" * 4999
+
+    @pytest.mark.parametrize("reader", ["graph", "set file", "certificate"])
+    def test_json_int_past_the_digit_limit(self, capsys, tmp_path, reader):
+        f = tmp_path / "in.json"
+        if reader == "graph":
+            f.write_text(f'{{"n": {self.HUGE}, "edges": []}}')
+            argv = ["verify", str(f), "--set", "0"]
+        elif reader == "set file":
+            f.write_text(f'{{"set": [0, {self.HUGE}]}}')
+            argv = ["verify", "k4", "--set-file", str(f)]
+        else:
+            f.write_text(f'{{"kind": "split", "direction": "forward", "k": {self.HUGE}}}')
+            argv = ["certify", str(f)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "Traceback" not in err and err.count("\n") == 1, err
+        if hasattr(sys, "get_int_max_str_digits"):  # the limit came with 3.10.7 and 3.11
+            assert err.startswith("error: bad JSON: Exceeds the limit"), err
+
     def test_deeply_nested_certificate(self, capsys, tmp_path):
         f = tmp_path / "cert.json"
         f.write_text('{"kind": ' + "[" * self.DEEP + "]" * self.DEEP + "}")
@@ -832,6 +853,22 @@ def report_fields(draw) -> dict:
     items = list(fields.items())
     items.insert(draw(st.integers(0, len(items))), ("set", s))
     return dict(items)
+
+
+@pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_json_report_writes_each_kind_of_block(n):
+    """Blocks with no member, only members and both, the empty set and the
+    full set: the set field is the bytes of json.dumps(s.members())."""
+    assert cli.SET_BLOCK == 4096
+    full = (1 << n) - 1
+    # block 0 full, block 1 empty, block 2 mixed, the short last block full
+    blocks = full & ~(((1 << 4096) - 1) << 4096) & ~(0b1011 << 2 * 4096 + 7)
+    for mask in (0, full, blocks, full ^ 1, 1 << n - 1, 0x5555 & full):
+        s = VertexSet(n, mask)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._report(SimpleNamespace(json=True, command="cubic"), 0, [], set=s)
+        assert out.getvalue() == f'{{"command": "cubic", "set": {json.dumps(s.members())}}}\n', (n, mask)
 
 
 @given(report_fields())

@@ -601,6 +601,61 @@ def test_bulk_recheck_property(case):
     assert got == expected, case
 
 
+def _oracle(graph, s):
+    """check_pds and induced_connected on the instance's Graph, as the
+    outcome strings of _recheck_outcomes."""
+    if not check_pds(graph, s).holds:
+        return "failed the re-check"
+    return "ok" if induced_connected(graph, s) else "is not connected"
+
+
+def _near(s, rng):
+    """Sets next to s, where the chords of a run's ends decide: s shifted
+    one step along the cycle, s less a run's first or last vertex or a
+    random member, s plus the vertex after a run; then a random set and a
+    random arc."""
+    n, ids = s.n, s.members()
+    firsts = [v for v in ids if (v - 1) % n not in s]
+    lasts = [v for v in ids if (v + 1) % n not in s]
+    yield VertexSet(n, (s.mask << 1 | s.mask >> n - 1) & ((1 << n) - 1))
+    for v in (rng.choice(firsts), rng.choice(lasts), rng.choice(ids)):
+        yield VertexSet(n, s.mask & ~(1 << v))
+    yield VertexSet(n, s.mask | 1 << (rng.choice(lasts) + 1) % n)
+    yield VertexSet(n, rng.getrandbits(n))
+    yield VertexSet(n, _arc(n, rng.randrange(n), rng.randint(2, n - 1)))
+
+
+class TestRecheckAgainstOracle:
+    """cubic._recheck raises exactly when check_pds fails on the instance's
+    Graph or the set is not connected.  A one-run set has only its members
+    whose chord decides their verdict gathered, so the answers of random
+    instances (one run, a full arc) and of no-full-arc ones (two runs), and
+    the sets next to them, are each held to the oracle.  Every set at
+    n <= 8 is in TestBulkRecheck."""
+
+    NO_ARC = {10: [jump(10, 3)], 14: [jump(14, 3), jump(14, 5)], 16: [jump(16, 3), jump(16, 5)],
+              1000: [jump(1000, 3)], 1004: [paired(1004, 3, 5)],
+              5 * cubic.CODE_BLOCK: [jump(5 * cubic.CODE_BLOCK, 3)]}
+
+    @pytest.mark.parametrize("n", [10, 12, 14, 16, 1000, 1004, 5 * cubic.CODE_BLOCK])
+    def test_answers_and_the_sets_next_to_them(self, n):
+        rng = random.Random(n)
+        no_arc = [rotated(g, t) for g in self.NO_ARC.get(n, []) for t in (0, 1)]
+        rounds = 4 if n < cubic.CODE_BLOCK else 1  # one past a block, for time: its ends lie blocks apart
+        seen = Counter()
+        for g in [random_cubic_cycle(n, seed=seed) for seed in range(min(rounds, 3))] + no_arc:
+            answer = solve_hamiltonian_cubic(g).pds
+            assert _runs(answer) == (2 if g in no_arc else 1)
+            graph = to_graph(g)
+            for s in [answer] + [t for _ in range(rounds) for t in _near(answer, rng)]:
+                if 2 <= len(s) < n:
+                    got = _outcome(_recheck, g, s) or "ok"
+                    expected = _oracle(graph, s)
+                    assert got.removeprefix("answer ") == expected, (g, s)
+                    seen[expected] += 1
+        assert {"ok", "failed the re-check"} <= seen.keys(), seen
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
