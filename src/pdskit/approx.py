@@ -99,7 +99,8 @@ def half_pds(
 
 
 def _scan_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveRecord]]:
-    """The search on S as one mask, rescanning S's members on every step."""
+    """The search on S as one mask, rescanning S's members on every step;
+    n <= SCAN_CUTOFF, the member table's width."""
     s = start.mask
     n = g.n
     adjm = adjacency_masks(g)
@@ -109,13 +110,13 @@ def _scan_search(g: Graph, start: VertexSet, half: int) -> tuple[int, list[MoveR
     # k = |S| - 1, half - 1 and n - half in turn; a member with c neighbours in
     # S fails c*(n-|S|) >= (deg-c)*(|S|-1) iff c*(n-1) < deg*k
     k, k_next = half - 1, n - half
-    table = member_table(n) if n <= SCAN_CUTOFF else None  # only a direct call passes a larger n
+    table = member_table(n)
     moves: list[MoveRecord] = []
     for _ in range(2 * g.m + 2):
         dense = True
         gain = -n  # below every deg - 2*inside
         cut = 0
-        for v in table[s] if table else [w for w in range(n) if s >> w & 1]:
+        for v in table[s]:
             c = (adjm[v] & s).bit_count()
             d = deg[v]
             if c * n1 < d * k:

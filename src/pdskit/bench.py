@@ -115,15 +115,10 @@ def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float, float]:
 def fit_semilog(xs: list[float], ys: list[float]) -> tuple[float, float]:
     """Least-squares slope and r^2 of log(y) against x; e**slope is the
     growth factor of y per unit of x."""
+    from statistics import correlation, linear_regression  # imports fractions: loaded on first use
+
     if len(set(xs)) < 2:
         raise ValueError("a fit needs at least two distinct sizes")
     ly = [math.log(y) for y in ys]
-    k = len(xs)
-    mx = sum(xs) / k
-    my = sum(ly) / k
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ly))
-    syy = sum((y - my) ** 2 for y in ly)
-    slope = sxy / sxx
-    r2 = sxy * sxy / (sxx * syy) if syy else 1.0
-    return slope, r2
+    r2 = correlation(xs, ly) ** 2 if len(set(ly)) > 1 else 1.0  # a constant series fits exactly
+    return linear_regression(xs, ly).slope, r2

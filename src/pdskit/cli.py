@@ -36,7 +36,13 @@ from .errors import (
     UnknownName,
     VerificationFailed,
 )
-from .exact import max_independent_set_exact, max_pds_exact, pds_extension, resolve_cap
+from .exact import (
+    _require_within_cap,
+    max_independent_set_exact,
+    max_pds_exact,
+    pds_extension,
+    resolve_cap,
+)
 from .generators import fixture, fixture_chords, fixture_names, random_connected
 from .graph import (
     Graph,
@@ -330,6 +336,8 @@ def cmd_reduce(args) -> int:
     resolve_cap(args.cap)
     _check_output(args.certificate)
     g, digest = _load_graph(args.graph)
+    if args.certificate:  # the MIS's cap refuses the source before the target is built
+        _require_within_cap(g, args.cap)
     inst = split_reduction(g) if args.k is None else bipartite_reduction(g, args.k)
     if inst.k is None:  # --k names the reduction
         head = {"target": graph_to_json(inst.target), "anchors": list(inst.anchors)}

@@ -81,8 +81,8 @@ class CubicCycleGraph:
         # 64 bits) and fails at c < 0 (c != n + c).
         try:
             table = array("q", chord)
-            # one gather per block; as in _chord_codes, no block has the
-            # lone entry itemgetter returns bare
+            # one gather per block, not one n-entry tuple: n and CODE_BLOCK
+            # are even, so no block has the lone entry itemgetter returns bare
             matched = all(
                 itemgetter(*table[lo : lo + CODE_BLOCK])(table) == tuple(range(lo, n)[:CODE_BLOCK])
                 for lo in range(0, n, CODE_BLOCK)
@@ -92,7 +92,13 @@ class CubicCycleGraph:
         if not matched:
             v = next(v for v, c in enumerate(chord) if not 0 <= c < n or chord[c] != v)
             raise InvalidGraph(f"chord ({v}, {chord[v]}) is out of range or not matched")
-        _adopt(self, n, table, _chord_codes(n, table))
+        # the code bytes, gathered off the tag table by the same blocks
+        code = _tag_table(n)
+        codes = b"".join(
+            bytes(itemgetter(*map(sub, table[lo : lo + CODE_BLOCK], range(lo, n)))(code))
+            for lo in range(0, n, CODE_BLOCK)
+        )
+        _adopt(self, n, table, codes)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicCycleGraph is immutable")
@@ -145,18 +151,6 @@ def _tag_table(n: int) -> bytes:
     # would raise, takes the negative counts of n < 3: no instance has such n,
     # but the parse fills its tags before it refuses them.
     return (b"\3\3" + b"\1" * (k - 1)).ljust(n - k, b"\0") + b"\2" * (k - 1) + b"\0"
-
-
-def _chord_codes(n: int, chord) -> bytes:
-    """One code byte per vertex of chord, a table of n in-range entries,
-    gathered off _tag_table(n) a block at a time.  No n-entry tuple is built:
-    n and CODE_BLOCK are even, so no block has the lone entry itemgetter
-    returns bare."""
-    code = _tag_table(n)
-    return b"".join(
-        bytes(itemgetter(*map(sub, chord[lo : lo + CODE_BLOCK], range(lo, n)))(code))
-        for lo in range(0, n, CODE_BLOCK)
-    )
 
 
 def _arc(n: int, start: int, size: int) -> int:

@@ -426,10 +426,10 @@ def _json_object(obj: str | dict, *keys: str) -> dict:
 
 
 def _json_ints(value, what: str, pairs: bool = False) -> list:
-    """value, a JSON list of integers (of [u, v] integer pairs, returned as
-    tuples, with pairs=True), read without coercion: anything that is not
-    a list, an item that is a bool, str or float, or a pair of another
-    length raises ParseError."""
+    """value, a JSON list of distinct integers (of [u, v] integer pairs,
+    returned as tuples, with pairs=True), read without coercion: anything
+    that is not a list, an item that is a bool, str or float, an integer a
+    plain list repeats or a pair of another length raises ParseError."""
     if not isinstance(value, (list, tuple)):
         raise ParseError(f"{what} must be a list, got {type(value).__name__}")
     if pairs:
@@ -441,6 +441,8 @@ def _json_ints(value, what: str, pairs: bool = False) -> list:
     for x in items:
         if type(x) is not int:  # bool is an int subclass; str and float are not ints
             raise ParseError(f"{what}: expected an integer, got {x!r}")
+    if not pairs and len(set(value)) < len(value):  # an id list names each vertex once
+        raise ParseError(f"{what} must list distinct integers")
     return [tuple(p) for p in value] if pairs else list(value)
 
 
@@ -451,7 +453,4 @@ def graph_from_json(obj: str | dict) -> Graph:
 
 
 def set_from_json(obj: str | dict, n: int) -> VertexSet:
-    ids = _json_ints(_json_object(obj, "set")["set"], "set")
-    if len(set(ids)) != len(ids):  # as verify --set refuses them
-        raise ParseError("set must list distinct integers")
-    return VertexSet.from_ids(n, ids)
+    return VertexSet.from_ids(n, _json_ints(_json_object(obj, "set")["set"], "set"))

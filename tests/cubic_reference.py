@@ -3,8 +3,8 @@ test and member-list answers, and an instance's general Graph.
 
 Kept only as test oracles.  ``AHEAD``, ``BACK`` and ``_TAGS`` name the
 code bytes 1, 2 and 0 of ``CubicCycleGraph.codes``, and ``classify_chords``
-reads those codes as tags.  The code string of ``pdskit.cubic._chord_codes``
-(one table lookup per vertex, a block at a time), ``find_full_arc`` (an
+reads those codes as tags.  The code string of ``CubicCycleGraph``'s
+constructor (one table lookup per vertex, a block at a time), ``find_full_arc`` (an
 AND of two translated flag strings), ``_pattern`` (bytes comparisons), the
 answer masks of ``solve_hamiltonian_cubic`` and ``_arc`` (a rotated bit
 run) must match what these return, and the bulk re-check

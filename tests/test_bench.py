@@ -128,11 +128,18 @@ class TestFit:
         assert math.isclose(math.exp(slope), 7.5, rel_tol=1e-9)
         assert math.isclose(r2, 1.0, abs_tol=1e-12)
 
+    def test_constant_series_and_one_size(self):
+        assert fit_semilog([3, 4, 5], [0.25] * 3) == (0.0, 1.0)  # a flat line fits exactly
+        for fit in (fit_loglog, fit_semilog):
+            with pytest.raises(ValueError, match="^a fit needs at least two distinct sizes$"):
+                fit([8, 8], [1.0, 2.0])
+
 
 class TestCommittedBaselines:
     """The BENCH_<suite>.json files at the repository root, written by
     `pdskit bench --suite <suite> --output BENCH_<suite>.json` at the
-    defaults; only their layout is checked, never their numbers."""
+    defaults; their layout is checked, and that each stored fit is the fit
+    of its rows, never the timings themselves."""
 
     ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,3 +158,14 @@ class TestCommittedBaselines:
         # each row has the columns a fresh run of the suite gives
         cols = list(run_suite(suite, sizes=sizes[:1], repeats=1)["rows"][0])
         assert all(list(row) == cols for row in report["rows"])
+
+    @pytest.mark.parametrize(
+        "suite", ["approx-scaling", "cubic-scaling", "exact-scaling", "enum-scaling"]
+    )
+    def test_stored_fit_is_the_fit_of_the_rows(self, suite):
+        report = json.loads((self.ROOT / f"BENCH_{suite}.json").read_text())
+        fit = fit_semilog if bench.SUITES[suite][1] else fit_loglog
+        rows = report["rows"]
+        slope, r2 = fit([r["n"] for r in rows], [r["seconds"] for r in rows])
+        assert math.isclose(slope, report["fit"]["slope"], rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(r2, report["fit"]["r2"], rel_tol=0, abs_tol=1e-12)

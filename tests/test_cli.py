@@ -405,6 +405,24 @@ class TestReduce:
         want = f"error: target m=5995002 is above the limit of {MAX_EDGES} edges\n"
         assert run(capsys, "reduce", "path2000", "--json") == (2, "", want)
 
+    # the exact search's cap refuses the source before any reduction is built:
+    # path1500's split target took 4.4 s and 753 MB before the MIS refused it
+    @pytest.mark.parametrize("k, cap", [((), ()), (("--k", "2"), ()), ((), ("--cap", "30"))],
+                             ids=["split", "bipartite", "cap30"])
+    def test_certificate_source_above_the_cap_is_refused_unbuilt(
+        self, capsys, monkeypatch, tmp_path, k, cap
+    ):
+        def refuse(*args):
+            raise AssertionError("the reduction was built")
+
+        monkeypatch.setattr(cli, "split_reduction", refuse)
+        monkeypatch.setattr(cli, "bipartite_reduction", refuse)
+        cert = tmp_path / "cert.json"
+        argv = ["reduce", "path1500", *k, *cap, "--certificate", str(cert), "--json"]
+        want = f"error: n=1500 exceeds the enumeration cap {cap[1] if cap else 24}\n"
+        assert run(capsys, *argv) == (2, "", want)
+        assert not cert.exists()
+
 
 class TestCertify:
     def test_split_certificate_above_the_edge_limit(self, capsys, tmp_path):
@@ -414,6 +432,18 @@ class TestCertify:
                "independent_set": [], "pds": []}
         cert.write_text(json.dumps(obj))
         want = f"error: target m=13492502 is above the limit of {MAX_EDGES} edges\n"
+        assert run(capsys, "certify", str(cert), "--json") == (2, "", want)
+
+    # a certificate's id lists refuse a repeat, as verify --set-file does;
+    # demo5's split certificate with its first id repeated read as valid
+    @pytest.mark.parametrize("key", ["independent_set", "pds"])
+    def test_repeated_id_is_usage_error(self, capsys, tmp_path, key):
+        cert = tmp_path / "cert.json"
+        run(capsys, "reduce", "demo5", "--certificate", str(cert))
+        obj = json.loads(cert.read_text())
+        obj[key].insert(0, obj[key][0])
+        cert.write_text(json.dumps(obj))
+        want = f"error: {key} must list distinct integers\n"
         assert run(capsys, "certify", str(cert), "--json") == (2, "", want)
 
     def test_tampered_certificate(self, capsys, tmp_path):

@@ -38,10 +38,10 @@ from pdskit.cubic import (
     PAIRED,
     _arc,
     _assert_sealed,
-    _chord_codes,
     _finish,
     _pattern,
     _recheck,
+    _tag_table,
     find_full_arc,
 )
 from pdskit.pds import recheck
@@ -670,7 +670,7 @@ def _bulk_against_loops(g):
     n = g.n
     tags = classify_chords_loop(g)
     codes = g.codes
-    assert codes == _chord_codes(n, g.chord) == bytes(map(_TAGS.index, tags)), g
+    assert codes == bytes(map(_TAGS.index, tags)), g
     start = find_full_arc(g)
     assert start == full_arc_start_loop(g), g
     if start is not None:
@@ -864,18 +864,18 @@ def _involutions(n):
 
 class TestCodeString:
     """The constructor's validation pass builds the code string the solver
-    reads: one _chord_codes call per instance, none per solve."""
+    reads: one _tag_table build per instance, none per solve."""
 
     @pytest.mark.parametrize("make", [lambda: random_cubic_cycle(1000, seed=3), lambda: jump(1000, 3)])
     def test_built_once_and_never_by_a_solve(self, monkeypatch, make):
         chord = make().chord
         calls = []
 
-        def counted(n, table):
+        def counted(n):
             calls.append(n)
-            return _chord_codes(n, table)
+            return _tag_table(n)
 
-        monkeypatch.setattr(cubic, "_chord_codes", counted)
+        monkeypatch.setattr(cubic, "_tag_table", counted)
         g = CubicCycleGraph(1000, chord)
         assert calls == [1000]
         for _ in range(2):

@@ -479,6 +479,11 @@ class TestSerialisation:
             with pytest.raises(ParseError, match="^set must list distinct integers$"):
                 set_from_json(form, 4)
 
+    def test_edges_may_share_endpoints(self):
+        # the distinct-id rule covers id lists, not the integers of edge pairs
+        g = graph_from_json({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]})
+        assert (g.n, g.m) == (3, 3)
+
     @given(graphs(max_n=9))
     def test_emit_parse_roundtrip(self, g):
         assert parse_graph(emit_graph(g)) == g
